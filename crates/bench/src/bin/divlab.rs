@@ -2,22 +2,28 @@
 //!
 //! ```text
 //! divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex]
-//!                 [--engine reference|fast|batch] [--seed N] [--trace]
-//!                 [--telemetry PATH] [--sample-every K]
+//!                 [--engine reference|fast|batch|sharded] [--seed N] [--trace]
+//!                 [--telemetry PATH] [--sample-every K] [--spans PATH]
 //!                 [--faults SPEC] [--trials N] [--budget N]
-//!                 [--lanes K] [--threads T]
+//!                 [--lanes K] [--shards P] [--threads T]
 //!                 [--checkpoint PATH] [--resume] [--stop-after N]
+//!                 [--serve ADDR] [--serve-linger SECS]
 //! divlab campaign ...same flags as run; forces campaign mode at any --trials
 //! divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex]
-//!                 [--engine reference|fast|batch] [--seed N] [--faults SPEC]
-//!                 [--budget N] [--sample-every K]
+//!                 [--engine reference|fast|batch|sharded] [--seed N] [--faults SPEC]
+//!                 [--budget N] [--sample-every K] [--shards P] [--threads T]
 //! divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded]
-//!                 [--seed N] [--trials N]
-//!                 [--faults SPEC] [--budget N] [--checkpoint PATH] [--resume]
-//! divlab spectral --graph SPEC [--seed N]
-//! divlab graph6   --graph SPEC [--seed N]
+//!                 [--seed N] [--trials N] [--faults SPEC] [--budget N]
+//!                 [--lanes K] [--shards P] [--threads T]
+//!                 [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]
+//! divlab spectral --graph SPEC [--init SPEC] [--seed N]
+//! divlab graph6   --graph SPEC [--init SPEC] [--seed N]
 //! divlab analyze  --traces PATH [--out DIR]
+//! divlab submit   --server HOST:PORT ...campaign spec flags (client mode for divd)
 //! ```
+//!
+//! Each subcommand accepts exactly the flags it reads; any other flag is
+//! a usage error naming it.
 //!
 //! Graph and opinion spec grammars are documented in
 //! [`div_bench::spec`]; e.g. `--graph regular:200:8 --init uniform:5`.
@@ -31,6 +37,9 @@
 //! exactly (byte-identical report, including its aggregated metrics
 //! block).  `divlab campaign` is the same command with campaign mode
 //! forced on, so single-trial smoke campaigns don't need `--trials 2`.
+//!
+//! Every engine runs through the shared executors and campaign dispatch
+//! of [`div_bench::trial`], the same code `divd` runs.
 //!
 //! `--engine batch` runs campaigns through the lockstep batch engine
 //! ([`div_core::BatchProcess`]): trials are grouped into `--lanes K`
@@ -88,22 +97,22 @@ use div_baselines::{
 };
 use div_bench::spec;
 use div_bench::trial::{
-    batch_group, batch_group_observed, exceeds_lane_span, fast_trial, outcome_of, publish_faults,
-    reference_trial, sharded_observed_trial, sharded_trial,
+    exceeds_lane_span, outcome_of, parse_scheduler, publish_faults, run_engine_campaign, Engine,
+    Pending, TrialSetup,
 };
 use div_core::{
     hex_id, init, render_spans, span_id, theory, BatchProcess, CsvExporter, DivProcess,
-    EdgeScheduler, FastProcess, FastRng, FastScheduler, FaultPlan, FaultStats, JsonlExporter,
-    KernelTier, Observer, OpinionState, Phase, PhaseEvent, RingRecorder, RunStatus, Scheduler,
-    ShardGauge, SpanClock, SpanEvent, StageLog, TelemetrySample, VertexScheduler,
+    EdgeScheduler, FastScheduler, FaultPlan, FaultStats, JsonlExporter, KernelTier, NullObserver,
+    Observer, OpinionState, Phase, PhaseEvent, RingRecorder, RunStatus, Scheduler, SpanClock,
+    SpanEvent, StageLog, TelemetrySample, VertexScheduler,
 };
 use div_sim::table::Table;
 use div_sim::{
-    run_campaign_batched_monitored, run_campaign_monitored, CampaignConfig, CampaignMonitor,
-    MetricsServer, MonitorPhase, ShardHealth, TrialOutcome,
+    CampaignConfig, CampaignHooks, CampaignMonitor, MetricsServer, MonitorPhase, TrialCtx,
+    TrialOutcome,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -116,8 +125,10 @@ fn main() {
     let Some((command, rest)) = args.split_first() else {
         usage_and_exit();
     };
-    let opts = parse_flags(rest);
-    let result = match command.as_str() {
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        usage_and_exit();
+    }
+    let result = parse_flags(command, rest).and_then(|opts| match command.as_str() {
         "run" => cmd_run(&opts, false),
         "campaign" => cmd_run(&opts, true),
         "stats" => cmd_stats(&opts),
@@ -126,9 +137,8 @@ fn main() {
         "graph6" => cmd_graph6(&opts).map(|()| 0),
         "analyze" => cmd_analyze(&opts),
         "submit" => cmd_submit(&opts),
-        "--help" | "-h" | "help" => usage_and_exit(),
         other => Err(format!("unknown command {other:?}")),
-    };
+    });
     match result {
         Ok(code) => exit(code),
         Err(msg) => {
@@ -140,30 +150,64 @@ fn main() {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage:\n  divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N] [--trace]\n                  [--telemetry PATH] [--sample-every K] [--spans PATH] [--faults SPEC] [--trials N] [--budget N] [--lanes K] [--shards P] [--threads T]\n                  [--checkpoint PATH] [--resume] [--stop-after N] [--serve ADDR] [--serve-linger SECS]\n  divlab campaign ...same flags as run (campaign mode forced, even at --trials 1)\n  divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch] [--seed N]\n                  [--faults SPEC] [--budget N] [--sample-every K]\n  divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded] [--seed N] [--trials N] [--faults SPEC] [--budget N]\n                  [--shards P] [--threads T] [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]\n  divlab spectral --graph SPEC [--seed N]\n  divlab graph6   --graph SPEC [--seed N]\n  divlab analyze  --traces PATH [--out DIR]\n  divlab submit   --server HOST:PORT --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine fast|batch|reference]\n                  [--seed N] [--trials N] [--budget N] [--faults SPEC] [--lanes K] [--threads T] [--checkpoint-every K]\n                  [--client NAME] [--timeout SECS] [--detach] [--watch]   (client mode for a divd daemon)\n\ngraph specs:  complete:N path:N cycle:N star:N wheel:N grid:RxC torus:RxC\n              hypercube:D binary-tree:N barbell:H:B lollipop:H:T double-star:L:R\n              circulant:N:s1,s2 multipartite:a,b regular:N:D gnp:N:P ws:N:K:B ba:N:M\ninit specs:   uniform:K spread:K blocks:VxC,VxC,...\nfault specs:  drop:Q noise:P:D stale:P:AGE stubborn:K crash:P:OUTAGE (comma-separated), or none\nengines:      reference (observable baseline), fast (compiled scalar), batch (lockstep lanes;\n              campaigns step --lanes K trials together across --threads T workers, bit-exact vs fast),\n              sharded (--shards P concurrent vertex domains per trial on --threads T std threads;\n              deterministic for fixed seed+P, built for million-vertex single trials)\ntelemetry:    --telemetry out.jsonl streams W(t) samples + phase events (CSV when PATH ends in .csv);\n              in campaign mode PATH is a directory receiving one trial-<seed>.jsonl per trial;\n              batch/sharded engines observe natively (block/round sampling lattice);\n              --spans PATH (campaign) writes Chrome-trace lifecycle spans (load in Perfetto)\nmonitoring:   --serve 127.0.0.1:9100 exposes /metrics (Prometheus), /progress (JSON), /healthz\nanalyze:      divlab analyze --traces DIR re-derives Lemma 3 / eq. (5) / eq. (4) checks offline"
+        "usage:\n  divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N] [--trace]\n                  [--telemetry PATH] [--sample-every K] [--spans PATH] [--faults SPEC] [--trials N] [--budget N] [--lanes K] [--shards P] [--threads T]\n                  [--checkpoint PATH] [--resume] [--stop-after N] [--serve ADDR] [--serve-linger SECS]\n  divlab campaign ...same flags as run (campaign mode forced, even at --trials 1)\n  divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N]\n                  [--faults SPEC] [--budget N] [--sample-every K] [--shards P] [--threads T]\n  divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded] [--seed N] [--trials N] [--faults SPEC] [--budget N]\n                  [--lanes K] [--shards P] [--threads T] [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]\n  divlab spectral --graph SPEC [--seed N]\n  divlab graph6   --graph SPEC [--seed N]\n  divlab analyze  --traces PATH [--out DIR]\n  divlab submit   --server HOST:PORT --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine fast|batch|reference]\n                  [--seed N] [--trials N] [--budget N] [--faults SPEC] [--lanes K] [--threads T] [--checkpoint-every K]\n                  [--client NAME] [--timeout SECS] [--detach] [--watch]   (client mode for a divd daemon)\n\ngraph specs:  complete:N path:N cycle:N star:N wheel:N grid:RxC torus:RxC\n              hypercube:D binary-tree:N barbell:H:B lollipop:H:T double-star:L:R\n              circulant:N:s1,s2 multipartite:a,b regular:N:D gnp:N:P ws:N:K:B ba:N:M\ninit specs:   uniform:K spread:K blocks:VxC,VxC,...\nfault specs:  drop:Q noise:P:D stale:P:AGE stubborn:K crash:P:OUTAGE (comma-separated), or none\nengines:      reference (observable baseline), fast (compiled scalar), batch (lockstep lanes;\n              campaigns step --lanes K trials together across --threads T workers, bit-exact vs fast),\n              sharded (--shards P concurrent vertex domains per trial on --threads T std threads;\n              deterministic for fixed seed+P, built for million-vertex single trials)\ntelemetry:    --telemetry out.jsonl streams W(t) samples + phase events (CSV when PATH ends in .csv);\n              in campaign mode PATH is a directory receiving one trial-<seed>.jsonl per trial;\n              batch/sharded engines observe natively (block/round sampling lattice);\n              --spans PATH (campaign) writes Chrome-trace lifecycle spans (load in Perfetto)\nmonitoring:   --serve 127.0.0.1:9100 exposes /metrics (Prometheus), /progress (JSON), /healthz\nanalyze:      divlab analyze --traces DIR re-derives Lemma 3 / eq. (5) / eq. (4) checks offline"
     );
     exit(0);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Flags that take no value.
+const SWITCHES: [&str; 4] = ["trace", "resume", "detach", "watch"];
+
+/// The flags each subcommand reads, space-separated: its parser accepts
+/// exactly these.
+fn flags_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "run" | "campaign" => {
+            "graph init seed scheduler engine trace faults trials budget lanes shards threads \
+             telemetry sample-every spans checkpoint resume stop-after serve serve-linger"
+        }
+        "stats" => {
+            "graph init seed scheduler engine trace faults budget sample-every shards threads"
+        }
+        "compare" => {
+            "graph init seed engine trace trials faults budget lanes shards threads checkpoint \
+             resume serve serve-linger"
+        }
+        "spectral" | "graph6" => "graph init seed",
+        "analyze" => "traces out",
+        "submit" => {
+            "server graph init scheduler engine seed trials budget faults lanes threads \
+             checkpoint-every client timeout detach watch"
+        }
+        _ => return None,
+    })
+}
+
+/// Parses `command`'s `--key value` pairs and bare switches.
+///
+/// Errors (exit 2) name an unknown command, a flag `command` does not
+/// read, a flag missing its value, or a stray argument.
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let known = flags_of(command).ok_or_else(|| format!("unknown command {command:?}"))?;
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if arg == "--trace" || arg == "--resume" || arg == "--detach" || arg == "--watch" {
-            out.insert(arg[2..].to_string(), "1".to_string());
-        } else if let Some(key) = arg.strip_prefix("--") {
-            if let Some(value) = it.next() {
-                out.insert(key.to_string(), value.clone());
-            } else {
-                eprintln!("divlab: flag --{key} needs a value");
-                exit(2);
-            }
-        } else {
-            eprintln!("divlab: unexpected argument {arg:?}");
-            exit(2);
+        let key = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+        if !known.split_whitespace().any(|k| k == key) {
+            return Err(format!("unknown flag --{key} for divlab {command}"));
         }
+        let value = if SWITCHES.contains(&key) {
+            "1".to_string()
+        } else {
+            it.next()
+                .ok_or_else(|| format!("flag --{key} needs a value"))?
+                .clone()
+        };
+        out.insert(key.to_string(), value);
     }
-    out
+    Ok(out)
 }
 
 /// Parses an optional typed flag, turning parse failures into usage errors.
@@ -196,19 +240,21 @@ fn setup(opts: &HashMap<String, String>) -> Result<(div_graph::Graph, Vec<i64>, 
 /// engine's per-step stage log, so fast+trace (and batch+trace) warns on
 /// stderr and falls back to the reference engine instead of erroring or
 /// silently ignoring the flag.
-fn resolve_engine(opts: &HashMap<String, String>) -> Result<String, String> {
-    let engine = opts.map_or_default("engine", "reference");
-    if !matches!(engine.as_str(), "reference" | "fast" | "batch" | "sharded") {
-        return Err(format!(
-            "unknown engine {engine:?} (use reference, fast, batch or sharded)"
-        ));
-    }
-    if engine != "reference" && opts.contains_key("trace") {
+fn resolve_engine(opts: &HashMap<String, String>) -> Result<Engine, String> {
+    let name = opts.map_or_default("engine", Engine::Reference.name());
+    let engine = Engine::parse(&name).ok_or_else(|| {
+        format!(
+            "unknown engine {name:?} (use {})",
+            Engine::list(&Engine::ALL)
+        )
+    })?;
+    if engine != Engine::Reference && opts.contains_key("trace") {
         eprintln!(
             "divlab: --trace needs the reference engine (the {engine} engine has no per-step \
-             stage log); falling back to --engine reference"
+             stage log); falling back to --engine {}",
+            Engine::Reference
         );
-        return Ok("reference".to_string());
+        return Ok(Engine::Reference);
     }
     Ok(engine)
 }
@@ -218,54 +264,71 @@ fn resolve_engine(opts: &HashMap<String, String>) -> Result<String, String> {
 /// engine.  One phrasing for every site keeps the stderr contract
 /// greppable; regression tests pin this exact text for the batch and
 /// sharded engines.
-fn warn_demote(engine: &str, what: &str) -> String {
+fn warn_demote(engine: Engine, what: &str) -> Engine {
     eprintln!(
-        "divlab: {what} is not supported by the {engine} engine; falling back to --engine fast"
+        "divlab: {what} is not supported by the {engine} engine; falling back to --engine {}",
+        Engine::Fast
     );
-    "fast".to_string()
+    Engine::Fast
 }
 
-/// Demotes `sharded` to `fast` when a non-trivial fault plan is
+/// Demotes the sharded engine to fast when a non-trivial fault plan is
 /// configured: the sharded engine has no fault pipeline (faults inject
 /// into a single sequential step stream), so the scalar engine runs the
 /// trial instead, with a warning.
-fn demote_sharded_for_faults(engine: String, faults: &FaultPlan) -> String {
-    if engine == "sharded" && !faults.is_trivial() {
-        return warn_demote("sharded", "fault injection");
+fn demote_sharded_for_faults(engine: Engine, faults: &FaultPlan) -> Engine {
+    if engine == Engine::Sharded && !faults.is_trivial() {
+        return warn_demote(engine, "fault injection");
     }
     engine
 }
 
-/// Demotes `batch` to `fast` for *fault-injected* observation only: the
-/// batch engine has no faulty observed path.  Fault-free batch and
-/// sharded runs stream telemetry natively through their own
+/// Demotes the batch engine to fast for *fault-injected* observation
+/// only: the batch engine has no faulty observed path.  Fault-free batch
+/// and sharded runs stream telemetry natively through their own
 /// `run_observed` loops and are never demoted (the sharded+faults
 /// combination is already handled by [`demote_sharded_for_faults`]).
-fn demote_faulty_observers(engine: String, faults: &FaultPlan, what: &str) -> String {
-    if engine == "batch" && !faults.is_trivial() {
-        return warn_demote("batch", what);
+fn demote_faulty_observers(engine: Engine, faults: &FaultPlan, what: &str) -> Engine {
+    if engine == Engine::Batch && !faults.is_trivial() {
+        return warn_demote(engine, what);
     }
     engine
 }
 
-/// The sharded-engine knobs: `--shards P` concurrent vertex domains
-/// (default 4 — fixed, not machine-derived, so the same command line
-/// replays the same trajectory everywhere) and `--threads T` in-trial
-/// worker threads (default 0 = available parallelism; never affects the
-/// trajectory).
-fn parse_shard_knobs(opts: &HashMap<String, String>) -> Result<(usize, usize), String> {
+/// Applies the engine knobs to `setup`: the sharded engine's `--shards
+/// P` concurrent vertex domains (default 4 — fixed, not machine-derived,
+/// so the same command line replays the same trajectory everywhere) and
+/// `--threads T` in-trial workers (default 0 = available parallelism;
+/// never affects the trajectory), plus the observers' sampling strides.
+/// This is where `--shards` is checked against the graph.
+fn engine_setup<'a>(
+    opts: &HashMap<String, String>,
+    engine: Engine,
+    setup: TrialSetup<'a>,
+) -> Result<TrialSetup<'a>, String> {
     let shards: usize = parse_opt(opts, "shards")?.unwrap_or(4);
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
     }
-    let threads: usize = parse_opt(opts, "threads")?.unwrap_or(0);
-    Ok((shards, threads))
+    if engine == Engine::Sharded && shards > setup.graph.num_vertices() {
+        return Err(format!(
+            "--shards {shards} exceeds the graph's {} vertices",
+            setup.graph.num_vertices()
+        ));
+    }
+    Ok(TrialSetup {
+        shards,
+        shard_threads: parse_opt(opts, "threads")?.unwrap_or(0),
+        stride: parse_stride(opts)?,
+        engine_stride: parse_engine_stride(opts)?,
+        ..setup
+    })
 }
 
 /// The campaign parallelism knobs: `--lanes K` trials stepped per
 /// lockstep group (batch engine only, default 8) and `--threads T`
-/// campaign worker threads (any engine, default 0 = available
-/// parallelism).
+/// campaign worker threads (default 0 = available parallelism; the
+/// sharded engine spends them inside each trial instead).
 fn parse_batch_knobs(opts: &HashMap<String, String>) -> Result<(usize, usize), String> {
     let lanes: usize = parse_opt(opts, "lanes")?.unwrap_or(8);
     if lanes == 0 {
@@ -295,47 +358,6 @@ fn parse_engine_stride(opts: &HashMap<String, String>) -> Result<u64, String> {
         parse_stride(opts)
     } else {
         Ok(0)
-    }
-}
-
-/// Engine-native observation knobs threaded into the observed single-run
-/// paths (`--telemetry`, `stats`): the sharded engine's shard/thread
-/// counts plus the batch/sharded sampling stride from
-/// [`parse_engine_stride`].
-#[derive(Clone, Copy)]
-struct ObsKnobs {
-    shards: usize,
-    shard_threads: usize,
-    engine_stride: u64,
-}
-
-impl ObsKnobs {
-    fn parse(opts: &HashMap<String, String>) -> Result<ObsKnobs, String> {
-        let (shards, shard_threads) = parse_shard_knobs(opts)?;
-        Ok(ObsKnobs {
-            shards,
-            shard_threads,
-            engine_stride: parse_engine_stride(opts)?,
-        })
-    }
-}
-
-/// Copies the sharded engine's per-shard gauges into the live monitor's
-/// engine-agnostic mirror, when a monitor is attached.
-fn publish_shard_gauges(monitor: Option<&CampaignMonitor>, gauges: &[ShardGauge]) {
-    if let Some(m) = monitor {
-        m.set_shard_health(
-            gauges
-                .iter()
-                .map(|g| ShardHealth {
-                    shard: g.shard,
-                    weight: g.weight,
-                    edge_cut: g.edge_cut,
-                    steps: g.steps,
-                    round_lag: g.round_lag,
-                })
-                .collect(),
-        );
     }
 }
 
@@ -485,38 +507,6 @@ impl SpanSink {
     }
 }
 
-/// Runs one trial through `f`, stamping its lifecycle span when a sink
-/// is configured.
-fn span_wrap<F: FnOnce() -> TrialOutcome>(
-    sink: Option<&SpanSink>,
-    engine: &str,
-    ctx: &div_sim::TrialCtx,
-    f: F,
-) -> TrialOutcome {
-    let Some(s) = sink else { return f() };
-    let t0 = s.clock.now_us();
-    let outcome = f();
-    s.record_trial(ctx, engine, &outcome, t0);
-    outcome
-}
-
-/// [`span_wrap`] for a lockstep group: every lane shares the group's
-/// execution interval (the lanes really did run together).
-fn span_wrap_group<F: FnOnce() -> Vec<TrialOutcome>>(
-    sink: Option<&SpanSink>,
-    engine: &str,
-    ctxs: &[div_sim::TrialCtx],
-    f: F,
-) -> Vec<TrialOutcome> {
-    let Some(s) = sink else { return f() };
-    let t0 = s.clock.now_us();
-    let outcomes = f();
-    for (ctx, outcome) in ctxs.iter().zip(&outcomes) {
-        s.record_trial(ctx, engine, outcome, t0);
-    }
-    outcomes
-}
-
 fn cmd_run(opts: &HashMap<String, String>, force_campaign: bool) -> Result<i32, String> {
     let serving = start_serving(opts)?;
     let result = cmd_run_inner(opts, serving.as_ref().map(|s| &*s.monitor), force_campaign);
@@ -533,10 +523,10 @@ fn cmd_run_inner(
 ) -> Result<i32, String> {
     let (graph, opinions, mut rng) = setup(opts)?;
     let scheduler = opts.map_or_default("scheduler", "edge");
-    let c = match scheduler.as_str() {
-        "edge" => init::average(&opinions),
-        "vertex" => init::degree_weighted_average(&graph, &opinions),
-        other => return Err(format!("unknown scheduler {other:?} (use edge or vertex)")),
+    let kind = parse_scheduler(&scheduler)?;
+    let c = match kind {
+        FastScheduler::Vertex => init::degree_weighted_average(&graph, &opinions),
+        _ => init::average(&opinions),
     };
     let pred = theory::win_prediction(c);
     println!("{graph}; initial average c = {c:.4}");
@@ -568,9 +558,16 @@ fn cmd_run_inner(
     // Validate the plan against this instance up front (e.g. more stubborn
     // vertices than the graph has).
     faults.session(&opinions).map_err(|e| e.to_string())?;
+    let setup = engine_setup(
+        opts,
+        engine,
+        TrialSetup {
+            monitor,
+            ..TrialSetup::new(&graph, &opinions, kind, &faults)
+        },
+    )?;
 
     let telemetry = opts.get("telemetry").map(PathBuf::from);
-    let stride = parse_stride(opts)?;
     if campaign_mode {
         let telemetry_dir = match telemetry {
             Some(path) if path.is_file() => {
@@ -589,18 +586,12 @@ fn cmd_run_inner(
             None => None,
         };
         return run_campaign_cmd(
-            &graph,
-            &opinions,
-            &scheduler,
-            &engine,
-            &faults,
-            &faults_spec,
+            opts,
+            &setup,
+            engine,
             trials,
             budget,
             telemetry_dir.as_deref(),
-            stride,
-            monitor,
-            opts,
         );
     }
     if let Some(m) = monitor {
@@ -616,11 +607,8 @@ fn cmd_run_inner(
             );
         }
         let engine = demote_faulty_observers(engine, &faults, "fault-injected telemetry");
-        let knobs = ObsKnobs::parse(opts)?;
-        let (outcome, label, telemetry_err) = run_telemetry_export(
-            &graph, &opinions, &scheduler, &engine, &faults, budget, &mut rng, stride, knobs,
-            &path, monitor,
-        )?;
+        let (outcome, label, telemetry_err) =
+            run_telemetry_export(&setup, engine, &scheduler, budget, &mut rng, &path)?;
         let code = finish_single_run(outcome, &label, monitor)?;
         if let Some(err) = telemetry_err {
             // The run itself finished, but its exported trajectory is
@@ -630,125 +618,20 @@ fn cmd_run_inner(
         }
         return Ok(code);
     }
-
-    if engine == "sharded" {
-        let kind = match scheduler.as_str() {
-            "edge" => FastScheduler::Edge,
-            _ => FastScheduler::Vertex,
-        };
-        let (shards, threads) = parse_shard_knobs(opts)?;
-        if shards > graph.num_vertices() {
-            return Err(format!(
-                "--shards {shards} exceeds the graph's {} vertices",
-                graph.num_vertices()
-            ));
-        }
-        let ctx = div_sim::TrialCtx {
-            trial: 0,
-            seed: {
-                use rand::RngCore;
-                rng.next_u64()
-            },
-            attempt: 0,
-            step_budget: budget,
-        };
-        return finish_single_run(
-            sharded_trial(&graph, &opinions, kind, shards, threads, &ctx),
-            &format!("{scheduler} scheduler, sharded engine, {shards} shards"),
-            monitor,
-        );
+    if engine != Engine::Reference {
+        let (outcome, label) = single_run(
+            &setup,
+            engine,
+            &scheduler,
+            budget,
+            &mut rng,
+            &mut NullObserver,
+        )?;
+        return finish_single_run(outcome, &label, monitor);
     }
 
-    if engine == "batch" {
-        // A single run is a one-lane batch seeded exactly like the fast
-        // path, so `--engine batch` and `--engine fast` print the same
-        // verdict for the same `--seed` (the lockstep engine is bit-exact
-        // against the scalar one).
-        let kind = match scheduler.as_str() {
-            "edge" => FastScheduler::Edge,
-            _ => FastScheduler::Vertex,
-        };
-        let lane_seed = {
-            use rand::RngCore;
-            rng.next_u64()
-        };
-        if exceeds_lane_span(&opinions) {
-            // Wider than the u16 lane columns: demote to the scalar fast
-            // engine with the lane's own seed — the exact run the lane
-            // would have produced — instead of erroring out.
-            eprintln!(
-                "divlab: initial span exceeds the batch engine's {} lane limit; \
-                 falling back to --engine fast (same seed, same outcome)",
-                BatchProcess::LANE_SPAN_LIMIT
-            );
-            let ctx = div_sim::TrialCtx {
-                trial: 0,
-                seed: lane_seed,
-                attempt: 0,
-                step_budget: budget,
-            };
-            let outcome = fast_trial(&graph, &opinions, kind, &faults, monitor, &ctx);
-            return finish_single_run(
-                outcome,
-                &format!("{scheduler} scheduler, batch engine (scalar fallback)"),
-                monitor,
-            );
-        }
-        let mut batch = BatchProcess::new(&graph, opinions.clone(), kind, &[lane_seed])
-            .map_err(|e| e.to_string())?;
-        let status = if faults.is_trivial() {
-            batch.run_to_consensus(budget)[0]
-        } else {
-            let (statuses, stats) = batch
-                .run_faulty_to_consensus(budget, &faults)
-                .map_err(|e| e.to_string())?;
-            print_fault_stats(&stats[0]);
-            publish_faults(monitor, &stats[0]);
-            statuses[0]
-        };
-        return finish_single_run(
-            outcome_of(
-                status,
-                batch.is_two_adjacent(0),
-                batch.min_opinion(0),
-                batch.max_opinion(0),
-            ),
-            &format!("{scheduler} scheduler, batch engine"),
-            monitor,
-        );
-    }
-
-    if engine == "fast" {
-        let kind = match scheduler.as_str() {
-            "edge" => FastScheduler::Edge,
-            _ => FastScheduler::Vertex,
-        };
-        let mut frng = {
-            use rand::RngCore;
-            FastRng::seed_from_u64(rng.next_u64())
-        };
-        let mut p = FastProcess::new(&graph, opinions.clone(), kind).map_err(|e| e.to_string())?;
-        let status = if faults.is_trivial() {
-            p.run_to_consensus(budget, &mut frng)
-        } else {
-            let mut session = faults.session(&opinions).map_err(|e| e.to_string())?;
-            let status = p.run_faulty_to_consensus(budget, &mut session, &mut frng);
-            print_fault_stats(session.stats());
-            publish_faults(monitor, session.stats());
-            status
-        };
-        return finish_single_run(
-            outcome_of(
-                status,
-                p.is_two_adjacent(),
-                p.min_opinion(),
-                p.max_opinion(),
-            ),
-            &format!("{scheduler} scheduler, fast engine"),
-            monitor,
-        );
-    }
-
+    // The unobserved reference run also records the stage log behind the
+    // elimination order and `--trace`.
     fn reference_single<S: Scheduler>(
         graph: &div_graph::Graph,
         opinions: &[i64],
@@ -815,6 +698,62 @@ fn cmd_run_inner(
     Ok(code)
 }
 
+/// Runs one single (non-campaign) trial on `engine`, watched by `obs`,
+/// and prints its fault counters.  The trial draws from the command's
+/// own RNG stream (the reference engine directly, the others through one
+/// derived seed), so observing a run never changes its verdict, and a
+/// one-lane batch run replays the fast engine's run exactly.  Returns the
+/// outcome with the verdict line's label.
+fn single_run<O: Observer>(
+    setup: &TrialSetup<'_>,
+    engine: Engine,
+    scheduler: &str,
+    budget: u64,
+    rng: &mut StdRng,
+    obs: &mut O,
+) -> Result<(TrialOutcome, String), String> {
+    // The engines' own constructor check, as a usage error rather than a
+    // panic inside the executor.
+    OpinionState::new(setup.graph, setup.opinions.to_vec()).map_err(|e| e.to_string())?;
+    let wide = engine == Engine::Batch && exceeds_lane_span(setup.opinions);
+    if wide {
+        // Wider than the u16 lane columns: the scalar fast engine replays
+        // the lane's exact trajectory from the lane's own seed.
+        eprintln!(
+            "divlab: initial span exceeds the batch engine's {} lane limit; \
+             falling back to --engine {} (same seed, same outcome)",
+            BatchProcess::LANE_SPAN_LIMIT,
+            Engine::Fast
+        );
+    }
+    let run = if engine == Engine::Reference {
+        setup.reference(budget, rng, obs)
+    } else {
+        let ctx = TrialCtx {
+            trial: 0,
+            seed: rng.next_u64(),
+            attempt: 0,
+            step_budget: budget,
+        };
+        setup
+            .run(engine, &[ctx], std::slice::from_mut(obs))
+            .remove(0)
+    };
+    if let Some(stats) = &run.faults {
+        print_fault_stats(stats);
+    }
+    let label = match engine {
+        Engine::Reference => format!("{scheduler} scheduler"),
+        Engine::Sharded => format!(
+            "{scheduler} scheduler, {engine} engine, {} shards",
+            setup.shards
+        ),
+        _ if wide => format!("{scheduler} scheduler, {engine} engine (scalar fallback)"),
+        _ => format!("{scheduler} scheduler, {engine} engine"),
+    };
+    Ok((run.outcome, label))
+}
+
 /// Prints the single-run verdict and picks the exit code (0 clean,
 /// 3 degraded), publishing the outcome to the live monitor when one is
 /// attached.
@@ -847,39 +786,28 @@ fn finish_single_run(
 
 /// The `run` subcommand's campaign mode: N resilient trials with the
 /// configured fault plan, optional crash-safe checkpointing, optional
-/// per-trial telemetry export and live monitoring.
-#[allow(clippy::too_many_arguments)]
+/// per-trial telemetry export, lifecycle spans and live monitoring.
 fn run_campaign_cmd(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    scheduler: &str,
-    engine: &str,
-    faults: &FaultPlan,
-    faults_spec: &str,
+    opts: &HashMap<String, String>,
+    setup: &TrialSetup<'_>,
+    engine: Engine,
     trials: usize,
     budget: u64,
     telemetry_dir: Option<&Path>,
-    stride: u64,
-    monitor: Option<&CampaignMonitor>,
-    opts: &HashMap<String, String>,
 ) -> Result<i32, String> {
     // Fault-free batch/sharded campaigns keep their native engines under
     // `--telemetry DIR`: lanes snapshot on the block lattice, shards
     // combine at round boundaries.  Only fault-injected batch telemetry
     // still demotes (the batch engine has no faulty observed path).
     let engine = if telemetry_dir.is_some() {
-        demote_faulty_observers(
-            engine.to_string(),
-            faults,
-            "fault-injected per-trial telemetry",
-        )
+        demote_faulty_observers(engine, setup.faults, "fault-injected per-trial telemetry")
     } else {
-        engine.to_string()
+        engine
     };
-    if engine == "batch" && exceeds_lane_span(opinions) {
+    if engine == Engine::Batch && exceeds_lane_span(setup.opinions) {
         // The lockstep groups cannot hold this span in their u16 lane
-        // columns; batch_group demotes every group to per-lane scalar
-        // runs (identical outcomes per seed) — warn once up front.
+        // columns; the executor runs every group per lane on the scalar
+        // engine (identical outcomes per seed) — warn once up front.
         eprintln!(
             "divlab: initial span exceeds the batch engine's {} lane limit; lane groups \
              will run per-lane on the scalar fast engine (same seeds, same outcomes)",
@@ -887,39 +815,28 @@ fn run_campaign_cmd(
         );
     }
     let (lanes, threads) = parse_batch_knobs(opts)?;
-    let (shards, shard_threads) = parse_shard_knobs(opts)?;
-    if engine == "sharded" && shards > graph.num_vertices() {
-        return Err(format!(
-            "--shards {shards} exceeds the graph's {} vertices",
-            graph.num_vertices()
-        ));
-    }
     let master: u64 = parse_opt(opts, "seed")?.unwrap_or(1);
     let mut cfg = CampaignConfig::new(trials, master);
     cfg.step_budget = budget;
     cfg.checkpoint = opts.get("checkpoint").map(PathBuf::from);
     cfg.resume = opts.contains_key("resume");
     cfg.stop_after = parse_opt(opts, "stop-after")?;
-    // Applied whatever the engine: gating this on `engine == "batch"`
-    // silently dropped --threads when `--telemetry` demoted a batch
-    // campaign to fast just above (and scalar campaigns honour the knob
-    // too — same worker pool).  The sharded engine is the exception:
-    // there `--threads` means *in-trial* workers (one trial already uses
-    // the whole machine), so trials run one at a time.
-    cfg.threads = if engine == "sharded" { 1 } else { threads };
+    cfg.threads = threads;
     if cfg.resume && cfg.checkpoint.is_none() {
         return Err("--resume needs --checkpoint PATH".to_string());
     }
     let gspec = opts.map_or_default("graph", "");
     let ispec = opts.map_or_default("init", "uniform:5");
+    let scheduler = opts.map_or_default("scheduler", "edge");
+    let faults_spec = opts.map_or_default("faults", "none");
     cfg.tag = format!("run {gspec} {ispec} {scheduler} {engine} {faults_spec} {budget}");
 
     // Live scrapes can identify what is running before the first trial
     // finishes (`div_engine_info{engine,kernel_tier}`).
+    let monitor = setup.monitor;
     if let Some(m) = monitor {
-        m.set_engine_info(&engine, KernelTier::active().name());
+        m.set_engine_info(engine.name(), KernelTier::active().name());
     }
-    let engine_stride = parse_engine_stride(opts)?;
     let spans = opts
         .get("spans")
         .map(|p| SpanSink::new(PathBuf::from(p), master));
@@ -928,124 +845,38 @@ fn run_campaign_cmd(
     // not kill the campaign — the trial result is still sound — but they
     // are data loss and surface as exit code 4 at the end.
     let telemetry_errors = AtomicU64::new(0);
-    let report = if engine == "batch" {
-        // Groups of `lanes` trials run lockstep in one BatchProcess; a
-        // group that panics falls back to the scalar fast engine trial
-        // by trial, which reproduces the same outcomes (bit-exactness).
-        let kind = match scheduler {
-            "edge" => FastScheduler::Edge,
-            _ => FastScheduler::Vertex,
+    let around = |p: Pending<'_>| {
+        let start_us = spans.as_ref().map(|s| s.clock.now_us());
+        let outcomes = match telemetry_dir {
+            Some(dir) => run_traced(&p, dir, monitor, &telemetry_errors),
+            // Sharded trials relay their round-boundary samples to a live
+            // monitor even without a trace directory: one O(P) combine
+            // per round is cheap next to the round itself.
+            None if monitor.is_some() && p.engine == Engine::Sharded => {
+                p.run(&mut [PhaseToMonitor(monitor)])
+            }
+            None => p.run_plain(),
         };
-        if let Some(dir) = telemetry_dir {
-            // Native lockstep telemetry: every lane streams its block-
-            // lattice snapshots to its own trial-<seed>.jsonl file.
-            run_campaign_batched_monitored(
-                &cfg,
-                lanes,
-                monitor,
-                |ctxs| {
-                    span_wrap_group(spans.as_ref(), &engine, ctxs, || {
-                        observed_batch_campaign_group(
-                            graph,
-                            opinions,
-                            kind,
-                            scheduler,
-                            faults,
-                            dir,
-                            stride,
-                            engine_stride,
-                            monitor,
-                            &telemetry_errors,
-                            ctxs,
-                        )
-                    })
-                },
-                |ctx| {
-                    // A panicked group retries trial by trial on the
-                    // scalar engine — still observed, same files.
-                    span_wrap(spans.as_ref(), "fast", ctx, || {
-                        campaign_trial(
-                            graph,
-                            opinions,
-                            scheduler,
-                            "fast",
-                            faults,
-                            Some(dir),
-                            stride,
-                            monitor,
-                            &telemetry_errors,
-                            ctx,
-                        )
-                    })
-                },
-            )
-        } else {
-            run_campaign_batched_monitored(
-                &cfg,
-                lanes,
-                monitor,
-                |ctxs| {
-                    span_wrap_group(spans.as_ref(), &engine, ctxs, || {
-                        batch_group(graph, opinions, kind, faults, monitor, ctxs)
-                    })
-                },
-                |ctx| {
-                    span_wrap(spans.as_ref(), "fast", ctx, || {
-                        fast_trial(graph, opinions, kind, faults, monitor, ctx)
-                    })
-                },
-            )
+        if let (Some(sink), Some(t0)) = (&spans, start_us) {
+            // Lanes of a lockstep group share its execution interval
+            // (they really did run together).
+            for (ctx, outcome) in p.ctxs.iter().zip(&outcomes) {
+                sink.record_trial(ctx, p.engine.name(), outcome, t0);
+            }
         }
-    } else if engine == "sharded" {
-        // Each trial is internally parallel (P shard domains on
-        // `shard_threads` workers); trials run sequentially.  Outcomes
-        // are a pure function of (master seed, shards) — the thread
-        // count never changes the report, and neither does observation
-        // (sampling reads the shard registers the engine already owns).
-        let kind = match scheduler {
-            "edge" => FastScheduler::Edge,
-            _ => FastScheduler::Vertex,
-        };
-        run_campaign_monitored(&cfg, monitor, |ctx| {
-            span_wrap(spans.as_ref(), &engine, ctx, || {
-                sharded_campaign_trial(
-                    graph,
-                    opinions,
-                    kind,
-                    shards,
-                    shard_threads,
-                    telemetry_dir,
-                    engine_stride,
-                    monitor,
-                    &telemetry_errors,
-                    ctx,
-                )
-            })
-        })
-    } else {
-        run_campaign_monitored(&cfg, monitor, |ctx| {
-            span_wrap(spans.as_ref(), &engine, ctx, || {
-                campaign_trial(
-                    graph,
-                    opinions,
-                    scheduler,
-                    &engine,
-                    faults,
-                    telemetry_dir,
-                    stride,
-                    monitor,
-                    &telemetry_errors,
-                    ctx,
-                )
-            })
-        })
-    }
-    .map_err(|e| e.to_string())?;
+        outcomes
+    };
+    let hooks = CampaignHooks {
+        monitor,
+        ..CampaignHooks::default()
+    };
+    let report = run_engine_campaign(engine, setup, &cfg, lanes, hooks, Some(&around))
+        .map_err(|e| e.to_string())?;
 
     let mut span_lost = false;
     if let Some(sink) = spans {
         let path = sink.path.clone();
-        match sink.finish(&engine, trials) {
+        match sink.finish(engine.name(), trials) {
             Ok(()) => eprintln!("divlab: lifecycle spans written to {}", path.display()),
             Err(e) => {
                 span_lost = true;
@@ -1066,10 +897,10 @@ fn run_campaign_cmd(
         }
     }
     if let Some(dir) = telemetry_dir {
-        let cadence = match engine.as_str() {
-            "batch" => "block lattice".to_string(),
-            "sharded" => "round lattice".to_string(),
-            _ => format!("stride {stride}"),
+        let cadence = match engine {
+            Engine::Batch => "block lattice".to_string(),
+            Engine::Sharded => "round lattice".to_string(),
+            _ => format!("stride {}", setup.stride),
         };
         eprintln!(
             "divlab: per-trial telemetry (jsonl, {cadence}) written under {}",
@@ -1098,121 +929,28 @@ fn run_campaign_cmd(
     }
 }
 
-/// One campaign trial: plain (fast/reference) when no telemetry directory
-/// is configured, otherwise observed with its trajectory streamed to
-/// `DIR/trial-<seed>.jsonl`.  Seeds are per-attempt, so a retried trial
-/// writes a fresh file instead of clobbering the panicked attempt's.
-#[allow(clippy::too_many_arguments)]
-fn campaign_trial(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    scheduler: &str,
-    engine: &str,
-    faults: &FaultPlan,
-    telemetry_dir: Option<&Path>,
-    stride: u64,
-    monitor: Option<&CampaignMonitor>,
-    errors: &AtomicU64,
-    ctx: &div_sim::TrialCtx,
-) -> TrialOutcome {
-    let plain = |graph: &div_graph::Graph, opinions: &[i64]| {
-        if engine == "fast" {
-            let kind = match scheduler {
-                "edge" => FastScheduler::Edge,
-                _ => FastScheduler::Vertex,
-            };
-            fast_trial(graph, opinions, kind, faults, monitor, ctx)
-        } else if scheduler == "edge" {
-            reference_trial(graph, opinions, EdgeScheduler::new(), faults, monitor, ctx)
-        } else {
-            reference_trial(
-                graph,
-                opinions,
-                VertexScheduler::new(),
-                faults,
-                monitor,
-                ctx,
-            )
-        }
-    };
-    let Some(dir) = telemetry_dir else {
-        return plain(graph, opinions);
-    };
-    // Zero-padded decimal seeds sort lexicographically == numerically, so
-    // directory listings and analyze reports come out in a stable order.
-    let path = dir.join(format!("trial-{:020}.jsonl", ctx.seed));
-    let file = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            errors.fetch_add(1, Ordering::SeqCst);
-            eprintln!(
-                "divlab: cannot create telemetry file {}: {e}; running trial unobserved",
-                path.display()
-            );
-            return plain(graph, opinions);
-        }
-    };
-    let mut obs = (
-        JsonlExporter::new(BufWriter::new(file)),
-        PhaseToMonitor(monitor),
-    );
-    let outcome = observed_trial(
-        graph, opinions, scheduler, engine, faults, ctx, stride, monitor, &mut obs,
-    );
-    if let Err(e) = obs.0.finish() {
-        errors.fetch_add(1, Ordering::SeqCst);
-        eprintln!("divlab: telemetry write to {} failed: {e}", path.display());
-    }
-    outcome
-}
-
-/// One lockstep group with native per-lane telemetry: one
-/// `trial-<seed>.jsonl` exporter per lane, the group stepped through
-/// [`div_core::BatchProcess::run_observed`] so every lane samples on the
-/// block lattice while staying bit-exact against the scalar engine.
+/// Runs a campaign execution with its trajectories streamed to one
+/// `DIR/trial-<seed>.jsonl` file per trial (plus the live-monitor relay).
+/// Seeds are per-attempt, so a retried trial writes a fresh file instead
+/// of clobbering the panicked attempt's.
 ///
-/// Initial spans beyond the lane limit demote to per-lane scalar
-/// observed trials (same files, same outcomes — the demotion
-/// [`batch_group`] itself takes).  If any lane's file cannot be created
-/// the whole group runs unobserved instead: lane observers must be
-/// homogeneous, and half-observed groups would be worse than an honest
-/// data-loss exit code.
-#[allow(clippy::too_many_arguments)]
-fn observed_batch_campaign_group(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    kind: FastScheduler,
-    scheduler: &str,
-    faults: &FaultPlan,
+/// If any trial's file cannot be created the whole execution runs
+/// unobserved instead: lockstep lane observers must be homogeneous, and
+/// half-observed groups would be worse than an honest data-loss exit
+/// code.  The files already created are removed so the trace corpus
+/// holds only complete trajectories.
+fn run_traced(
+    p: &Pending<'_>,
     dir: &Path,
-    stride: u64,
-    engine_stride: u64,
     monitor: Option<&CampaignMonitor>,
     errors: &AtomicU64,
-    ctxs: &[div_sim::TrialCtx],
 ) -> Vec<TrialOutcome> {
-    if exceeds_lane_span(opinions) {
-        return ctxs
-            .iter()
-            .map(|ctx| {
-                campaign_trial(
-                    graph,
-                    opinions,
-                    scheduler,
-                    "fast",
-                    faults,
-                    Some(dir),
-                    stride,
-                    monitor,
-                    errors,
-                    ctx,
-                )
-            })
-            .collect();
-    }
-    let mut observers = Vec::with_capacity(ctxs.len());
-    let mut paths = Vec::with_capacity(ctxs.len());
-    for ctx in ctxs {
+    let mut observers = Vec::with_capacity(p.ctxs.len());
+    let mut paths = Vec::with_capacity(p.ctxs.len());
+    for ctx in p.ctxs {
+        // Zero-padded decimal seeds sort lexicographically == numerically,
+        // so directory listings and analyze reports come out in a stable
+        // order.
         let path = dir.join(format!("trial-{:020}.jsonl", ctx.seed));
         match std::fs::File::create(&path) {
             Ok(f) => {
@@ -1225,371 +963,26 @@ fn observed_batch_campaign_group(
             Err(e) => {
                 errors.fetch_add(1, Ordering::SeqCst);
                 eprintln!(
-                    "divlab: cannot create telemetry file {}: {e}; running group unobserved",
-                    path.display()
+                    "divlab: cannot create telemetry file {}: {e}; running {} unobserved",
+                    path.display(),
+                    if p.ctxs.len() > 1 { "group" } else { "trial" }
                 );
-                // Close and remove the already-created empty files so the
-                // trace corpus holds only complete trajectories.
                 drop(observers);
-                for p in &paths {
-                    let _ = std::fs::remove_file(p);
+                for created in &paths {
+                    let _ = std::fs::remove_file(created);
                 }
-                return batch_group(graph, opinions, kind, faults, monitor, ctxs);
+                return p.run_plain();
             }
         }
     }
-    let outcomes = batch_group_observed(graph, opinions, kind, engine_stride, ctxs, &mut observers);
+    let outcomes = p.run(&mut observers);
     for (obs, path) in observers.into_iter().zip(paths) {
         if let Err(e) = obs.0.finish() {
             errors.fetch_add(1, Ordering::SeqCst);
             eprintln!("divlab: telemetry write to {} failed: {e}", path.display());
         }
     }
-    if let Some(m) = monitor {
-        m.set_lane_steps(outcomes.iter().map(|o| outcome_facts(o).1).collect());
-    }
     outcomes
-}
-
-/// One sharded campaign trial, observed natively whenever a telemetry
-/// directory or a live monitor is attached (round-boundary samples to
-/// the exporter, per-shard gauges and sample counts to the monitor);
-/// plain [`sharded_trial`] otherwise.  Seeding is identical in all three
-/// paths, so the report never depends on observation.
-#[allow(clippy::too_many_arguments)]
-fn sharded_campaign_trial(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    kind: FastScheduler,
-    shards: usize,
-    threads: usize,
-    telemetry_dir: Option<&Path>,
-    engine_stride: u64,
-    monitor: Option<&CampaignMonitor>,
-    errors: &AtomicU64,
-    ctx: &div_sim::TrialCtx,
-) -> TrialOutcome {
-    let Some(dir) = telemetry_dir else {
-        if monitor.is_none() {
-            return sharded_trial(graph, opinions, kind, shards, threads, ctx);
-        }
-        let mut obs = PhaseToMonitor(monitor);
-        let (outcome, gauges) = sharded_observed_trial(
-            graph,
-            opinions,
-            kind,
-            shards,
-            threads,
-            engine_stride,
-            ctx,
-            &mut obs,
-        );
-        publish_shard_gauges(monitor, &gauges);
-        return outcome;
-    };
-    let path = dir.join(format!("trial-{:020}.jsonl", ctx.seed));
-    let file = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            errors.fetch_add(1, Ordering::SeqCst);
-            eprintln!(
-                "divlab: cannot create telemetry file {}: {e}; running trial unobserved",
-                path.display()
-            );
-            return sharded_trial(graph, opinions, kind, shards, threads, ctx);
-        }
-    };
-    let mut obs = (
-        JsonlExporter::new(BufWriter::new(file)),
-        PhaseToMonitor(monitor),
-    );
-    let (outcome, gauges) = sharded_observed_trial(
-        graph,
-        opinions,
-        kind,
-        shards,
-        threads,
-        engine_stride,
-        ctx,
-        &mut obs,
-    );
-    publish_shard_gauges(monitor, &gauges);
-    if let Err(e) = obs.0.finish() {
-        errors.fetch_add(1, Ordering::SeqCst);
-        eprintln!("divlab: telemetry write to {} failed: {e}", path.display());
-    }
-    outcome
-}
-
-/// One silent observed campaign trial: like [`observed_single`] but
-/// seeded directly from the trial context and chatter-free (campaign
-/// workers must not interleave per-trial fault lines on stdout); fault
-/// counters go to the live monitor instead.
-#[allow(clippy::too_many_arguments)]
-fn observed_trial<O: Observer>(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    scheduler: &str,
-    engine: &str,
-    faults: &FaultPlan,
-    ctx: &div_sim::TrialCtx,
-    stride: u64,
-    monitor: Option<&CampaignMonitor>,
-    obs: &mut O,
-) -> TrialOutcome {
-    if engine == "fast" {
-        let kind = match scheduler {
-            "edge" => FastScheduler::Edge,
-            _ => FastScheduler::Vertex,
-        };
-        let mut rng = FastRng::seed_from_u64(ctx.seed);
-        let mut p = FastProcess::new(graph, opinions.to_vec(), kind).expect("validated in setup");
-        let status = if faults.is_trivial() {
-            p.run_observed(ctx.step_budget, &mut rng, stride, obs)
-        } else {
-            let mut session = faults.session(opinions).expect("validated in setup");
-            let status =
-                p.run_faulty_observed(ctx.step_budget, &mut session, &mut rng, stride, obs);
-            publish_faults(monitor, session.stats());
-            status
-        };
-        return outcome_of(
-            status,
-            p.is_two_adjacent(),
-            p.min_opinion(),
-            p.max_opinion(),
-        );
-    }
-    fn go<S: Scheduler, O: Observer>(
-        graph: &div_graph::Graph,
-        opinions: &[i64],
-        scheduler: S,
-        faults: &FaultPlan,
-        ctx: &div_sim::TrialCtx,
-        stride: u64,
-        monitor: Option<&CampaignMonitor>,
-        obs: &mut O,
-    ) -> TrialOutcome {
-        let mut rng = StdRng::seed_from_u64(ctx.seed);
-        let mut p =
-            DivProcess::new(graph, opinions.to_vec(), scheduler).expect("validated in setup");
-        let mut session = faults.session(opinions).expect("validated in setup");
-        let status = p.run_faulty_observed(ctx.step_budget, &mut session, &mut rng, stride, obs);
-        if !faults.is_trivial() {
-            publish_faults(monitor, session.stats());
-        }
-        let s = p.state();
-        outcome_of(
-            status,
-            s.is_two_adjacent(),
-            s.min_opinion(),
-            s.max_opinion(),
-        )
-    }
-    if scheduler == "edge" {
-        go(
-            graph,
-            opinions,
-            EdgeScheduler::new(),
-            faults,
-            ctx,
-            stride,
-            monitor,
-            obs,
-        )
-    } else {
-        go(
-            graph,
-            opinions,
-            VertexScheduler::new(),
-            faults,
-            ctx,
-            stride,
-            monitor,
-            obs,
-        )
-    }
-}
-
-/// Runs one observed single trial on the resolved engine, streaming
-/// telemetry into `obs`.  Returns the outcome plus the engine label for
-/// the verdict line; fault stats are printed for non-trivial plans.
-///
-/// The batch and sharded engines run **natively**: a one-lane
-/// [`BatchProcess`] sampled on its block lattice, or a
-/// [`ShardedProcess`] sampled at round boundaries (callers demote
-/// fault-injected plans to `fast` first).  Both consume exactly the seed
-/// the unobserved single run would draw, so observation never changes
-/// the verdict.
-#[allow(clippy::too_many_arguments)]
-fn observed_single<O: Observer>(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    scheduler: &str,
-    engine: &str,
-    faults: &FaultPlan,
-    budget: u64,
-    rng: &mut StdRng,
-    stride: u64,
-    knobs: ObsKnobs,
-    monitor: Option<&CampaignMonitor>,
-    obs: &mut O,
-) -> Result<(TrialOutcome, String), String> {
-    let kind = match scheduler {
-        "edge" => FastScheduler::Edge,
-        _ => FastScheduler::Vertex,
-    };
-    if engine == "sharded" {
-        if knobs.shards > graph.num_vertices() {
-            return Err(format!(
-                "--shards {} exceeds the graph's {} vertices",
-                knobs.shards,
-                graph.num_vertices()
-            ));
-        }
-        let ctx = div_sim::TrialCtx {
-            trial: 0,
-            seed: {
-                use rand::RngCore;
-                rng.next_u64()
-            },
-            attempt: 0,
-            step_budget: budget,
-        };
-        let (outcome, gauges) = sharded_observed_trial(
-            graph,
-            opinions,
-            kind,
-            knobs.shards,
-            knobs.shard_threads,
-            knobs.engine_stride,
-            &ctx,
-            obs,
-        );
-        publish_shard_gauges(monitor, &gauges);
-        return Ok((
-            outcome,
-            format!(
-                "{scheduler} scheduler, sharded engine, {} shards",
-                knobs.shards
-            ),
-        ));
-    }
-    if engine == "batch" {
-        let lane_seed = {
-            use rand::RngCore;
-            rng.next_u64()
-        };
-        if exceeds_lane_span(opinions) {
-            // Same fallback as the unobserved single run: the scalar
-            // engine replays the lane's exact trajectory from the lane's
-            // own seed.
-            eprintln!(
-                "divlab: initial span exceeds the batch engine's {} lane limit; \
-                 falling back to --engine fast (same seed, same outcome)",
-                BatchProcess::LANE_SPAN_LIMIT
-            );
-            let mut frng = FastRng::seed_from_u64(lane_seed);
-            let mut p =
-                FastProcess::new(graph, opinions.to_vec(), kind).map_err(|e| e.to_string())?;
-            let status = p.run_observed(budget, &mut frng, stride, obs);
-            let outcome = outcome_of(
-                status,
-                p.is_two_adjacent(),
-                p.min_opinion(),
-                p.max_opinion(),
-            );
-            return Ok((
-                outcome,
-                format!("{scheduler} scheduler, batch engine (scalar fallback)"),
-            ));
-        }
-        let mut batch = BatchProcess::new(graph, opinions.to_vec(), kind, &[lane_seed])
-            .map_err(|e| e.to_string())?;
-        let statuses = batch.run_observed(budget, knobs.engine_stride, std::slice::from_mut(obs));
-        let outcome = outcome_of(
-            statuses[0],
-            batch.is_two_adjacent(0),
-            batch.min_opinion(0),
-            batch.max_opinion(0),
-        );
-        return Ok((outcome, format!("{scheduler} scheduler, batch engine")));
-    }
-    if engine == "fast" {
-        let mut frng = {
-            use rand::RngCore;
-            FastRng::seed_from_u64(rng.next_u64())
-        };
-        let mut p = FastProcess::new(graph, opinions.to_vec(), kind).map_err(|e| e.to_string())?;
-        let status = if faults.is_trivial() {
-            p.run_observed(budget, &mut frng, stride, obs)
-        } else {
-            let mut session = faults.session(opinions).map_err(|e| e.to_string())?;
-            let status = p.run_faulty_observed(budget, &mut session, &mut frng, stride, obs);
-            print_fault_stats(session.stats());
-            status
-        };
-        let outcome = outcome_of(
-            status,
-            p.is_two_adjacent(),
-            p.min_opinion(),
-            p.max_opinion(),
-        );
-        return Ok((outcome, format!("{scheduler} scheduler, fast engine")));
-    }
-    fn go<S: Scheduler, O: Observer>(
-        graph: &div_graph::Graph,
-        opinions: &[i64],
-        scheduler: S,
-        faults: &FaultPlan,
-        budget: u64,
-        rng: &mut StdRng,
-        stride: u64,
-        obs: &mut O,
-    ) -> Result<(RunStatus, bool, i64, i64, FaultStats), String> {
-        let mut p =
-            DivProcess::new(graph, opinions.to_vec(), scheduler).map_err(|e| e.to_string())?;
-        let mut session = faults.session(opinions).map_err(|e| e.to_string())?;
-        let status = p.run_faulty_observed(budget, &mut session, rng, stride, obs);
-        let s = p.state();
-        Ok((
-            status,
-            s.is_two_adjacent(),
-            s.min_opinion(),
-            s.max_opinion(),
-            *session.stats(),
-        ))
-    }
-    let (status, two_adjacent, low, high, stats) = if scheduler == "edge" {
-        go(
-            graph,
-            opinions,
-            EdgeScheduler::new(),
-            faults,
-            budget,
-            rng,
-            stride,
-            obs,
-        )?
-    } else {
-        go(
-            graph,
-            opinions,
-            VertexScheduler::new(),
-            faults,
-            budget,
-            rng,
-            stride,
-            obs,
-        )?
-    };
-    if !faults.is_trivial() {
-        print_fault_stats(&stats);
-    }
-    Ok((
-        outcome_of(status, two_adjacent, low, high),
-        format!("{scheduler} scheduler"),
-    ))
 }
 
 /// The `--telemetry PATH` mode of `divlab run`: streams the observed
@@ -1600,45 +993,35 @@ fn observed_single<O: Observer>(
 /// so the outcome and label come back normally with the error text in the
 /// third slot, and the caller maps it to exit code 4 (data loss) after
 /// printing the verdict.
-#[allow(clippy::too_many_arguments)]
 fn run_telemetry_export(
-    graph: &div_graph::Graph,
-    opinions: &[i64],
+    setup: &TrialSetup<'_>,
+    engine: Engine,
     scheduler: &str,
-    engine: &str,
-    faults: &FaultPlan,
     budget: u64,
     rng: &mut StdRng,
-    stride: u64,
-    knobs: ObsKnobs,
     path: &Path,
-    monitor: Option<&CampaignMonitor>,
 ) -> Result<(TrialOutcome, String, Option<String>), String> {
     let file = std::fs::File::create(path)
         .map_err(|e| format!("cannot create telemetry file {}: {e}", path.display()))?;
     let out = BufWriter::new(file);
     let csv = path.extension().and_then(|e| e.to_str()) == Some("csv");
+    let relay = PhaseToMonitor(setup.monitor);
     let ((outcome, label), write_err) = if csv {
-        let mut obs = (CsvExporter::new(out), PhaseToMonitor(monitor));
-        let r = observed_single(
-            graph, opinions, scheduler, engine, faults, budget, rng, stride, knobs, monitor,
-            &mut obs,
-        )?;
+        let mut obs = (CsvExporter::new(out), relay);
+        let r = single_run(setup, engine, scheduler, budget, rng, &mut obs)?;
         (r, obs.0.finish().err())
     } else {
-        let mut obs = (JsonlExporter::new(out), PhaseToMonitor(monitor));
-        let r = observed_single(
-            graph, opinions, scheduler, engine, faults, budget, rng, stride, knobs, monitor,
-            &mut obs,
-        )?;
+        let mut obs = (JsonlExporter::new(out), relay);
+        let r = single_run(setup, engine, scheduler, budget, rng, &mut obs)?;
         (r, obs.0.finish().err())
     };
     let telemetry_err =
         write_err.map(|e| format!("telemetry write to {} failed: {e}", path.display()));
     if telemetry_err.is_none() {
         eprintln!(
-            "divlab: telemetry ({}, stride {stride}) written to {}",
+            "divlab: telemetry ({}, stride {}) written to {}",
             if csv { "csv" } else { "jsonl" },
+            setup.stride,
             path.display()
         );
     }
@@ -1651,11 +1034,7 @@ fn run_telemetry_export(
 fn cmd_stats(opts: &HashMap<String, String>) -> Result<i32, String> {
     let (graph, opinions, mut rng) = setup(opts)?;
     let scheduler = opts.map_or_default("scheduler", "edge");
-    if scheduler != "edge" && scheduler != "vertex" {
-        return Err(format!(
-            "unknown scheduler {scheduler:?} (use edge or vertex)"
-        ));
-    }
+    let kind = parse_scheduler(&scheduler)?;
     let faults_spec = opts.map_or_default("faults", "none");
     let faults = FaultPlan::parse(&faults_spec)?;
     // Fault-free batch/sharded stats run natively on their own engines;
@@ -1669,15 +1048,16 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<i32, String> {
     } else {
         1_000_000_000
     });
-    let stride = parse_stride(opts)?;
+    let setup = engine_setup(
+        opts,
+        engine,
+        TrialSetup::new(&graph, &opinions, kind, &faults),
+    )?;
+    let stride = setup.stride;
     println!("{graph}; c = {:.4}", init::average(&opinions));
 
     let mut rec = RingRecorder::new(4096);
-    let knobs = ObsKnobs::parse(opts)?;
-    let (outcome, label) = observed_single(
-        &graph, &opinions, &scheduler, &engine, &faults, budget, &mut rng, stride, knobs, None,
-        &mut rec,
-    )?;
+    let (outcome, label) = single_run(&setup, engine, &scheduler, budget, &mut rng, &mut rec)?;
     let code = finish_single_run(outcome, &label, None)?;
 
     let first = rec.samples().first().expect("observed runs always start");
@@ -1766,82 +1146,25 @@ fn cmd_compare_inner(
     let gspec = opts.map_or_default("graph", "");
     let ispec = opts.map_or_default("init", "uniform:5");
     cfg.tag = format!("compare div {gspec} {ispec} {engine} {faults_spec} {budget}");
-    let report = if engine == "sharded" {
-        // Each trial is internally parallel (P shard domains on
-        // `--threads` workers) and trials run one at a time, exactly as
-        // a standalone sharded campaign does — so the div row here is
-        // the same pure function of (seed ^ 3, shards) as `divlab
-        // campaign --engine sharded` with that master seed.
-        let (shards, shard_threads) = parse_shard_knobs(opts)?;
-        if shards > graph.num_vertices() {
-            return Err(format!(
-                "--shards {shards} exceeds the graph's {} vertices",
-                graph.num_vertices()
-            ));
-        }
-        cfg.threads = 1;
-        run_campaign_monitored(&cfg, monitor, |ctx| {
-            sharded_trial(
-                &graph,
-                &opinions,
-                FastScheduler::Edge,
-                shards,
-                shard_threads,
-                ctx,
-            )
-        })
-    } else if engine == "batch" {
-        let (lanes, threads) = parse_batch_knobs(opts)?;
-        cfg.threads = threads;
-        run_campaign_batched_monitored(
-            &cfg,
-            lanes,
+    // Trials run exactly as in a standalone campaign, so the div row is
+    // the same pure function of (seed ^ 3, engine knobs) as `divlab
+    // campaign` with that master seed — sharded rows included.
+    let (lanes, threads) = parse_batch_knobs(opts)?;
+    cfg.threads = threads;
+    let setup = engine_setup(
+        opts,
+        engine,
+        TrialSetup {
             monitor,
-            |ctxs| {
-                batch_group(
-                    &graph,
-                    &opinions,
-                    FastScheduler::Edge,
-                    &faults,
-                    monitor,
-                    ctxs,
-                )
-            },
-            |ctx| {
-                fast_trial(
-                    &graph,
-                    &opinions,
-                    FastScheduler::Edge,
-                    &faults,
-                    monitor,
-                    ctx,
-                )
-            },
-        )
-    } else if engine == "fast" {
-        run_campaign_monitored(&cfg, monitor, |ctx| {
-            fast_trial(
-                &graph,
-                &opinions,
-                FastScheduler::Edge,
-                &faults,
-                monitor,
-                ctx,
-            )
-        })
-    } else {
-        run_campaign_monitored(&cfg, monitor, |ctx| {
-            reference_trial(
-                &graph,
-                &opinions,
-                EdgeScheduler::new(),
-                &faults,
-                monitor,
-                ctx,
-            )
-        })
-    }
-    .map_err(|e| e.to_string())?;
+            ..TrialSetup::new(&graph, &opinions, FastScheduler::Edge, &faults)
+        },
+    )?;
+    let hooks = CampaignHooks {
+        monitor,
+        ..CampaignHooks::default()
+    };
+    let report =
+        run_engine_campaign(engine, &setup, &cfg, lanes, hooks, None).map_err(|e| e.to_string())?;
     let mut rendered: Vec<String> = report
         .winner_histogram()
         .iter()

@@ -1115,3 +1115,234 @@ fn sharded_engine_with_faults_demotes_to_fast() {
         stdout(&out)
     );
 }
+
+#[test]
+fn single_run_fault_counters_reach_the_metrics_endpoint_under_telemetry() {
+    // Regression: an observed single run printed its fault counters but
+    // never published them, so `/metrics` reported zero drops whenever
+    // `--telemetry` was on.  The scrape taken during the linger window
+    // must agree with the printed `faults:` line, counter for counter.
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::process::Stdio;
+    for engine in ["reference", "fast"] {
+        let path = temp_file("faulty-telemetry", "jsonl");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_divlab"))
+            .args([
+                "run",
+                "--graph",
+                "complete:30",
+                "--init",
+                "blocks:1x15,5x15",
+                "--engine",
+                engine,
+                "--seed",
+                "5",
+                "--faults",
+                "drop:0.3",
+                "--telemetry",
+                path.to_str().unwrap(),
+                "--serve",
+                "127.0.0.1:0",
+                "--serve-linger",
+                "3",
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("divlab spawns");
+        let mut err = BufReader::new(child.stderr.take().unwrap());
+        let addr = loop {
+            let mut line = String::new();
+            assert!(
+                err.read_line(&mut line).unwrap() > 0,
+                "no endpoint announced"
+            );
+            if let Some(a) = line.trim().strip_prefix("divlab: serving metrics on ") {
+                break a.to_string();
+            }
+        };
+        // Stdout is flushed when the run finishes, before the linger.
+        let mut out = BufReader::new(child.stdout.take().unwrap());
+        let printed = loop {
+            let mut line = String::new();
+            assert!(out.read_line(&mut line).unwrap() > 0, "no faults line");
+            if let Some(rest) = line.trim().strip_prefix("faults: ") {
+                break rest.to_string();
+            }
+        };
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let mut scraped = String::new();
+        stream.read_to_string(&mut scraped).unwrap();
+        let counter = |kind: &str| {
+            let prefix = format!("div_fault_events_total{{kind=\"{kind}\"}} ");
+            scraped
+                .lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .unwrap_or_else(|| panic!("no {kind} counter in {scraped}"))
+                .to_string()
+        };
+        let mut dropped = 0u64;
+        for field in printed.split_whitespace() {
+            let (name, value) = field.split_once('=').unwrap();
+            let kind = match name {
+                "stale" => "stale_reads",
+                "crashes" => "crashes",
+                other => other,
+            };
+            assert_eq!(counter(kind), value, "{engine}: {kind} ({printed})");
+            if name == "dropped" {
+                dropped = value.parse().unwrap();
+            }
+        }
+        assert!(
+            dropped > 0,
+            "{engine}: drop:0.3 dropped nothing ({printed})"
+        );
+        assert!(child.wait().unwrap().success(), "{engine} run failed");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    for (args, flag) in [
+        (
+            &[
+                "campaign",
+                "--graph",
+                "complete:30",
+                "--trials",
+                "4",
+                "--engine",
+                "batch",
+                "--lane",
+                "0",
+            ][..],
+            "--lane",
+        ),
+        (
+            &[
+                "campaign",
+                "--graph",
+                "complete:30",
+                "--trials",
+                "4",
+                "--theads",
+                "3",
+            ][..],
+            "--theads",
+        ),
+        (
+            &["spectral", "--graph", "complete:10", "--trials", "3"][..],
+            "--trials",
+        ),
+        (
+            &["run", "--graph", "complete:10", "--detach"][..],
+            "--detach",
+        ),
+    ] {
+        let out = divlab(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {flag} for divlab {}", args[0])),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// Adds the `(subcommand, --flag)` pairs of every `divlab <subcommand> …`
+/// invocation in `text` (one invocation per line; comment lines skipped).
+fn collect_invocations(text: &str, pairs: &mut std::collections::BTreeSet<(String, String)>) {
+    for line in text.lines().filter(|l| !l.trim_start().starts_with('#')) {
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        for (i, token) in tokens.iter().enumerate() {
+            if !(token.ends_with("/divlab") || matches!(*token, "divlab" | "$DIVLAB")) {
+                continue;
+            }
+            let mut rest = tokens[i + 1..].iter().skip_while(|t| **t == "--");
+            let Some(command) = rest.next() else { continue };
+            if !command.chars().all(|c| c.is_ascii_alphanumeric()) {
+                continue;
+            }
+            for t in rest.take_while(|t| !matches!(**t, "&" | "|" | "||" | "&&" | ">" | "2>")) {
+                if t.len() > 2 && t.starts_with("--") {
+                    pairs.insert((command.to_string(), t.to_string()));
+                }
+            }
+        }
+    }
+}
+
+/// Every `(subcommand, --flag)` pair that a documented or scripted
+/// `divlab` invocation uses: the README's code blocks, the CI workflow
+/// (with each step's `$ARGS` expanded) and the benchmark's `divlab
+/// campaign` command line.
+fn documented_invocations() -> std::collections::BTreeSet<(String, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read =
+        |p: &str| std::fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("read {p}: {e}"));
+    let mut pairs = std::collections::BTreeSet::new();
+    let mut code = String::new();
+    let mut in_code = false;
+    for line in read("README.md").lines() {
+        if line.trim_start().starts_with("```") {
+            in_code = !in_code;
+        } else if in_code {
+            code.push_str(line);
+            code.push('\n');
+        }
+    }
+    collect_invocations(&code.replace("\\\n", " "), &mut pairs);
+    let mut ci = String::new();
+    let mut args = String::new();
+    for line in read(".github/workflows/ci.yml")
+        .replace("\\\n", " ")
+        .lines()
+    {
+        if let Some(v) = line.trim().strip_prefix("ARGS=\"") {
+            args = v.trim_end_matches('"').to_string();
+        }
+        ci.push_str(&line.replace("$ARGS", &args));
+        ci.push('\n');
+    }
+    collect_invocations(&ci, &mut pairs);
+    for literal in read("benchmark/src/workload.rs").split('"') {
+        if literal.len() > 2 && literal.starts_with("--") && !literal.contains(' ') {
+            pairs.insert(("campaign".to_string(), literal.to_string()));
+        }
+    }
+    pairs
+}
+
+#[test]
+fn every_documented_and_scripted_flag_is_accepted() {
+    let pairs = documented_invocations();
+    assert!(pairs.len() >= 40, "too few invocations found: {pairs:?}");
+    for command in ["run", "campaign", "stats", "compare", "analyze", "submit"] {
+        assert!(
+            pairs.iter().any(|(c, _)| c == command),
+            "no {command} invocation found: {pairs:?}"
+        );
+    }
+    for (command, flag) in &pairs {
+        // Each probe stops at its first usage error (a missing --graph,
+        // --traces or --server, or the junk value) before doing any work.
+        let mut args = vec![command.as_str(), flag.as_str()];
+        if !matches!(
+            flag.as_str(),
+            "--trace" | "--resume" | "--detach" | "--watch"
+        ) {
+            args.push("-");
+        }
+        let out = divlab(&args);
+        let err = stderr(&out);
+        assert!(
+            !err.contains("unknown flag") && !err.contains("unknown command"),
+            "divlab {command} rejects documented flag {flag}: {err}"
+        );
+    }
+}

@@ -643,7 +643,7 @@ impl<'g> BatchProcess<'g> {
     /// boundaries.
     ///
     /// The run is the unmodified hot loop driven in uniform chunks —
-    /// chunked [`BatchProcess::run_width`] calls are bit-exact against
+    /// chunked `BatchProcess::run_width` calls are bit-exact against
     /// a one-shot call (trajectory, step counts **and** RNG positions),
     /// so attaching observers never changes any lane's outcome.  At
     /// each chunk boundary an active lane contributes one
@@ -662,7 +662,7 @@ impl<'g> BatchProcess<'g> {
     /// `sample_every` asks for at most one sample per that many
     /// lane-steps, rounded up to whole blocks
     /// (`0` = the engine default of
-    /// [`BatchProcess::DEFAULT_SAMPLE_BLOCKS`] blocks).  With a
+    /// `BatchProcess::DEFAULT_SAMPLE_BLOCKS` blocks).  With a
     /// disabled observer type this is exactly
     /// [`BatchProcess::run_to_consensus`].
     ///

@@ -62,18 +62,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use div_core::{
-    hex_id, render_spans, span_id, EdgeScheduler, FastScheduler, SpanClock, SpanEvent,
-    VertexScheduler,
-};
+use div_core::{hex_id, render_spans, span_id, SpanClock, SpanEvent};
 use div_oplog::{atomic_write, Oplog, Replay};
 use div_sim::http::{HttpLimits, HttpServer, Request, Response};
-use div_sim::{
-    run_campaign_batched_hooked, run_campaign_hooked, CampaignConfig, CampaignHooks,
-    CampaignReport, SeedSequence, TrialOutcome,
-};
+use div_sim::{CampaignConfig, CampaignHooks, CampaignReport, SeedSequence, TrialOutcome};
 
-use div_bench::trial::{batch_group, fast_trial, reference_trial};
+use div_bench::trial::{run_engine_campaign, TrialSetup};
 
 use crate::job::{JobSpec, JobState};
 
@@ -761,10 +755,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     }
 }
 
-/// Dispatches the job's engine with hooks that journal every completed
+/// Runs the job's campaign with hooks that journal every completed
 /// trial and retry.  The report is produced by exactly the code path
-/// `divlab` uses (shared `div_bench::trial` executors), so daemon and
-/// CLI reports for the same spec are byte-identical.
+/// `divlab` uses (`div_bench::trial::run_engine_campaign`), so daemon
+/// and CLI reports for the same spec are byte-identical.
 fn run_engine(
     shared: &Arc<Shared>,
     id: u64,
@@ -847,37 +841,10 @@ fn run_engine(
         cancel: Some(cancel),
         on_trial: Some(&on_trial),
         on_retry: Some(&on_retry),
+        ..CampaignHooks::default()
     };
-
-    let kind = if spec.scheduler == "edge" {
-        FastScheduler::Edge
-    } else {
-        FastScheduler::Vertex
-    };
-    let report = match spec.engine.as_str() {
-        "batch" => run_campaign_batched_hooked(
-            &cfg,
-            spec.lanes,
-            None,
-            hooks,
-            |ctxs| batch_group(graph, opinions, kind, faults, None, ctxs),
-            |ctx| fast_trial(graph, opinions, kind, faults, None, ctx),
-        ),
-        "fast" => run_campaign_hooked(&cfg, None, hooks, |ctx| {
-            fast_trial(graph, opinions, kind, faults, None, ctx)
-        }),
-        _ => {
-            if spec.scheduler == "edge" {
-                run_campaign_hooked(&cfg, None, hooks, |ctx| {
-                    reference_trial(graph, opinions, EdgeScheduler::new(), faults, None, ctx)
-                })
-            } else {
-                run_campaign_hooked(&cfg, None, hooks, |ctx| {
-                    reference_trial(graph, opinions, VertexScheduler::new(), faults, None, ctx)
-                })
-            }
-        }
-    };
+    let setup = TrialSetup::new(graph, opinions, spec.kind()?, faults);
+    let report = run_engine_campaign(spec.engine()?, &setup, &cfg, spec.lanes, hooks, None);
     report.map_err(|e| e.to_string())
 }
 

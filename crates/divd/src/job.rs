@@ -18,17 +18,21 @@
 //! checkpoint-every 16      # trials between checkpoint flushes
 //! ```
 //!
-//! [`JobSpec::render`] is canonical (every key, fixed order), so a spec
+//! Each key may appear at most once.  [`JobSpec::render`] is canonical (every key, fixed order), so a spec
 //! round-trips bit-exactly through the oplog and a recovered daemon
 //! re-derives the *identical* campaign configuration — the foundation
 //! of the byte-identical resumed-report guarantee.
 
 use std::fmt;
 
-use div_core::FaultPlan;
+use div_bench::trial::{parse_scheduler, Engine};
+use div_core::{FastScheduler, FaultPlan};
 use div_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The engines a job may name.
+const JOB_ENGINES: [Engine; 3] = [Engine::Fast, Engine::Batch, Engine::Reference];
 
 /// A parsed, validated campaign submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +41,9 @@ pub struct JobSpec {
     pub graph: String,
     /// Opinion spec (divlab grammar, e.g. `uniform:5`).
     pub init: String,
-    /// `edge` or `vertex`.
+    /// `edge` or `vertex` (see [`JobSpec::kind`]).
     pub scheduler: String,
-    /// `fast`, `batch` or `reference`.
+    /// `fast`, `batch` or `reference` (see [`JobSpec::engine`]).
     pub engine: String,
     /// Campaign master seed.
     pub seed: u64,
@@ -63,7 +67,7 @@ impl Default for JobSpec {
             graph: String::new(),
             init: "uniform:5".to_string(),
             scheduler: "edge".to_string(),
-            engine: "fast".to_string(),
+            engine: Engine::Fast.name().to_string(),
             seed: 1,
             trials: 10,
             budget: 1_000_000_000,
@@ -80,10 +84,11 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown keys, malformed
-    /// values, out-of-range knobs or a missing `graph`.
+    /// Returns a human-readable message for unknown or repeated keys,
+    /// malformed values, out-of-range knobs or a missing `graph`.
     pub fn parse(text: &str) -> Result<JobSpec, String> {
         let mut spec = JobSpec::default();
+        let mut seen: Vec<&str> = Vec::new();
         for (no, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -92,6 +97,10 @@ impl JobSpec {
             let (key, value) = line
                 .split_once(char::is_whitespace)
                 .ok_or_else(|| format!("line {}: expected `key value`, got {line:?}", no + 1))?;
+            if seen.contains(&key) {
+                return Err(format!("line {}: duplicate key {key:?}", no + 1));
+            }
+            seen.push(key);
             let value = value.trim();
             let int = |what: &str| -> Result<u64, String> {
                 value
@@ -122,18 +131,8 @@ impl JobSpec {
         if self.graph.is_empty() {
             return Err("missing required key `graph`".to_string());
         }
-        if self.scheduler != "edge" && self.scheduler != "vertex" {
-            return Err(format!(
-                "unknown scheduler {:?} (use edge or vertex)",
-                self.scheduler
-            ));
-        }
-        if self.engine != "fast" && self.engine != "batch" && self.engine != "reference" {
-            return Err(format!(
-                "unknown engine {:?} (use fast, batch or reference)",
-                self.engine
-            ));
-        }
+        self.kind()?;
+        self.engine()?;
         if self.trials == 0 {
             return Err("trials must be at least 1".to_string());
         }
@@ -144,6 +143,33 @@ impl JobSpec {
             return Err("checkpoint-every must be at least 1".to_string());
         }
         Ok(())
+    }
+
+    /// The compiled scheduler `scheduler` names.
+    ///
+    /// # Errors
+    ///
+    /// Names anything but `edge` or `vertex`.
+    pub fn kind(&self) -> Result<FastScheduler, String> {
+        parse_scheduler(&self.scheduler)
+    }
+
+    /// The engine `engine` names.  The daemon runs every engine but the
+    /// sharded one, whose per-trial shard count has no job-spec key.
+    ///
+    /// # Errors
+    ///
+    /// Names any other engine.
+    pub fn engine(&self) -> Result<Engine, String> {
+        Engine::parse(&self.engine)
+            .filter(|e| JOB_ENGINES.contains(e))
+            .ok_or_else(|| {
+                format!(
+                    "unknown engine {:?} (use {})",
+                    self.engine,
+                    Engine::list(&JOB_ENGINES)
+                )
+            })
     }
 
     /// The canonical rendering: every key, fixed order, one per line.
@@ -290,10 +316,28 @@ mod tests {
             ("graph complete:8\ntrials 0\n", "at least 1"),
             ("graph complete:8\nlanes 0\n", "at least 1"),
             ("graph complete:8\ncheckpoint-every 0\n", "at least 1"),
+            ("graph complete:8\nengine sharded\n", "unknown engine"),
         ] {
             let err = JobSpec::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text:?}: {err}");
         }
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_not_overwritten() {
+        let err =
+            JobSpec::parse("graph complete:8\nengine fast\n# switch\nengine batch\n").unwrap_err();
+        assert_eq!(err, "line 4: duplicate key \"engine\"");
+        let err = JobSpec::parse("graph complete:8\ngraph cycle:9\n").unwrap_err();
+        assert_eq!(err, "line 2: duplicate key \"graph\"");
+    }
+
+    #[test]
+    fn typed_accessors_match_the_string_fields() {
+        let spec = JobSpec::parse("graph complete:8\nscheduler vertex\nengine batch\n").unwrap();
+        assert_eq!(spec.engine(), Ok(Engine::Batch));
+        assert_eq!(spec.kind(), Ok(FastScheduler::Vertex));
+        assert_eq!(JobSpec::default().engine, Engine::Fast.name());
     }
 
     #[test]

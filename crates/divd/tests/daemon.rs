@@ -619,6 +619,19 @@ fn api_surface_validates_inputs() {
     let bad = req(addr, "POST", "/campaigns", b"graph unknown:7\n");
     assert_eq!(bad.status, 400);
     assert!(bad.text().contains("unknown family"), "{}", bad.text());
+    // A repeated key is an error, not a silent last-value-wins.
+    let bad = req(
+        addr,
+        "POST",
+        "/campaigns",
+        b"graph complete:8\nengine fast\nengine batch\n",
+    );
+    assert_eq!(bad.status, 400);
+    assert!(
+        bad.text().contains("line 3: duplicate key \"engine\""),
+        "{}",
+        bad.text()
+    );
     let bad = req_as(
         addr,
         "POST",

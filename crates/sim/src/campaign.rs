@@ -192,10 +192,18 @@ pub struct TrialCtx {
 }
 
 /// Observation and control hooks for an in-flight campaign, used by
-/// services embedding the campaign engine (e.g. the `divd` daemon).
+/// front-ends and services embedding the campaign engine (`divlab`, the
+/// `divd` daemon).
 ///
 /// All hooks are optional; [`CampaignHooks::default`] is a no-op set.
 ///
+/// * `monitor` — live publication: the campaign declares `cfg.trials` as
+///   expected, replays resumed outcomes into it, and every worker
+///   publishes trial starts (per lane as its group begins), panic retries
+///   and finished outcomes as they happen — so an HTTP scrape (see
+///   [`crate::MetricsServer`]) watches the campaign in flight, and a
+///   scrape taken after the campaign returns agrees exactly with the
+///   report's counts.
 /// * `cancel` — checked by every worker before claiming the next trial
 ///   (or lane group).  Once set, no *new* work starts; in-flight trials
 ///   finish, the collector drains, the final checkpoint is written, and
@@ -209,6 +217,8 @@ pub struct TrialCtx {
 ///   retried, with the trial index.
 #[derive(Clone, Copy, Default)]
 pub struct CampaignHooks<'a> {
+    /// Live monitor (see type docs).
+    pub monitor: Option<&'a CampaignMonitor>,
     /// Cooperative cancellation flag (see type docs).
     pub cancel: Option<&'a AtomicBool>,
     /// Per-completed-trial callback `(trial index, outcome)`.
@@ -220,13 +230,37 @@ pub struct CampaignHooks<'a> {
 /// A shared per-trial callback `(trial index, outcome)`.
 pub type TrialHook<'a> = &'a (dyn Fn(usize, &TrialOutcome) + Sync);
 
+/// A lockstep group executor: steps the given attempt-0 contexts together
+/// and returns one outcome per context.
+pub type GroupFn<'a> = &'a (dyn Fn(&[TrialCtx]) -> Vec<TrialOutcome> + Sync);
+
+/// How [`run_campaign_hooked`] groups trials for a batch engine:
+/// pending trials are chunked into groups of `lanes` and each group is
+/// handed to `run` (see [`run_campaign_batched`]).
+#[derive(Clone, Copy)]
+pub struct LaneGroups<'a> {
+    /// Trials per lockstep group (≥ 1).
+    pub lanes: usize,
+    /// The group executor.
+    pub run: GroupFn<'a>,
+}
+
 impl fmt::Debug for CampaignHooks<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CampaignHooks")
+            .field("monitor", &self.monitor.is_some())
             .field("cancel", &self.cancel.map(|c| c.load(Ordering::Relaxed)))
             .field("on_trial", &self.on_trial.is_some())
             .field("on_retry", &self.on_retry.is_some())
             .finish()
+    }
+}
+
+impl fmt::Debug for LaneGroups<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LaneGroups")
+            .field("lanes", &self.lanes)
+            .finish_non_exhaustive()
     }
 }
 
@@ -490,140 +524,7 @@ pub fn run_campaign<F>(cfg: &CampaignConfig, trial_fn: F) -> Result<CampaignRepo
 where
     F: Fn(&TrialCtx) -> TrialOutcome + Sync,
 {
-    run_campaign_monitored(cfg, None, trial_fn)
-}
-
-/// [`run_campaign`] with live publication: when `monitor` is given, the
-/// campaign declares `cfg.trials` as expected, replays resumed outcomes
-/// into it, and every worker slot publishes trial starts, panic retries
-/// and finished outcomes as they happen — so an HTTP scrape (see
-/// [`crate::MetricsServer`]) watches the campaign in flight, and a scrape
-/// taken after this returns agrees exactly with the report's counts.
-///
-/// # Errors
-///
-/// Identical to [`run_campaign`].
-pub fn run_campaign_monitored<F>(
-    cfg: &CampaignConfig,
-    monitor: Option<&CampaignMonitor>,
-    trial_fn: F,
-) -> Result<CampaignReport, CampaignError>
-where
-    F: Fn(&TrialCtx) -> TrialOutcome + Sync,
-{
-    run_campaign_hooked(cfg, monitor, CampaignHooks::default(), trial_fn)
-}
-
-/// [`run_campaign_monitored`] with [`CampaignHooks`]: cooperative
-/// cancellation, per-trial completion callbacks and retry callbacks,
-/// for services embedding the engine.
-///
-/// # Errors
-///
-/// Identical to [`run_campaign`].
-pub fn run_campaign_hooked<F>(
-    cfg: &CampaignConfig,
-    monitor: Option<&CampaignMonitor>,
-    hooks: CampaignHooks<'_>,
-    trial_fn: F,
-) -> Result<CampaignReport, CampaignError>
-where
-    F: Fn(&TrialCtx) -> TrialOutcome + Sync,
-{
-    let mut outcomes: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
-    let mut resumed = 0usize;
-    if let Some(path) = &cfg.checkpoint {
-        if cfg.resume && path.exists() {
-            let manifest = Manifest::load(path)?;
-            manifest.check_matches(cfg)?;
-            resumed = manifest.outcomes.len();
-            outcomes = manifest.outcomes;
-        }
-    }
-    if let Some(m) = monitor {
-        m.set_expected(cfg.trials as u64);
-        for outcome in outcomes.values() {
-            m.trial_started();
-            m.record_outcome(outcome);
-        }
-    }
-
-    let pending: Vec<usize> = (0..cfg.trials)
-        .filter(|i| !outcomes.contains_key(i))
-        .collect();
-    let scheduled: Vec<usize> = match cfg.stop_after {
-        Some(k) => pending.into_iter().take(k).collect(),
-        None => pending,
-    };
-
-    if !scheduled.is_empty() {
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            cfg.threads
-        };
-        let workers = threads.min(scheduled.len()).max(1);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, TrialOutcome)>();
-        let flush_every = cfg.checkpoint_every.max(1);
-        let outcomes_ref = &mut outcomes;
-        std::thread::scope(|scope| -> Result<(), CampaignError> {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let scheduled = &scheduled;
-                let trial_fn = &trial_fn;
-                scope.spawn(move || loop {
-                    if hooks.cancelled() {
-                        break;
-                    }
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= scheduled.len() {
-                        break;
-                    }
-                    let i = scheduled[slot];
-                    if let Some(m) = monitor {
-                        m.trial_started();
-                    }
-                    let outcome = run_one_trial(cfg, i, monitor, &hooks, trial_fn);
-                    if let Some(m) = monitor {
-                        m.record_outcome(&outcome);
-                    }
-                    if tx.send((i, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut since_flush = 0usize;
-            for (i, outcome) in rx {
-                if let Some(f) = hooks.on_trial {
-                    f(i, &outcome);
-                }
-                outcomes_ref.insert(i, outcome);
-                since_flush += 1;
-                if let Some(path) = &cfg.checkpoint {
-                    if since_flush >= flush_every {
-                        write_manifest(path, cfg, outcomes_ref)?;
-                        since_flush = 0;
-                    }
-                }
-            }
-            Ok(())
-        })?;
-    }
-
-    if let Some(path) = &cfg.checkpoint {
-        write_manifest(path, cfg, &outcomes)?;
-    }
-    Ok(CampaignReport {
-        master_seed: cfg.master_seed,
-        trials: cfg.trials,
-        outcomes,
-        resumed,
-    })
+    run_campaign_hooked(cfg, CampaignHooks::default(), None, trial_fn)
 }
 
 /// [`run_campaign`] driven by a **batch engine**: pending trials are
@@ -659,45 +560,23 @@ where
     F: Fn(&[TrialCtx]) -> Vec<TrialOutcome> + Sync,
     G: Fn(&TrialCtx) -> TrialOutcome + Sync,
 {
-    run_campaign_batched_monitored(cfg, lanes, None, batch_fn, trial_fn)
-}
-
-/// [`run_campaign_batched`] with live publication into a
-/// [`CampaignMonitor`] (see [`run_campaign_monitored`]): trial starts
-/// are published per lane as its group begins, outcomes as each group
-/// (or scalar fallback) completes.
-///
-/// # Errors
-///
-/// Identical to [`run_campaign`].
-///
-/// # Panics
-///
-/// Panics if `lanes == 0`.
-pub fn run_campaign_batched_monitored<F, G>(
-    cfg: &CampaignConfig,
-    lanes: usize,
-    monitor: Option<&CampaignMonitor>,
-    batch_fn: F,
-    trial_fn: G,
-) -> Result<CampaignReport, CampaignError>
-where
-    F: Fn(&[TrialCtx]) -> Vec<TrialOutcome> + Sync,
-    G: Fn(&TrialCtx) -> TrialOutcome + Sync,
-{
-    run_campaign_batched_hooked(
-        cfg,
+    let groups = LaneGroups {
         lanes,
-        monitor,
-        CampaignHooks::default(),
-        batch_fn,
-        trial_fn,
-    )
+        run: &batch_fn,
+    };
+    run_campaign_hooked(cfg, CampaignHooks::default(), Some(groups), trial_fn)
 }
 
-/// [`run_campaign_batched_monitored`] with [`CampaignHooks`] (see
-/// [`run_campaign_hooked`]).  Cancellation is checked per lane *group*:
-/// a group that has started steps to completion.
+/// The campaign driver behind [`run_campaign`] and
+/// [`run_campaign_batched`], with [`CampaignHooks`] (live monitor,
+/// cooperative cancellation, per-trial and retry callbacks) for
+/// front-ends and services embedding the engine.
+///
+/// Without `groups` every trial runs through `trial_fn` and its retry
+/// chain (the scalar campaign: lane groups of one with no group
+/// executor).  With `groups` the campaign is batched as described in
+/// [`run_campaign_batched`]; cancellation is then checked per lane
+/// *group*: a group that has started steps to completion.
 ///
 /// # Errors
 ///
@@ -705,19 +584,17 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `lanes == 0`.
-pub fn run_campaign_batched_hooked<F, G>(
+/// Panics if `groups` has zero lanes.
+pub fn run_campaign_hooked<G>(
     cfg: &CampaignConfig,
-    lanes: usize,
-    monitor: Option<&CampaignMonitor>,
     hooks: CampaignHooks<'_>,
-    batch_fn: F,
+    groups: Option<LaneGroups<'_>>,
     trial_fn: G,
 ) -> Result<CampaignReport, CampaignError>
 where
-    F: Fn(&[TrialCtx]) -> Vec<TrialOutcome> + Sync,
     G: Fn(&TrialCtx) -> TrialOutcome + Sync,
 {
+    let lanes = groups.map_or(1, |g| g.lanes);
     assert!(lanes > 0, "need at least one lane per group");
     let mut outcomes: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
     let mut resumed = 0usize;
@@ -729,6 +606,7 @@ where
             outcomes = manifest.outcomes;
         }
     }
+    let monitor = hooks.monitor;
     if let Some(m) = monitor {
         m.set_expected(cfg.trials as u64);
         for outcome in outcomes.values() {
@@ -753,8 +631,8 @@ where
         } else {
             cfg.threads
         };
-        let groups: Vec<&[usize]> = scheduled.chunks(lanes).collect();
-        let workers = threads.min(groups.len()).max(1);
+        let chunks: Vec<&[usize]> = scheduled.chunks(lanes).collect();
+        let workers = threads.min(chunks.len()).max(1);
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, TrialOutcome)>();
         let flush_every = cfg.checkpoint_every.max(1);
@@ -763,44 +641,46 @@ where
             for _ in 0..workers {
                 let tx = tx.clone();
                 let next = &next;
-                let groups = &groups;
-                let batch_fn = &batch_fn;
+                let chunks = &chunks;
                 let trial_fn = &trial_fn;
                 scope.spawn(move || loop {
                     if hooks.cancelled() {
                         break;
                     }
                     let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= groups.len() {
+                    if slot >= chunks.len() {
                         break;
                     }
-                    let group = groups[slot];
-                    let ctxs: Vec<TrialCtx> = group
-                        .iter()
-                        .map(|&i| TrialCtx {
-                            trial: i,
-                            seed: SeedSequence::seed_for(cfg.master_seed, i as u64),
-                            attempt: 0,
-                            step_budget: cfg.step_budget,
-                        })
-                        .collect();
+                    let chunk = chunks[slot];
                     if let Some(m) = monitor {
-                        for _ in group {
+                        for _ in chunk {
                             m.trial_started();
                         }
                     }
-                    let batched = catch_unwind(AssertUnwindSafe(|| batch_fn(&ctxs)))
-                        .ok()
-                        .filter(|v| v.len() == ctxs.len());
-                    let results: Vec<(usize, TrialOutcome)> = match batched {
-                        Some(v) => group.iter().copied().zip(v).collect(),
-                        // The whole group falls back to the scalar attempt
-                        // chain; attempt 0 reuses the batch lane's seed, so
-                        // a healthy scalar engine reproduces exactly what
-                        // the batch would have produced.
-                        None => group
+                    let batched = groups.and_then(|g| {
+                        let ctxs: Vec<TrialCtx> = chunk
                             .iter()
-                            .map(|&i| (i, run_one_trial(cfg, i, monitor, &hooks, trial_fn)))
+                            .map(|&i| TrialCtx {
+                                trial: i,
+                                seed: SeedSequence::seed_for(cfg.master_seed, i as u64),
+                                attempt: 0,
+                                step_budget: cfg.step_budget,
+                            })
+                            .collect();
+                        catch_unwind(AssertUnwindSafe(|| (g.run)(&ctxs)))
+                            .ok()
+                            .filter(|v| v.len() == ctxs.len())
+                    });
+                    let results: Vec<(usize, TrialOutcome)> = match batched {
+                        Some(v) => chunk.iter().copied().zip(v).collect(),
+                        // Scalar trials, and every trial of a failed group:
+                        // the attempt chain, whose attempt 0 reuses the
+                        // batch lane's seed, so a healthy scalar engine
+                        // reproduces exactly what the batch would have
+                        // produced.
+                        None => chunk
+                            .iter()
+                            .map(|&i| (i, run_one_trial(cfg, i, &hooks, trial_fn)))
                             .collect(),
                     };
                     for (i, outcome) in results {
@@ -847,7 +727,6 @@ where
 fn run_one_trial<F>(
     cfg: &CampaignConfig,
     trial: usize,
-    monitor: Option<&CampaignMonitor>,
     hooks: &CampaignHooks<'_>,
     trial_fn: &F,
 ) -> TrialOutcome
@@ -860,7 +739,7 @@ where
         let seed = if attempt == 0 {
             base
         } else {
-            if let Some(m) = monitor {
+            if let Some(m) = hooks.monitor {
                 m.trial_retried();
             }
             if let Some(f) = hooks.on_retry {
@@ -1333,14 +1212,16 @@ mod tests {
     fn batched_campaign_publishes_to_monitor() {
         let monitor = CampaignMonitor::new();
         let cfg = CampaignConfig::new(12, 3);
-        let report = run_campaign_batched_monitored(
-            &cfg,
-            5,
-            Some(&monitor),
-            |ctxs| ctxs.iter().map(outcome_for).collect(),
-            outcome_for,
-        )
-        .unwrap();
+        let hooks = CampaignHooks {
+            monitor: Some(&monitor),
+            ..CampaignHooks::default()
+        };
+        let batch = |ctxs: &[TrialCtx]| ctxs.iter().map(outcome_for).collect::<Vec<_>>();
+        let groups = LaneGroups {
+            lanes: 5,
+            run: &batch,
+        };
+        let report = run_campaign_hooked(&cfg, hooks, Some(groups), outcome_for).unwrap();
         assert!(report.is_complete());
         let s = monitor.snapshot();
         assert_eq!((s.expected, s.started, s.finished), (12, 12, 12));
@@ -1383,7 +1264,7 @@ mod tests {
         let hooks = CampaignHooks {
             cancel: Some(&cancel),
             on_trial: Some(&on_trial),
-            on_retry: None,
+            ..CampaignHooks::default()
         };
         // Trials must take long enough for the cancel flag to land
         // before the workers drain the whole schedule.
@@ -1391,7 +1272,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(3));
             outcome_for(ctx)
         };
-        let partial = run_campaign_hooked(&cfg, None, hooks, slow_trial).unwrap();
+        let partial = run_campaign_hooked(&cfg, hooks, None, slow_trial).unwrap();
         let streamed = seen.lock().unwrap().len();
         assert_eq!(partial.completed(), streamed, "every outcome streamed");
         assert!(
@@ -1405,7 +1286,7 @@ mod tests {
         let mut resume = cfg.clone();
         resume.resume = true;
         let resumed =
-            run_campaign_hooked(&resume, None, CampaignHooks::default(), outcome_for).unwrap();
+            run_campaign_hooked(&resume, CampaignHooks::default(), None, outcome_for).unwrap();
         assert!(resumed.is_complete());
         let mut control_cfg = CampaignConfig::new(40, 0xF00D);
         control_cfg.tag = "hooked".to_string();
@@ -1419,19 +1300,15 @@ mod tests {
         let cancel = AtomicBool::new(true); // cancelled before any work
         let hooks = CampaignHooks {
             cancel: Some(&cancel),
-            on_trial: None,
-            on_retry: None,
+            ..CampaignHooks::default()
         };
         let cfg = CampaignConfig::new(20, 7);
-        let report = run_campaign_batched_hooked(
-            &cfg,
-            4,
-            None,
-            hooks,
-            |ctxs| ctxs.iter().map(outcome_for).collect(),
-            outcome_for,
-        )
-        .unwrap();
+        let batch = |ctxs: &[TrialCtx]| ctxs.iter().map(outcome_for).collect::<Vec<_>>();
+        let groups = LaneGroups {
+            lanes: 4,
+            run: &batch,
+        };
+        let report = run_campaign_hooked(&cfg, hooks, Some(groups), outcome_for).unwrap();
         assert_eq!(report.completed(), 0, "pre-cancelled campaign runs nothing");
     }
 
@@ -1442,14 +1319,13 @@ mod tests {
             retries.fetch_add(1, Ordering::SeqCst);
         };
         let hooks = CampaignHooks {
-            cancel: None,
-            on_trial: None,
             on_retry: Some(&on_retry),
+            ..CampaignHooks::default()
         };
         let mut cfg = CampaignConfig::new(3, 11);
         cfg.max_retries = 2;
         cfg.threads = 1;
-        let report = run_campaign_hooked(&cfg, None, hooks, |ctx| {
+        let report = run_campaign_hooked(&cfg, hooks, None, |ctx| {
             if ctx.trial == 1 && ctx.attempt == 0 {
                 panic!("first attempt fails");
             }

@@ -16,12 +16,14 @@
 //!   deterministic retries, a `TrialOutcome` taxonomy instead of
 //!   all-or-nothing, and crash-safe checkpoint manifests with exact
 //!   resume; [`run_campaign_batched`] drives the same machinery through
-//!   a batch engine, demoting failed groups to the scalar retry chain;
+//!   a batch engine, demoting failed groups to the scalar retry chain,
+//!   and [`run_campaign_hooked`] — the one driver behind both — adds a
+//!   live monitor, cancellation and per-trial callbacks;
 //! * [`MetricsRegistry`] — named counters/gauges/histograms with a
 //!   deterministic rendering, folded into campaign reports and
 //!   manifests;
 //! * [`CampaignMonitor`] / [`MetricsServer`] — live monitoring: lock-free
-//!   atomic counters published by running campaigns and trial pools,
+//!   atomic counters published by running campaigns,
 //!   scraped over HTTP as Prometheus text format (`/metrics`), JSON
 //!   (`/progress`) and a liveness probe (`/healthz`);
 //! * [`stats`] — summaries, confidence intervals (normal and Wilson),
@@ -64,9 +66,8 @@ pub mod stats;
 pub mod table;
 
 pub use campaign::{
-    run_campaign, run_campaign_batched, run_campaign_batched_hooked,
-    run_campaign_batched_monitored, run_campaign_hooked, run_campaign_monitored, CampaignConfig,
-    CampaignError, CampaignHooks, CampaignReport, TrialCtx, TrialOutcome,
+    run_campaign, run_campaign_batched, run_campaign_hooked, CampaignConfig, CampaignError,
+    CampaignHooks, CampaignReport, LaneGroups, TrialCtx, TrialOutcome,
 };
 pub use metrics::MetricsRegistry;
 pub use monitor::{
@@ -74,8 +75,8 @@ pub use monitor::{
     ShardHealth, PHASE_BUCKETS,
 };
 pub use runner::{
-    run_lane_groups, run_trials, run_trials_caught, run_trials_monitored, run_trials_with_threads,
-    TrialPanic, NON_STRING_PANIC,
+    run_lane_groups, run_trials, run_trials_caught, run_trials_with_threads, TrialPanic,
+    NON_STRING_PANIC,
 };
 pub use seed::SeedSequence;
 pub use serve::MetricsServer;

@@ -2,8 +2,8 @@
 //! Monte-Carlo campaign runs.
 //!
 //! A multi-hour [`crate::run_campaign`] used to be a black box until its
-//! final report.  [`CampaignMonitor`] closes that gap: the campaign and
-//! [`crate::run_trials`] worker slots publish trial lifecycle events into
+//! final report.  [`CampaignMonitor`] closes that gap: the campaign's
+//! worker slots publish trial lifecycle events into
 //! plain atomic counters (no mutex anywhere on the trial path), and any
 //! thread can take a [`MonitorSnapshot`] at any time — the HTTP server in
 //! [`crate::serve`] does exactly that for every `/metrics` scrape.
@@ -339,12 +339,6 @@ impl CampaignMonitor {
         };
         self.steps_total.fetch_add(steps, SeqCst);
         self.note_rate(steps);
-        self.finished.fetch_add(1, SeqCst);
-    }
-
-    /// A trial finished without an outcome taxonomy (the generic
-    /// [`crate::run_trials`] slots): counts towards `finished` only.
-    pub fn trial_finished(&self) {
         self.finished.fetch_add(1, SeqCst);
     }
 

@@ -15,7 +15,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::monitor::CampaignMonitor;
 use crate::SeedSequence;
 
 /// A trial closure panicked; carries enough context to re-run the slot.
@@ -118,47 +117,6 @@ where
         panic!("{p}");
     }
     out
-}
-
-/// [`run_trials_with_threads`] with live publication into a
-/// [`CampaignMonitor`]: declares `trials` as expected, and every slot
-/// publishes a trial start before its closure runs and a finish after —
-/// including slots whose closure panics, which finish while unwinding —
-/// so an HTTP scrape (see [`crate::MetricsServer`]) watches the pool
-/// drain in real time.
-///
-/// Generic pools have no outcome taxonomy, so only the
-/// started/finished/expected counters move; campaigns publish the full
-/// breakdown via [`crate::run_campaign_monitored`].
-///
-/// # Panics
-///
-/// As [`run_trials_with_threads`].
-pub fn run_trials_monitored<T, F>(
-    trials: usize,
-    master_seed: u64,
-    threads: usize,
-    monitor: &CampaignMonitor,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    monitor.set_expected(trials as u64);
-    run_trials_with_threads(trials, master_seed, threads, |i, seed| {
-        monitor.trial_started();
-        // A drop guard publishes the finish even if `f` panics (the slot
-        // is then finished-without-outcome, exactly what the caller sees).
-        struct FinishOnDrop<'a>(&'a CampaignMonitor);
-        impl Drop for FinishOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.trial_finished();
-            }
-        }
-        let _finish = FinishOnDrop(monitor);
-        f(i, seed)
-    })
 }
 
 /// Runs `trials` seeded trials in **lane groups** of `lanes` and returns
@@ -442,27 +400,6 @@ mod tests {
         assert_eq!(done.load(Ordering::Relaxed), 16);
         assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
         assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 14);
-    }
-
-    #[test]
-    fn monitored_pool_publishes_starts_and_finishes() {
-        let monitor = CampaignMonitor::new();
-        let out = run_trials_monitored(20, 7, 4, &monitor, |i, _| i);
-        assert_eq!(out, (0..20).collect::<Vec<_>>());
-        let s = monitor.snapshot();
-        assert_eq!((s.expected, s.started, s.finished), (20, 20, 20));
-    }
-
-    #[test]
-    fn monitored_pool_finishes_panicking_slots() {
-        let monitor = CampaignMonitor::new();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_trials_monitored(8, 2, 4, &monitor, |i, _| assert!(i != 3, "boom"))
-        }));
-        assert!(caught.is_err(), "the pool re-raises the slot panic");
-        let s = monitor.snapshot();
-        assert_eq!(s.started, 8);
-        assert_eq!(s.finished, 8, "panicked slot still finishes via guard");
     }
 
     #[test]

@@ -7,8 +7,25 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use div_sim::{
-    run_campaign_monitored, CampaignConfig, CampaignMonitor, MetricsServer, TrialOutcome,
+    run_campaign_hooked, CampaignConfig, CampaignError, CampaignHooks, CampaignMonitor,
+    CampaignReport, MetricsServer, TrialCtx, TrialOutcome,
 };
+
+/// A scalar campaign publishing into `monitor`.
+fn run_campaign_monitored<F>(
+    cfg: &CampaignConfig,
+    monitor: Option<&CampaignMonitor>,
+    trial_fn: F,
+) -> Result<CampaignReport, CampaignError>
+where
+    F: Fn(&TrialCtx) -> TrialOutcome + Sync,
+{
+    let hooks = CampaignHooks {
+        monitor,
+        ..CampaignHooks::default()
+    };
+    run_campaign_hooked(cfg, hooks, None, trial_fn)
+}
 
 /// A deterministic mixed-outcome trial function: converges on most seeds,
 /// times out or sticks at two adjacent opinions on others, and panics
