@@ -52,6 +52,18 @@
 //! differing only in timestamps.  `GET /campaigns/{id}/spans` serves
 //! the file; `GET /campaigns/{id}/progress` serves the live
 //! expected/started/finished counters as JSON.
+//!
+//! # Settled records
+//!
+//! A job in flight is a full `Job`: spec, cancel flag, outcome map and
+//! span buffers.  At its terminal transition — and for terminal jobs
+//! found by recovery — it is replaced by a `Settled` record holding only
+//! what the endpoints still serve: client, state, class, seed, trial
+//! count, retries, error and the outcome lines joined into one string.
+//! `/report` re-renders from that record with the same pure
+//! [`CampaignReport::render`] recovery uses, so live and recovered jobs
+//! share one report path and a long-lived daemon keeps a few hundred
+//! bytes per finished job.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
@@ -119,8 +131,7 @@ struct Job {
     /// Completed trials, keyed by index, in manifest-line encoding.
     results: BTreeMap<usize, String>,
     retries: u64,
-    /// Final report text once terminal.
-    report: Option<String>,
+    /// Set by a journalled `fail`; carried into the settled record.
     error: Option<String>,
     /// Whether this job was reconstructed from the oplog after a crash.
     recovered: bool,
@@ -147,7 +158,6 @@ impl Job {
             cancel_requested: false,
             results: BTreeMap::new(),
             retries: 0,
-            report: None,
             error: None,
             recovered: false,
             submitted_us: 0,
@@ -156,23 +166,120 @@ impl Job {
             trial_attempts: BTreeMap::new(),
         }
     }
+}
 
-    /// Renders the campaign report implied by the journalled outcomes —
-    /// the same pure function of `(master seed, trials, outcomes)` the
-    /// engine uses, so recovery and live completion agree byte-for-byte.
-    fn render_report(&self) -> String {
-        let outcomes: BTreeMap<usize, TrialOutcome> = self
-            .results
-            .values()
-            .filter_map(|line| TrialOutcome::parse_line(line))
-            .collect();
-        CampaignReport {
-            master_seed: self.spec.seed,
-            trials: self.spec.trials,
-            outcomes,
-            resumed: 0,
+/// A terminal job, reduced to what its endpoints still serve.
+#[derive(Debug)]
+struct Settled {
+    client: Box<str>,
+    state: JobState,
+    /// The status `class`: `clean`, `degraded`, `partial` or `failed`.
+    class: &'static str,
+    recovered: bool,
+    seed: u64,
+    trials: usize,
+    retries: u64,
+    error: Option<Box<str>>,
+    /// The journalled outcome lines in trial order, each `\n`-terminated.
+    outcomes: Box<str>,
+}
+
+impl Settled {
+    fn from_job(job: &Job) -> Settled {
+        debug_assert!(job.state.is_terminal(), "only terminal jobs settle");
+        let class = match job.state {
+            JobState::Failed => "failed",
+            JobState::Cancelled => "partial",
+            _ => {
+                let degraded = job
+                    .results
+                    .values()
+                    .filter_map(|l| TrialOutcome::parse_line(l))
+                    .any(|(_, o)| !o.is_converged());
+                if degraded {
+                    "degraded"
+                } else {
+                    "clean"
+                }
+            }
+        };
+        let mut outcomes = String::new();
+        for line in job.results.values() {
+            outcomes.push_str(line);
+            outcomes.push('\n');
         }
-        .render()
+        Settled {
+            client: job.client.as_str().into(),
+            state: job.state,
+            class,
+            recovered: job.recovered,
+            seed: job.spec.seed,
+            trials: job.spec.trials,
+            retries: job.retries,
+            error: job.error.as_deref().map(Into::into),
+            outcomes: outcomes.into_boxed_str(),
+        }
+    }
+}
+
+/// Renders the campaign report implied by journalled outcome lines — the
+/// same pure function of `(master seed, trials, outcomes)` the engine
+/// uses, so the served report equals the one written at completion.
+fn render_report<'a>(seed: u64, trials: usize, lines: impl Iterator<Item = &'a str>) -> String {
+    CampaignReport {
+        master_seed: seed,
+        trials,
+        outcomes: lines.filter_map(TrialOutcome::parse_line).collect(),
+        resumed: 0,
+    }
+    .render()
+}
+
+/// One row of the job table: a job in flight, or a finished job's
+/// settled record.  A job is `Live` exactly while it is not terminal.
+#[derive(Debug)]
+enum Entry {
+    Live(Box<Job>),
+    Settled(Settled),
+}
+
+/// The counters every job endpoint reports, live or settled.
+struct Summary<'a> {
+    client: &'a str,
+    state: JobState,
+    trials: usize,
+    done: usize,
+    retries: u64,
+    recovered: bool,
+}
+
+impl Entry {
+    fn state(&self) -> JobState {
+        match self {
+            Entry::Live(job) => job.state,
+            Entry::Settled(s) => s.state,
+        }
+    }
+
+    fn summary(&self) -> Summary<'_> {
+        match self {
+            Entry::Live(job) => Summary {
+                client: &job.client,
+                state: job.state,
+                trials: job.spec.trials,
+                done: job.results.len(),
+                retries: job.retries,
+                recovered: job.recovered,
+            },
+            Entry::Settled(s) => Summary {
+                client: &s.client,
+                state: s.state,
+                trials: s.trials,
+                done: s.outcomes.lines().count(),
+                retries: s.retries,
+                recovered: s.recovered,
+            },
+        }
     }
 }
 
@@ -317,7 +424,7 @@ impl FairQueue {
 
 /// Mutable daemon state behind the one lock.
 struct Inner {
-    jobs: BTreeMap<u64, Job>,
+    jobs: BTreeMap<u64, Entry>,
     queue: FairQueue,
     /// `None` once sealed during drain.
     oplog: Option<Oplog>,
@@ -341,6 +448,24 @@ impl Inner {
     fn commit_warn(&mut self, ops: &[String]) {
         if let Err(e) = self.commit(ops) {
             eprintln!("divd: oplog append failed ({e}); continuing un-journalled");
+        }
+    }
+
+    /// Job `id`, if it is still in flight.
+    fn live(&mut self, id: u64) -> Option<&mut Job> {
+        match self.jobs.get_mut(&id) {
+            Some(Entry::Live(job)) => Some(job),
+            _ => None,
+        }
+    }
+
+    /// Replaces job `id`'s full record with its settled one; called at
+    /// every terminal transition.
+    fn settle(&mut self, id: u64) {
+        if let Some(entry) = self.jobs.get_mut(&id) {
+            if let Entry::Live(job) = entry {
+                *entry = Entry::Settled(Settled::from_job(job));
+            }
         }
     }
 }
@@ -394,9 +519,11 @@ impl Shared {
             return;
         }
         inner.draining = true;
-        for job in inner.jobs.values() {
-            if job.state == JobState::Running {
-                job.cancel.store(true, Ordering::SeqCst);
+        for entry in inner.jobs.values() {
+            if let Entry::Live(job) = entry {
+                if job.state == JobState::Running {
+                    job.cancel.store(true, Ordering::SeqCst);
+                }
             }
         }
         drop(inner);
@@ -534,30 +661,41 @@ fn recover(replay: &Replay, queue_capacity: usize) -> Inner {
         }
     }
 
-    let mut next_id = 1;
-    for (&id, job) in jobs.iter_mut() {
-        next_id = next_id.max(id + 1);
-        // A running job with journalled cancel intent died before its
-        // worker could finalise: finalise it now, from the journal.
-        if job.state == JobState::Running && job.cancel_requested {
-            job.state = JobState::Cancelled;
-        }
-        if job.state.is_terminal() && job.report.is_none() && job.state != JobState::Failed {
-            job.report = Some(job.render_report());
-        }
-        job.recovered = true;
-    }
+    let next_id = jobs.keys().next_back().map_or(1, |&id| id + 1);
+    let jobs: BTreeMap<u64, Entry> = jobs
+        .into_iter()
+        .map(|(id, mut job)| {
+            // A running job with journalled cancel intent died before its
+            // worker could finalise: finalise it now, from the journal.
+            if job.state == JobState::Running && job.cancel_requested {
+                job.state = JobState::Cancelled;
+            }
+            job.recovered = true;
+            let entry = if job.state.is_terminal() {
+                Entry::Settled(Settled::from_job(&job))
+            } else {
+                Entry::Live(Box::new(job))
+            };
+            (id, entry)
+        })
+        .collect();
 
     // Crashed `running` jobs resume first; then still-queued jobs in
     // submission order.  Recovery ignores queue capacity: accepted work
     // is never dropped.
     let mut queue = FairQueue::new(queue_capacity);
-    for (&id, job) in &jobs {
+    let live = || {
+        jobs.iter().filter_map(|(&id, entry)| match entry {
+            Entry::Live(job) => Some((id, job)),
+            Entry::Settled(_) => None,
+        })
+    };
+    for (id, job) in live() {
         if job.state == JobState::Running {
             queue.push_front(&job.client, id);
         }
     }
-    for (&id, job) in &jobs {
+    for (id, job) in live() {
         if job.state == JobState::Queued {
             queue.push_back(&job.client, id);
         }
@@ -673,15 +811,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn run_job(shared: &Arc<Shared>, id: u64) {
     let (spec, cancel) = {
         let mut inner = shared.lock();
-        let Some(job) = inner.jobs.get(&id) else {
+        // A settled job was cancelled between pop and claim.
+        let Some(job) = inner.live(id) else {
             return;
         };
-        if job.state.is_terminal() {
-            return; // cancelled between pop and claim
-        }
         let spec = job.spec.clone();
         let cancel = Arc::clone(&job.cancel);
-        let job = inner.jobs.get_mut(&id).expect("present above");
         job.state = JobState::Running;
         job.scheduled_us = Some(shared.clock.now_us());
         inner.running += 1;
@@ -698,18 +833,19 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
 
     let mut inner = shared.lock();
     inner.running -= 1;
-    let Some(job) = inner.jobs.get(&id) else {
+    let Some(job) = inner.live(id) else {
         return;
     };
     let user_cancelled = job.cancel_requested;
     match result {
         Err(msg) => {
             inner.commit_warn(&[format!("fail {id} {msg}")]);
-            let job = inner.jobs.get_mut(&id).expect("present above");
+            let job = inner.live(id).expect("present above");
             job.state = JobState::Failed;
             job.error = Some(msg);
             let end_us = shared.clock.now_us();
             shared.write_spans(id, job, end_us, None);
+            inner.settle(id);
         }
         Ok(report) => {
             if report.is_complete() || user_cancelled {
@@ -730,13 +866,12 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 }
                 let end_us = shared.clock.now_us();
                 inner.commit_warn(&[format!("complete {id} {class}")]);
-                let job = inner.jobs.get_mut(&id).expect("present above");
+                let job = inner.live(id).expect("present above");
                 job.state = if class == "cancelled" {
                     JobState::Cancelled
                 } else {
                     JobState::Completed
                 };
-                job.report = Some(text);
                 let report_span = SpanEvent::complete(
                     "report-write",
                     "job",
@@ -747,6 +882,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 )
                 .arg_text("class", class);
                 shared.write_spans(id, job, end_us, Some(report_span));
+                inner.settle(id);
             }
             // else: partial because of drain — leave the job `running`
             // in the oplog; its checkpoint manifest carries the progress
@@ -782,7 +918,7 @@ fn run_engine(
         let now_us = shared.clock.now_us();
         let mut inner = shared.lock();
         inner.commit_warn(&[format!("outcome {id} {line}")]);
-        if let Some(job) = inner.jobs.get_mut(&id) {
+        if let Some(job) = inner.live(id) {
             // The hook fires at completion; the span covers schedule →
             // outcome, so Perfetto shows per-trial completion order.
             let start = job.scheduled_us.unwrap_or(0);
@@ -812,7 +948,7 @@ fn run_engine(
         let now_us = shared.clock.now_us();
         let mut inner = shared.lock();
         inner.commit_warn(&[format!("retried {id} {i}")]);
-        if let Some(job) = inner.jobs.get_mut(&id) {
+        if let Some(job) = inner.live(id) {
             job.retries += 1;
             let attempt = {
                 let n = job.trial_attempts.entry(i).or_insert(0);
@@ -947,7 +1083,7 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
     inner.next_id += 1;
     let mut job = Job::new(client.clone(), spec);
     job.submitted_us = shared.clock.now_us();
-    inner.jobs.insert(id, job);
+    inner.jobs.insert(id, Entry::Live(Box::new(job)));
     inner.queue.push_back(&client, id);
     drop(inner);
     shared.work.notify_all();
@@ -960,9 +1096,9 @@ fn status(shared: &Arc<Shared>) -> Response {
     for s in ["queued", "running", "completed", "cancelled", "failed"] {
         by_state.insert(s, 0);
     }
-    for job in inner.jobs.values() {
+    for entry in inner.jobs.values() {
         *by_state
-            .entry(match job.state {
+            .entry(match entry.state() {
                 JobState::Queued => "queued",
                 JobState::Running => "running",
                 JobState::Completed => "completed",
@@ -986,13 +1122,11 @@ fn status(shared: &Arc<Shared>) -> Response {
 fn list(shared: &Arc<Shared>) -> Response {
     let inner = shared.lock();
     let mut out = String::new();
-    for (id, job) in &inner.jobs {
+    for (id, entry) in &inner.jobs {
+        let job = entry.summary();
         out.push_str(&format!(
             "{id} {} {} {}/{}\n",
-            job.state,
-            job.client,
-            job.results.len(),
-            job.spec.trials
+            job.state, job.client, job.done, job.trials
         ));
     }
     Response::text(200, out)
@@ -1000,39 +1134,24 @@ fn list(shared: &Arc<Shared>) -> Response {
 
 fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
     let inner = shared.lock();
-    let Some(job) = inner.jobs.get(&id) else {
+    let Some(entry) = inner.jobs.get(&id) else {
         return Response::text(404, "no such campaign\n");
     };
+    let job = entry.summary();
     let mut out = format!(
         "id {id}\nclient {}\nstate {}\ntrials {}\ndone {}\nretries {}\nrecovered {}\n",
         job.client,
         job.state,
-        job.spec.trials,
-        job.results.len(),
+        job.trials,
+        job.done,
         job.retries,
         u8::from(job.recovered),
     );
-    if job.state.is_terminal() {
-        let class = match job.state {
-            JobState::Failed => "failed",
-            JobState::Cancelled => "partial",
-            _ => {
-                let degraded = job
-                    .results
-                    .values()
-                    .filter_map(|l| TrialOutcome::parse_line(l))
-                    .any(|(_, o)| !o.is_converged());
-                if degraded {
-                    "degraded"
-                } else {
-                    "clean"
-                }
-            }
-        };
-        out.push_str(&format!("class {class}\n"));
-    }
-    if let Some(e) = &job.error {
-        out.push_str(&format!("error {}\n", e.replace('\n', " ")));
+    if let Entry::Settled(settled) = entry {
+        out.push_str(&format!("class {}\n", settled.class));
+        if let Some(e) = &settled.error {
+            out.push_str(&format!("error {}\n", e.replace('\n', " ")));
+        }
     }
     Response::text(200, out)
 }
@@ -1045,14 +1164,15 @@ fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
 /// design: nothing is observable before it is durable).
 fn job_progress(shared: &Arc<Shared>, id: u64) -> Response {
     let inner = shared.lock();
-    let Some(job) = inner.jobs.get(&id) else {
+    let Some(entry) = inner.jobs.get(&id) else {
         return Response::text(404, "no such campaign\n");
     };
-    let finished = job.results.len();
+    let job = entry.summary();
+    let finished = job.done;
     let body = format!(
         "{{\"id\":{id},\"state\":\"{}\",\"expected\":{},\"started\":{finished},\
          \"finished\":{finished},\"retries\":{}}}\n",
-        job.state, job.spec.trials, job.retries
+        job.state, job.trials, job.retries
     );
     Response::with_type(200, "application/json", body.into_bytes())
 }
@@ -1061,14 +1181,11 @@ fn job_progress(shared: &Arc<Shared>, id: u64) -> Response {
 /// `409` until the job is terminal — the tree is only assembled once
 /// the outcome is settled, mirroring the report endpoint.
 fn job_spans(shared: &Arc<Shared>, id: u64) -> Response {
-    let (terminal, state) = {
-        let inner = shared.lock();
-        let Some(job) = inner.jobs.get(&id) else {
-            return Response::text(404, "no such campaign\n");
-        };
-        (job.state.is_terminal(), job.state)
+    let state = match shared.lock().jobs.get(&id) {
+        Some(entry) => entry.state(),
+        None => return Response::text(404, "no such campaign\n"),
     };
-    if !terminal {
+    if !state.is_terminal() {
         return Response::text(409, format!("job is {state}; no span trace yet\n"));
     }
     match std::fs::read(shared.spans_path(id)) {
@@ -1079,19 +1196,29 @@ fn job_spans(shared: &Arc<Shared>, id: u64) -> Response {
     }
 }
 
+/// Serves the final report, re-rendered from the settled record outside
+/// the lock.  `409` until the job is terminal, and for a failed job,
+/// which has no report.
 fn job_report(shared: &Arc<Shared>, id: u64) -> Response {
-    let inner = shared.lock();
-    let Some(job) = inner.jobs.get(&id) else {
-        return Response::text(404, "no such campaign\n");
+    let (seed, trials, outcomes) = match shared.lock().jobs.get(&id) {
+        None => return Response::text(404, "no such campaign\n"),
+        Some(Entry::Settled(s)) if s.state != JobState::Failed => {
+            (s.seed, s.trials, s.outcomes.clone())
+        }
+        Some(entry) => {
+            return Response::text(409, format!("job is {}; no report yet\n", entry.state()))
+        }
     };
-    match &job.report {
-        Some(text) => Response::text(200, text.clone()),
-        None => Response::text(409, format!("job is {}; no report yet\n", job.state)),
-    }
+    Response::text(200, render_report(seed, trials, outcomes.lines()))
 }
+
+/// How long an open `/results` stream sleeps between looks at its job.
+const RESULTS_POLL: Duration = Duration::from_millis(25);
 
 /// Streams journalled per-trial outcomes as they land, ending with an
 /// `end <state>` line once the job is terminal (or the daemon drains).
+/// The stream looks at the job every [`RESULTS_POLL`] and never writes
+/// while holding the lock.
 fn job_results(shared: &Arc<Shared>, id: u64) -> Response {
     if !shared.lock().jobs.contains_key(&id) {
         return Response::text(404, "no such campaign\n");
@@ -1102,17 +1229,28 @@ fn job_results(shared: &Arc<Shared>, id: u64) -> Response {
         loop {
             let (batch, fin) = {
                 let inner = shared.lock();
-                let Some(job) = inner.jobs.get(&id) else {
+                let Some(entry) = inner.jobs.get(&id) else {
+                    drop(inner);
                     return writeln!(w, "end gone");
                 };
-                let batch: Vec<(usize, String)> = job
-                    .results
-                    .iter()
-                    .filter(|(i, _)| !sent.contains(*i))
-                    .map(|(&i, line)| (i, line.clone()))
-                    .collect();
-                let fin = if job.state.is_terminal() {
-                    Some(job.state.to_string())
+                let batch: Vec<(usize, String)> = match entry {
+                    Entry::Live(job) => job
+                        .results
+                        .iter()
+                        .filter(|(i, _)| !sent.contains(*i))
+                        .map(|(&i, line)| (i, line.clone()))
+                        .collect(),
+                    Entry::Settled(s) => s
+                        .outcomes
+                        .lines()
+                        .filter_map(|line| {
+                            let (i, _) = TrialOutcome::parse_line(line)?;
+                            (!sent.contains(&i)).then(|| (i, line.to_string()))
+                        })
+                        .collect(),
+                };
+                let fin = if entry.state().is_terminal() {
+                    Some(entry.state().to_string())
                 } else if inner.draining {
                     Some("draining".to_string())
                 } else {
@@ -1128,33 +1266,31 @@ fn job_results(shared: &Arc<Shared>, id: u64) -> Response {
             if let Some(state) = fin {
                 return writeln!(w, "end {state}");
             }
-            std::thread::sleep(Duration::from_millis(25));
+            std::thread::sleep(RESULTS_POLL);
         }
     })
 }
 
 fn job_cancel(shared: &Arc<Shared>, id: u64) -> Response {
     let mut inner = shared.lock();
-    let Some(job) = inner.jobs.get(&id) else {
-        return Response::text(404, "no such campaign\n");
+    let state = match inner.jobs.get(&id) {
+        Some(entry) => entry.state(),
+        None => return Response::text(404, "no such campaign\n"),
     };
-    if job.state.is_terminal() {
-        return Response::text(409, format!("already {}\n", job.state));
+    if state.is_terminal() {
+        return Response::text(409, format!("already {state}\n"));
     }
-    let queued = job.state == JobState::Queued;
     inner.commit_warn(&[format!("cancel {id}")]);
-    if queued {
-        inner.queue.remove(id);
-        let job = inner.jobs.get_mut(&id).expect("present above");
-        job.cancel_requested = true;
+    let job = inner.live(id).expect("a non-terminal job is live");
+    job.cancel_requested = true;
+    if state == JobState::Queued {
         job.state = JobState::Cancelled;
-        job.report = Some(job.render_report());
         let end_us = shared.clock.now_us();
         shared.write_spans(id, job, end_us, None);
+        inner.queue.remove(id);
+        inner.settle(id);
         Response::text(200, "cancelled\n")
     } else {
-        let job = inner.jobs.get_mut(&id).expect("present above");
-        job.cancel_requested = true;
         job.cancel.store(true, Ordering::SeqCst);
         Response::text(202, "cancelling; partial report will follow\n")
     }
@@ -1289,15 +1425,15 @@ mod tests {
         let (_, replay) = Oplog::open(&path).unwrap();
         let inner = recover(&replay, 8);
 
-        assert_eq!(inner.jobs[&1].state, JobState::Completed);
-        assert!(inner.jobs[&1].report.is_some());
-        assert_eq!(inner.jobs[&2].state, JobState::Running);
-        assert_eq!(inner.jobs[&2].results.len(), 1);
-        assert_eq!(inner.jobs[&3].state, JobState::Queued);
+        // Terminal jobs come back settled, everything else live.
+        assert!(matches!(&inner.jobs[&1], Entry::Settled(s) if s.state == JobState::Completed));
+        assert!(matches!(&inner.jobs[&2], Entry::Live(j) if j.state == JobState::Running));
+        assert_eq!(inner.jobs[&2].summary().done, 1);
+        assert!(matches!(&inner.jobs[&3], Entry::Live(j) if j.state == JobState::Queued));
         // Cancel intent on a crashed running job resolves to cancelled,
-        // with the partial report rendered from the journal.
-        assert_eq!(inner.jobs[&4].state, JobState::Cancelled);
-        assert!(inner.jobs[&4].report.as_deref().unwrap().contains("trials"));
+        // its partial outcome kept for the re-rendered report.
+        assert!(matches!(&inner.jobs[&4], Entry::Settled(s) if s.state == JobState::Cancelled));
+        assert!(inner.jobs.values().all(|e| e.summary().recovered));
         assert_eq!(inner.next_id, 5);
 
         // The crashed job resumes before the queued one.
@@ -1383,7 +1519,7 @@ mod tests {
     fn recovered_report_matches_engine_render() {
         // The journal-derived report must be the same pure function the
         // engine computes: master seed + trials + outcomes, nothing else.
-        let mut jobs = synthetic_job(
+        let jobs = synthetic_job(
             5,
             &[
                 "schedule 5".to_string(),
@@ -1391,7 +1527,7 @@ mod tests {
                 "outcome 5 trial 2 timeout 100000".to_string(),
             ],
         );
-        let job = jobs.get_mut(&5).unwrap();
+        let job = &jobs[&5];
         let mut outcomes = BTreeMap::new();
         outcomes.insert(
             0,
@@ -1408,6 +1544,189 @@ mod tests {
             resumed: 0,
         }
         .render();
-        assert_eq!(job.render_report(), expect);
+        let lines = job.results.values().map(String::as_str);
+        assert_eq!(render_report(job.spec.seed, job.spec.trials, lines), expect);
+    }
+
+    /// A daemon state over `jobs`, with no oplog and no threads.
+    fn shared_with(dir: &std::path::Path, jobs: BTreeMap<u64, Entry>) -> Arc<Shared> {
+        let mut inner = recover(&Replay::from_bytes(&[]), 8);
+        inner.jobs = jobs;
+        Arc::new(Shared {
+            inner: Mutex::new(inner),
+            work: Condvar::new(),
+            data_dir: dir.to_path_buf(),
+            clock: SpanClock::new(),
+        })
+    }
+
+    /// `(status, body)` of `GET path`, streams drained to the end.
+    fn get(shared: &Arc<Shared>, path: &str) -> (u16, Vec<u8>) {
+        let req = Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let resp = route(shared, &req);
+        let body = match resp.body {
+            div_sim::http::Body::Bytes(bytes) => bytes,
+            div_sim::http::Body::Stream(write) => {
+                let mut out = Vec::new();
+                write(&mut out).unwrap();
+                out
+            }
+        };
+        (resp.status, body)
+    }
+
+    /// What the job endpoints answered for a terminal job held as a full
+    /// [`Job`]: the formats and derivations the daemon used before jobs
+    /// settled, restated as the reference the settled records must meet.
+    fn full_record_answers(id: u64, job: &Job, spans: &[u8]) -> Vec<(String, u16, Vec<u8>)> {
+        let outcomes = || {
+            job.results
+                .values()
+                .filter_map(|l| TrialOutcome::parse_line(l))
+        };
+        let class = match job.state {
+            JobState::Failed => "failed",
+            JobState::Cancelled => "partial",
+            _ if outcomes().any(|(_, o)| !o.is_converged()) => "degraded",
+            _ => "clean",
+        };
+        let mut status = format!(
+            "id {id}\nclient {}\nstate {}\ntrials {}\ndone {}\nretries {}\nrecovered {}\n\
+             class {class}\n",
+            job.client,
+            job.state,
+            job.spec.trials,
+            job.results.len(),
+            job.retries,
+            u8::from(job.recovered),
+        );
+        if let Some(e) = &job.error {
+            status.push_str(&format!("error {}\n", e.replace('\n', " ")));
+        }
+        let mut results = String::new();
+        for line in job.results.values() {
+            results.push_str(&format!("{line}\n"));
+        }
+        results.push_str(&format!("end {}\n", job.state));
+        let report = match job.state {
+            JobState::Failed => (409, "job is failed; no report yet\n".to_string()),
+            _ => (
+                200,
+                CampaignReport {
+                    master_seed: job.spec.seed,
+                    trials: job.spec.trials,
+                    outcomes: outcomes().collect(),
+                    resumed: 0,
+                }
+                .render(),
+            ),
+        };
+        let done = job.results.len();
+        let progress = format!(
+            "{{\"id\":{id},\"state\":\"{}\",\"expected\":{},\"started\":{done},\
+             \"finished\":{done},\"retries\":{}}}\n",
+            job.state, job.spec.trials, job.retries
+        );
+        let list = format!(
+            "{id} {} {} {done}/{}\n",
+            job.state, job.client, job.spec.trials
+        );
+        let base = format!("/campaigns/{id}");
+        vec![
+            (base.clone(), 200, status.into_bytes()),
+            (format!("{base}/results"), 200, results.into_bytes()),
+            (format!("{base}/report"), report.0, report.1.into_bytes()),
+            (format!("{base}/progress"), 200, progress.into_bytes()),
+            (format!("{base}/spans"), 200, spans.to_vec()),
+            ("/campaigns".to_string(), 200, list.into_bytes()),
+        ]
+    }
+
+    #[test]
+    fn settled_jobs_answer_every_endpoint_like_full_records() {
+        let dir = std::env::temp_dir().join(format!("divd-settled-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("spans")).unwrap();
+        let ops = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let cases = [
+            (
+                "completed",
+                ops(&[
+                    "schedule 7",
+                    "outcome 7 trial 1 converged 2 60",
+                    "outcome 7 trial 0 converged 2 55",
+                    "outcome 7 trial 3 converged 3 70",
+                    "outcome 7 trial 2 converged 2 58",
+                    "complete 7 clean",
+                ]),
+            ),
+            (
+                "degraded",
+                ops(&[
+                    "schedule 7",
+                    "outcome 7 trial 0 converged 2 55",
+                    "outcome 7 trial 1 timeout 100000",
+                    "outcome 7 trial 2 two-adjacent 2 3 900",
+                    "retried 7 3",
+                    "outcome 7 trial 3 panicked 3 boom\\x5Cn at step 9",
+                    "complete 7 degraded",
+                ]),
+            ),
+            ("queued-then-cancelled", ops(&["cancel 7"])),
+            (
+                "failed",
+                ops(&[
+                    "schedule 7",
+                    "outcome 7 trial 0 converged 2 55",
+                    "fail 7 checkpoint manifest mismatch\nfor tag",
+                ]),
+            ),
+            // Crashed while running with a journalled cancel: recovery
+            // finalises it as cancelled.
+            (
+                "recovered",
+                ops(&["schedule 7", "outcome 7 trial 2 converged 3 99", "cancel 7"]),
+            ),
+        ];
+        for (label, case_ops) in cases {
+            let mut jobs = synthetic_job(7, &case_ops);
+            let spans = format!("[{label}]\n").into_bytes();
+            std::fs::write(dir.join("spans").join("job-7.json"), &spans).unwrap();
+            let settled = if label == "recovered" {
+                let mut submit = vec![format!("submit 7 alice {}", spec_text(4))];
+                submit.extend(case_ops.iter().cloned());
+                let replay = Replay {
+                    bundles: vec![div_oplog::Bundle {
+                        seq: 1,
+                        ops: submit,
+                    }],
+                    ..Replay::from_bytes(&[])
+                };
+                let job = jobs.get_mut(&7).unwrap();
+                job.state = JobState::Cancelled;
+                job.recovered = true;
+                recover(&replay, 8).jobs
+            } else {
+                let mut settled = BTreeMap::new();
+                settled.insert(7, Entry::Settled(Settled::from_job(&jobs[&7])));
+                settled
+            };
+            assert!(matches!(settled[&7], Entry::Settled(_)), "{label}");
+            let shared = shared_with(&dir, settled);
+            for (path, status, body) in full_record_answers(7, &jobs[&7], &spans) {
+                let (got_status, got) = get(&shared, &path);
+                assert_eq!(
+                    (got_status, String::from_utf8_lossy(&got)),
+                    (status, String::from_utf8_lossy(&body)),
+                    "{label}: GET {path}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,8 @@
 //! byte-identical to an uninterrupted run's (plain, under faults, and
 //! with the batch engine).
 
-use std::net::SocketAddr;
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -115,6 +116,33 @@ const SLOW_SPEC: &str = "graph cycle:64\ninit uniform:5\nscheduler edge\nengine 
 /// An instant campaign for API-surface tests.
 const QUICK_SPEC: &str =
     "graph complete:30\ninit blocks:1x15,5x15\nengine fast\nseed 7\ntrials 5\n";
+
+/// SLOW_SPEC with far more trials than any test waits for: a filler
+/// that holds the worker until it is cancelled.
+fn filler_spec() -> String {
+    SLOW_SPEC.replace("trials 40\n", "trials 100000\n")
+}
+
+/// Sends `GET path` and returns the connection once the response head
+/// has arrived — the server is then inside the body — with any body
+/// bytes read so far.
+fn open_stream(addr: SocketAddr, path: &str) -> (TcpStream, Vec<u8>) {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    write!(conn, "GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(end) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+            assert!(raw.starts_with(b"HTTP/1.1 200"), "{raw:?}");
+            return (conn, raw.split_off(end + 4));
+        }
+        let n = conn.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed before the response head");
+        raw.extend_from_slice(&chunk[..n]);
+    }
+}
 
 fn one_worker(dir: &Path) -> DaemonConfig {
     let mut cfg = DaemonConfig::new(dir);
@@ -427,6 +455,139 @@ fn span_trace_and_progress_round_trip() {
 }
 
 #[test]
+fn results_stream_opened_before_the_first_outcome_sees_each_once() {
+    let dir = temp_dir("stream-early");
+    let daemon = Daemon::start(one_worker(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    // The filler holds the only worker, so the job is still queued, with
+    // no outcome, once its stream is open.
+    let filler = submit(addr, &filler_spec());
+    wait_done(addr, filler, 1, Duration::from_secs(60));
+    let id = submit(addr, SLOW_SPEC);
+    let (mut conn, mut body) = open_stream(addr, &format!("/campaigns/{id}/results"));
+    let status = req(addr, "GET", &format!("/campaigns/{id}"), b"").text();
+    assert_eq!(
+        field(&status, "state").as_deref(),
+        Some("queued"),
+        "{status}"
+    );
+    assert_eq!(field(&status, "done").as_deref(), Some("0"), "{status}");
+    assert_eq!(
+        req(addr, "DELETE", &format!("/campaigns/{filler}"), b"").status,
+        202
+    );
+
+    conn.read_to_end(&mut body).unwrap();
+    let text = String::from_utf8(body).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let (end, outcomes) = lines.split_last().unwrap();
+    assert_eq!(*end, "end completed", "{text}");
+    let mut streamed: Vec<&str> = outcomes.to_vec();
+    streamed.sort_by_key(|l| div_sim::TrialOutcome::parse_line(l).unwrap().0);
+    let indices: Vec<usize> = streamed
+        .iter()
+        .map(|l| div_sim::TrialOutcome::parse_line(l).unwrap().0)
+        .collect();
+    assert_eq!(indices, (0..40).collect::<Vec<_>>(), "{text}");
+    // The settled job streams the same lines, in trial order.
+    let settled = req(addr, "GET", &format!("/campaigns/{id}/results"), b"").text();
+    assert_eq!(settled, format!("{}\nend completed\n", streamed.join("\n")));
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn drain_ends_an_open_results_stream_promptly() {
+    let dir = temp_dir("stream-drain");
+    let daemon = Daemon::start(one_worker(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let id = submit(addr, &filler_spec());
+    wait_done(addr, id, 1, Duration::from_secs(60));
+    let (mut conn, mut body) = open_stream(addr, &format!("/campaigns/{id}/results"));
+    let start = Instant::now();
+    assert_eq!(req(addr, "POST", "/admin/drain", b"").status, 202);
+    conn.read_to_end(&mut body).unwrap();
+    let elapsed = start.elapsed();
+    let text = String::from_utf8(body).unwrap();
+    assert!(text.ends_with("\nend draining\n"), "{text}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "stream ended {elapsed:?} after the drain"
+    );
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every job endpoint's status and body for job `id`, plus the listing.
+fn snapshot(addr: SocketAddr, id: u64) -> Vec<(String, u16, String)> {
+    let base = format!("/campaigns/{id}");
+    [
+        base.clone(),
+        format!("{base}/results"),
+        format!("{base}/report"),
+        format!("{base}/progress"),
+        format!("{base}/spans"),
+        "/campaigns".to_string(),
+    ]
+    .into_iter()
+    .map(|path| {
+        let resp = req(addr, "GET", &path, b"");
+        (path, resp.status, resp.text())
+    })
+    .collect()
+}
+
+#[test]
+fn settled_jobs_serve_the_same_bytes_after_recovery() {
+    // A degraded campaign: every trial exhausts a tiny step budget.
+    const DEGRADED_SPEC: &str =
+        "graph cycle:64\ninit uniform:5\nengine fast\nseed 5\ntrials 3\nbudget 10\n";
+    let dir = temp_dir("settled");
+    let daemon = Daemon::start(one_worker(&dir)).unwrap();
+    let addr = daemon.local_addr();
+
+    let completed = submit(addr, QUICK_SPEC);
+    wait_state(addr, completed, "completed", Duration::from_secs(30));
+    let degraded = submit(addr, DEGRADED_SPEC);
+    let status = wait_state(addr, degraded, "completed", Duration::from_secs(30));
+    assert_eq!(field(&status, "class").as_deref(), Some("degraded"));
+    // A directory where the next job's checkpoint manifest belongs makes
+    // its campaign fail at load.
+    std::fs::create_dir_all(dir.join("checkpoints").join("job-3.manifest")).unwrap();
+    let failed = submit(addr, QUICK_SPEC);
+    assert_eq!(failed, 3);
+    let status = wait_state(addr, failed, "failed", Duration::from_secs(30));
+    assert!(field(&status, "error").is_some(), "{status}");
+    let filler = submit(addr, &filler_spec());
+    wait_done(addr, filler, 1, Duration::from_secs(60));
+    let queued = submit(addr, QUICK_SPEC);
+    assert_eq!(
+        req(addr, "DELETE", &format!("/campaigns/{queued}"), b"").status,
+        200
+    );
+    let _ = req(addr, "DELETE", &format!("/campaigns/{filler}"), b"");
+    wait_state(addr, filler, "cancelled", Duration::from_secs(60));
+
+    let ids = [completed, degraded, failed, queued, filler];
+    let live: Vec<_> = ids.iter().map(|&id| snapshot(addr, id)).collect();
+    assert_eq!(report_of(addr, completed), control_report(QUICK_SPEC));
+    assert_eq!(report_of(addr, degraded), control_report(DEGRADED_SPEC));
+    daemon.drain();
+
+    // The next daemon settles every job from the journal alone; each
+    // answers as before, apart from the status line saying so.
+    let daemon = Daemon::start(one_worker(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    for (&id, before) in ids.iter().zip(&live) {
+        let mut expect = before.clone();
+        expect[0].2 = expect[0].2.replace("recovered 0\n", "recovered 1\n");
+        assert_eq!(snapshot(addr, id), expect, "job {id}");
+    }
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn daemon_report_matches_divlab_campaign_shape() {
     // The daemon's report is produced by the shared engine/executors, so
     // it is the exact `CampaignReport::render` text (master, trials,
@@ -503,8 +664,10 @@ fn admission_control_rejects_cleanly_under_load() {
     cfg.queue_capacity = 4;
     let daemon = Daemon::start(cfg).unwrap();
     let addr = daemon.local_addr();
-    // Occupy the single worker so queued jobs stay queued.
-    let running = submit(addr, SLOW_SPEC);
+    // Occupy the single worker so queued jobs stay queued.  The filler
+    // must outlast the burst (a finished filler lets the worker drain the
+    // queue and free slots); it is cancelled at the end.
+    let running = submit(addr, &filler_spec());
     wait_done(addr, running, 1, Duration::from_secs(60));
 
     let clients = 200;
@@ -543,6 +706,12 @@ fn admission_control_rejects_cleanly_under_load() {
         }
     }
     assert_eq!(accepted.len() + rejected, clients);
+    let filler_status = req(addr, "GET", &format!("/campaigns/{running}"), b"").text();
+    assert_eq!(
+        field(&filler_status, "state").as_deref(),
+        Some("running"),
+        "the filler finished during the burst:\n{filler_status}"
+    );
     assert!(
         accepted.len() <= 4,
         "queue of 4 accepted {}",

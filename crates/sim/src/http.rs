@@ -21,20 +21,32 @@
 //!   [`HttpLimits::max_connections`] concurrently; beyond that the
 //!   connection gets an immediate `503`).  The accept loop itself never
 //!   reads from or writes to a client socket, so no client can wedge it.
+//! * **Blocking accept** — the loop sleeps in `accept()` until a client
+//!   connects, so a request is picked up at once and an idle server makes
+//!   no periodic wake-ups.  [`HttpServer::shutdown`] wakes the loop with
+//!   a connection of its own.
+//! * **Strict body framing** — the body length comes from one
+//!   well-formed `Content-Length`; a malformed, listed or conflicting
+//!   length, or any `Transfer-Encoding`, is a `400` rather than a guess.
 //!
 //! One request per connection; every response carries
 //! `Connection: close`.  That keeps the state machine trivial and is a
 //! fine trade for a lab daemon whose clients reconnect per call.
 
 use std::io::{self, Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is pending.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after an accept error (such as
+/// `EMFILE`), which would otherwise repeat at once.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Connect timeout of the connection that wakes the accept loop for
+/// shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Per-connection resource limits.
 #[derive(Debug, Clone, Copy)]
@@ -252,11 +264,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> io::Result<R
     }
 
     // Body: whatever Content-Length says, bounded, under the same deadline.
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
+    let content_length = body_length(&headers)?;
     if content_length > limits.max_body_bytes {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -283,6 +291,29 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> io::Result<R
         headers,
         body,
     })
+}
+
+/// The body length the request head declares: 0 without a
+/// `Content-Length`, else its one value, which must be plain decimal
+/// digits.  Repeats must agree.  `Transfer-Encoding` is not supported, so
+/// any use of it is refused rather than read as an empty body.
+fn body_length(headers: &[(String, String)]) -> io::Result<usize> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(bad("Transfer-Encoding is not supported".to_string()));
+    }
+    let mut length = None;
+    for (_, value) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let parsed = Some(value)
+            .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| bad(format!("malformed Content-Length {value:?}")))?;
+        if length.is_some_and(|seen| seen != parsed) {
+            return Err(bad("conflicting Content-Length headers".to_string()));
+        }
+        length = Some(parsed);
+    }
+    Ok(length.unwrap_or(0))
 }
 
 /// Position of the `\r\n\r\n` terminating the head, if present.
@@ -353,10 +384,12 @@ pub fn write_response(
 
 /// A threaded HTTP server around a request handler.
 ///
-/// The accept loop polls non-blocking and hands each connection to its
-/// own worker thread; [`HttpServer::shutdown`] (or drop) stops the loop.
-/// In-flight workers finish on their own — every one of them is bounded
-/// by the read deadline and write timeout, so none lingers.
+/// The accept loop blocks in `accept()` and hands each connection to its
+/// own worker thread; [`HttpServer::shutdown`] (or drop) stops the loop
+/// by setting a flag and connecting to the server's own address, over
+/// loopback when it is bound to a wildcard address.  In-flight workers
+/// finish on their own — every one of them is bounded by the read
+/// deadline and write timeout, so none lingers.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -384,7 +417,6 @@ impl HttpServer {
         H: Fn(&Request) -> Response + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
@@ -412,14 +444,23 @@ impl HttpServer {
         self.active.load(SeqCst)
     }
 
-    /// Stops the accept loop and joins it.
+    /// Stops the accept loop and joins it.  Returns promptly even on an
+    /// idle server, since shutdown wakes the blocked `accept()` itself.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
+    /// Sets the stop flag and wakes the blocked `accept()` with a
+    /// connection of our own.  Should that connect fail while the loop
+    /// still runs, the loop is left to exit at its next connection rather
+    /// than hang the caller in `join`.
     fn stop_and_join(&mut self) {
         self.stop.store(true, SeqCst);
-        if let Some(handle) = self.handle.take() {
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        let woken = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT).is_ok();
+        if woken || handle.is_finished() {
             let _ = handle.join();
         }
     }
@@ -428,6 +469,16 @@ impl HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop_and_join();
+    }
+}
+
+/// Where a client reaches a server bound to `addr`: the address itself,
+/// or loopback of the same family for a wildcard bind.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    match addr {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+        _ => addr,
     }
 }
 
@@ -440,8 +491,11 @@ fn accept_loop<H>(
 ) where
     H: Fn(&Request) -> Response + Send + Sync + 'static,
 {
-    while !stop.load(SeqCst) {
+    loop {
         match listener.accept() {
+            // The stop flag is set before the wake-up connection arrives,
+            // so whatever connection is accepted after it is dropped.
+            Ok(_) if stop.load(SeqCst) => return,
             Ok((stream, _)) => {
                 // Claim a slot before spawning; over the cap the client
                 // gets a fast 503 from a throwaway thread so even that
@@ -476,8 +530,8 @@ fn accept_loop<H>(
                     active.fetch_sub(1, SeqCst);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            Err(_) if stop.load(SeqCst) => return,
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -783,6 +837,103 @@ mod tests {
         assert_eq!(resp.status, 503);
         assert_eq!(resp.header("retry-after"), Some("1"));
         server.shutdown();
+    }
+
+    /// Sends `raw` as the whole request and parses the reply.
+    fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> HttpResponse {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(raw).expect("write request");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).expect("read reply");
+        parse_response(&reply).expect("well-formed reply")
+    }
+
+    /// `tiny_limits` with room for connection threads that have answered
+    /// but not yet exited: a sequential client can outrun them, and a
+    /// cap of 4 would then answer `503`.  The cap has its own test.
+    fn sequential_limits() -> HttpLimits {
+        HttpLimits {
+            max_connections: 64,
+            ..tiny_limits()
+        }
+    }
+
+    #[test]
+    fn bad_body_framing_is_rejected_naming_the_header() {
+        let server = echo_server(sequential_limits());
+        for (headers, needle) in [
+            ("Content-Length: 12x\r\n", "Content-Length"),
+            ("Content-Length: -1\r\n", "Content-Length"),
+            ("Content-Length: 42, 5\r\n", "Content-Length"),
+            ("Content-Length: \r\n", "Content-Length"),
+            (
+                "Content-Length: 99999999999999999999999\r\n",
+                "Content-Length",
+            ),
+            (
+                "Content-Length: 5\r\nContent-Length: 7\r\n",
+                "conflicting Content-Length",
+            ),
+            ("Transfer-Encoding: chunked\r\n", "Transfer-Encoding"),
+        ] {
+            let raw = format!("POST /jobs HTTP/1.1\r\n{headers}\r\nabcde");
+            let resp = raw_exchange(server.local_addr(), raw.as_bytes());
+            assert_eq!(resp.status, 400, "{headers:?}: {}", resp.text());
+            assert!(resp.text().contains(needle), "{headers:?}: {}", resp.text());
+        }
+        // Agreeing repeats are one length, not a conflict.
+        let resp = raw_exchange(
+            server.local_addr(),
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
+        );
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.text(), "POST /jobs q= body=abcd\n");
+        server.shutdown();
+    }
+
+    #[test]
+    fn sequential_requests_are_served_without_accept_delay() {
+        let server = echo_server(sequential_limits());
+        let start = Instant::now();
+        for i in 0..20 {
+            let resp = http_request(
+                server.local_addr(),
+                "GET",
+                &format!("/r{i}"),
+                &[],
+                b"",
+                Duration::from_secs(2),
+            )
+            .expect("request");
+            assert_eq!(resp.status, 200);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "20 sequential requests took {elapsed:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_of_an_idle_server_is_prompt() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = HttpServer::bind(bind, tiny_limits(), |_req| Response::text(200, "ok\n"))
+                .expect("bind");
+            let reach = wake_addr(server.local_addr());
+            let start = Instant::now();
+            server.shutdown();
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "shutdown of a server on {bind} took {elapsed:?}"
+            );
+            // The loop really exited: its listener is closed.
+            assert!(TcpStream::connect(reach).is_err(), "{bind} still listening");
+        }
     }
 
     #[test]
