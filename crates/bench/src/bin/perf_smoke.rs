@@ -63,7 +63,8 @@
 //! against the scalar fast engine on the same workload.  The JSON gains
 //! a `shard` block recording `cores` (the machine the numbers were taken
 //! on — thread arms beyond the core count measure timeslicing, not
-//! scaling) and `scaling_t4`, the T=4 : T=1 throughput ratio gated in CI
+//! scaling), `scaling_t2`, the T=2 : T=1 throughput ratio (recorded but
+//! never gated), and `scaling_t4`, the T=4 : T=1 throughput ratio gated in CI
 //! at ≥ 2.5× on 4-core-or-larger machines; `--check-overhead` runs the
 //! gate live and skips it with a note on smaller machines.
 
@@ -700,8 +701,10 @@ struct ShardRow {
 }
 
 /// The million-vertex sharded-engine section: the workload description,
-/// the scalar fast-engine baseline, the per-thread-count rows and the
-/// T=4 : T=1 scaling ratio the CI gate reads.
+/// the scalar fast-engine baseline, the per-thread-count rows, the
+/// T=2 : T=1 scaling ratio (recorded, never gated: on a 2-core host it
+/// swings with whether the second core is free) and the T=4 : T=1 ratio
+/// the CI gate reads.
 struct ShardSection {
     graph: &'static str,
     n: usize,
@@ -709,6 +712,7 @@ struct ShardSection {
     cores: usize,
     fast_ns_per_step: f64,
     rows: Vec<ShardRow>,
+    scaling_t2: f64,
     scaling_t4: f64,
 }
 
@@ -767,6 +771,7 @@ fn measure_shard(steps: u64) -> ShardSection {
         shards: SHARD_COUNT,
         cores: available_cores(),
         fast_ns_per_step: fast_ns,
+        scaling_t2: best[0] / best[1],
         scaling_t4: best[0] / best[2],
         rows,
     }
@@ -1119,8 +1124,8 @@ fn main() {
     };
     json.push_str(&format!(
         "  \"shard\": {{\"graph\": \"{}\", \"process\": \"div_edge\", \"n\": {}, \"shards\": {}, \
-         \"cores\": {}, \"fast_ns_per_step\": {:.2}, {shard_gate}, \"rows\": [\n",
-        shard.graph, shard.n, shard.shards, shard.cores, shard.fast_ns_per_step
+         \"cores\": {}, \"fast_ns_per_step\": {:.2}, \"scaling_t2\": {:.2}, {shard_gate}, \"rows\": [\n",
+        shard.graph, shard.n, shard.shards, shard.cores, shard.fast_ns_per_step, shard.scaling_t2
     ));
     for (i, r) in shard.rows.iter().enumerate() {
         json.push_str(&format!(
@@ -1216,6 +1221,10 @@ fn main() {
             shard.graph, shard.shards, r.threads, shard.fast_ns_per_step, r.ns_per_step, r.steps_per_sec
         );
     }
+    println!(
+        "shard T=2 scaling: {:.2}x on {} core(s) (recorded, not gated)",
+        shard.scaling_t2, shard.cores
+    );
     println!(
         "shard T=4 scaling: {:.2}x on {} core(s) (gate >= {SHARD_SCALING_GATE}x applies at 4+ cores)",
         shard.scaling_t4, shard.cores

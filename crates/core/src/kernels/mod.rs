@@ -343,7 +343,7 @@ pub fn min_max_u16(xs: &[u16], tier: KernelTier) -> (u16, u16) {
 
 /// Min and max of `xs` under `tier` (`(u32::MAX, 0)` on an empty slice).
 /// The `u32` twin of [`min_max_u16`], used by the sharded engine's
-/// register rescans.
+/// end-of-round extreme scans.
 #[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
 pub fn min_max_u32(xs: &[u32], tier: KernelTier) -> (u32, u32) {
     match tier {

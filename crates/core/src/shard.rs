@@ -12,24 +12,49 @@
 //! # Execution model
 //!
 //! Time is divided into **reconciliation rounds** of roughly `n` steps.
-//! Within a round:
+//! A run spawns its `T` worker threads once and deals shard `p` to worker
+//! `p mod T`.  Every worker replays the same deterministic control loop —
+//! the round's step allocation, the remaining budget and the stop test on
+//! the published extremes (see *Registers*) — and the workers meet at one
+//! [`Barrier`] per round.  Within a round:
 //!
 //! * shard `p` performs its deterministic step allocation (see below)
 //!   using a **private xoshiro256++ stream** seeded from `shard_seeds[p]`;
 //! * an updater `v` is drawn *inside the domain* — uniformly for the
 //!   vertex process, degree-biased (per-shard packed alias table) for the
-//!   edge process — and a uniform neighbour `w` is observed;
-//! * if `w` lies in the same domain the read is **live**; if `w` belongs
-//!   to another shard the read comes from the **round-start snapshot** of
-//!   the full opinion array.  Writes only ever touch the shard's own
-//!   domain slice, so shards never race (all in safe Rust via disjoint
-//!   `split_at_mut` slices).
+//!   edge process — and a uniform neighbour `w` is observed.  A domain of
+//!   constant degree `d` draws uniformly under either law and reads
+//!   neighbour `slot` of its `i`-th vertex straight from the domain's
+//!   adjacency block at `i·d + slot`;
+//! * if `w` lies in the same domain the read is **live**; otherwise it
+//!   comes from the **round-start snapshot**.  The step itself is a bare
+//!   branchless toward-step on the shard's own domain slice, so shards
+//!   never race on the live array (disjoint `split_at_mut` slices).
 //!
-//! At the round boundary the coordinator copies the live array over the
-//! snapshot — this deterministic refresh **is** the frontier
-//! reconciliation: every cross-domain edge observes a value at most one
-//! round stale, and with `P = 1` every read is live, so the engine
-//! degenerates to the exact asynchronous process.
+//! # Reconciliation
+//!
+//! Only **frontier** vertices — those with a neighbour in another domain,
+//! marked by the constructor's edge-cut pass — are ever read across
+//! domains, so only they are published.  The snapshot is double-buffered:
+//! round `r` reads buffer `r mod 2`, and a shard that has finished its
+//! allocation writes its frontier into the other buffer.  Those relaxed
+//! `AtomicU32` stores are ordered before every read of round `r + 1` by
+//! the round's barrier, and no buffer is written while it is read, so one
+//! barrier per round suffices.  Every cross-domain edge observes its value
+//! as of the round start (at most one round stale), and with `P = 1`
+//! every read is live, so the engine degenerates to the exact
+//! asynchronous process.  The buffer parity carries across calls.
+//!
+//! # Registers
+//!
+//! Steps maintain no statistics.  At the end of a round each worker takes
+//! its domains' extremes with [`crate::kernels::min_max_u32`] and
+//! publishes them; every worker combines the `P` published `(lo, hi)`
+//! pairs into the same stop decision.  Per-domain opinion counts, `S(t)`
+//! and `Z(t)` are rescanned from the domain slice only when they are
+//! read — at the end of a run and on an observed run's sample rounds —
+//! and global statistics are `O(P)` combines of those per-domain
+//! registers (`O(P·span)` for the distinct-opinion count).
 //!
 //! # Step allocation
 //!
@@ -51,37 +76,44 @@
 //! model, which preserves absorption); the per-step marginal law is
 //! exact, the opinion range never expands across rounds, and consensus
 //! states are absorbing.  The Theorem 2 / Lemma 5 acceptance suites are
-//! re-run against this engine in `tests/shard_acceptance.rs`.
-//!
-//! Global statistics (`min`/`max`/`S(t)`/`Z(t)` and per-opinion counts)
-//! are kept as **per-shard incremental registers** and combined in
-//! `O(P)` — the engine never rescans the `O(n)` opinion array.
+//! re-run against this engine in `tests/shard_acceptance.rs`, and
+//! `tests/shard_digests.rs` pins exact trajectories.
+
+use std::cell::Cell;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::{Barrier, Mutex};
+use std::time::Instant;
 
 use div_graph::Graph;
+use rand::SeedableRng;
 
 use crate::engine::{bounded_u32_half, bounded_u64, packed_alias_slots};
+use crate::kernels::{self, KernelTier};
 use crate::rng::FastRng;
 use crate::telemetry::{Observer, Phase, PhaseEvent, TelemetrySample};
 use crate::{DivError, FastScheduler, OpinionState, RunStatus};
-use rand::SeedableRng;
-use std::time::Instant;
 
-/// How an updater is drawn inside one shard domain.
+/// How an updater and its neighbour are drawn inside one shard domain.
 #[derive(Debug, Clone)]
 enum ShardSampler {
-    /// Uniform vertex in the domain: the vertex process, and the edge
-    /// process on a domain of constant degree (regular-family fast path).
+    /// A domain of constant degree, under either law (degree-biased is
+    /// uniform there): a uniform vertex `i` and slot from one word, the
+    /// neighbour read from the domain's adjacency block at
+    /// `i·degree + slot`.
+    Regular { degree: u32 },
+    /// A uniform vertex of an irregular domain: the vertex process.
     Uniform,
-    /// Degree-biased vertex via a packed alias table over the domain's
-    /// degree distribution (see `engine::packed_alias_slots`).
+    /// A degree-biased vertex of an irregular domain via a packed alias
+    /// table over its degrees (see `engine::packed_alias_slots`): the
+    /// edge process.
     Alias(Vec<u64>),
 }
 
-/// The per-shard incremental statistic registers: dense opinion counts
-/// plus the running extremes and (degree-weighted) sums of the domain.
-/// Global statistics are an `O(P)` combine of these, never an `O(n)`
-/// rescan.
-#[derive(Debug, Clone)]
+/// One domain's statistic registers: dense opinion counts plus the
+/// extremes and (degree-weighted) sums of the domain.  Rescanned from the
+/// domain slice when read ([`Shard::rescan`]), never maintained per step.
+#[derive(Debug, Clone, Default)]
 struct ShardRegs {
     /// `N_i(t)` restricted to this domain, indexed by span offset.
     counts: Vec<u32>,
@@ -95,51 +127,8 @@ struct ShardRegs {
     dw_off: i64,
 }
 
-impl ShardRegs {
-    /// One DIV step of domain-local vertex `li` toward the observed span
-    /// offset `target`.  Cross-domain targets can lie outside this
-    /// domain's current `[lo, hi]` (though never outside the initial
-    /// span), so the local range may expand — the same discipline as the
-    /// scalar engine's `apply_observed`.
-    #[inline(always)]
-    fn apply(&mut self, local: &mut [u32], li: usize, dv: i64, target: u32) {
-        let xv = local[li];
-        let delta = (target > xv) as i64 - (target < xv) as i64;
-        if delta == 0 {
-            return;
-        }
-        let old = xv as usize;
-        let new = (xv as i64 + delta) as usize;
-        local[li] = new as u32;
-        self.sum_off += delta;
-        self.dw_off += delta * dv;
-        self.counts[old] -= 1;
-        self.counts[new] += 1;
-        // Expand first so the shrink walks stay bounded by an occupied
-        // cell, then handle a vacated boundary.
-        if (new as u32) < self.lo {
-            self.lo = new as u32;
-        }
-        if (new as u32) > self.hi {
-            self.hi = new as u32;
-        }
-        if self.counts[old] == 0 {
-            if old as u32 == self.lo {
-                while self.counts[self.lo as usize] == 0 {
-                    self.lo += 1;
-                }
-            }
-            if old as u32 == self.hi {
-                while self.counts[self.hi as usize] == 0 {
-                    self.hi -= 1;
-                }
-            }
-        }
-    }
-}
-
 /// One vertex domain: its boundaries, private RNG stream, updater
-/// sampler and statistic registers.
+/// sampler, frontier and statistic registers.
 #[derive(Debug, Clone)]
 struct Shard {
     /// First vertex of the domain.
@@ -149,23 +138,59 @@ struct Shard {
     rng: FastRng,
     sampler: ShardSampler,
     regs: ShardRegs,
+    /// The domain's vertices with a neighbour in another domain,
+    /// ascending: the only ones any other domain reads.
+    frontier: Vec<u32>,
+    /// Edges with exactly one endpoint in this domain.
+    edge_cut: u64,
+}
+
+/// One bare branchless DIV step of domain vertex `i` toward the observed
+/// span offset `target`.
+#[inline(always)]
+fn toward(local: &mut [u32], i: usize, target: u32) {
+    let x = local[i];
+    local[i] = x + (target > x) as u32 - (target < x) as u32;
 }
 
 impl Shard {
     /// Executes `steps` domain-internal steps: updaters from this domain,
     /// in-domain reads live from `local`, cross-domain reads from the
     /// round-start `snapshot`.  Writes touch only `local`.
-    fn run(&mut self, graph: &Graph, snapshot: &[u32], local: &mut [u32], steps: u64) {
+    fn run(&mut self, graph: &Graph, snapshot: &[AtomicU32], local: &mut [u32], steps: u64) {
         let start = self.start as usize;
-        let len = (self.end - self.start) as usize;
-        let (rng, regs) = (&mut self.rng, &mut self.regs);
+        let len = local.len();
+        let rng = &mut self.rng;
+        let observe = |local: &[u32], w: usize| match local.get(w.wrapping_sub(start)) {
+            Some(&x) => x,
+            None => snapshot[w].load(Relaxed),
+        };
         match self.sampler {
-            ShardSampler::Uniform => {
+            ShardSampler::Regular { degree } => {
+                let (offsets, adjacency) = graph.csr();
+                let block = &adjacency[offsets[start]..offsets[start + len]];
                 for _ in 0..steps {
                     // One word: high half draws the domain vertex, low
                     // half the neighbour slot (the scalar engine's
                     // vertex-sampler word discipline).
-                    let (v, w) = loop {
+                    let (i, w) = loop {
+                        let word = rng.next_word();
+                        let Some(i) = bounded_u32_half((word >> 32) as u32, len as u32) else {
+                            continue;
+                        };
+                        let Some(slot) = bounded_u32_half(word as u32, degree) else {
+                            continue;
+                        };
+                        let i = i as usize;
+                        break (i, block[i * degree as usize + slot as usize] as usize);
+                    };
+                    toward(local, i, observe(local, w));
+                }
+            }
+            ShardSampler::Uniform => {
+                for _ in 0..steps {
+                    // The same word discipline, with the degree looked up.
+                    let (i, w) = loop {
                         let word = rng.next_word();
                         let Some(i) = bounded_u32_half((word >> 32) as u32, len as u32) else {
                             continue;
@@ -175,14 +200,9 @@ impl Shard {
                         let Some(slot) = bounded_u32_half(word as u32, d) else {
                             continue;
                         };
-                        break (v, graph.neighbor(v, slot as usize));
+                        break (i as usize, graph.neighbor(v, slot as usize));
                     };
-                    let target = if w >= start && w < start + len {
-                        local[w - start]
-                    } else {
-                        snapshot[w]
-                    };
-                    regs.apply(local, v - start, graph.degree(v) as i64, target);
+                    toward(local, i, observe(local, w));
                 }
             }
             ShardSampler::Alias(ref slots) => {
@@ -205,15 +225,61 @@ impl Shard {
                     let v = start + i;
                     let d = graph.degree(v);
                     let w = graph.neighbor(v, bounded_u64(rng, d as u64) as usize);
-                    let target = if w >= start && w < start + len {
-                        local[w - start]
-                    } else {
-                        snapshot[w]
-                    };
-                    regs.apply(local, i, d as i64, target);
+                    toward(local, i, observe(local, w));
                 }
             }
         }
+    }
+
+    /// Writes the frontier's current values into `snapshot`.
+    fn publish(&self, local: &[u32], snapshot: &[AtomicU32]) {
+        let start = self.start as usize;
+        for &v in &self.frontier {
+            snapshot[v as usize].store(local[v as usize - start], Relaxed);
+        }
+    }
+
+    /// Recomputes the registers from the domain slice `local`.
+    fn rescan(&mut self, graph: &Graph, local: &[u32]) {
+        let regs = &mut self.regs;
+        histogram(local, &mut regs.counts);
+        regs.sum_off = (regs.counts.iter().enumerate())
+            .map(|(off, &c)| off as i64 * c as i64)
+            .sum();
+        regs.dw_off = match self.sampler {
+            ShardSampler::Regular { degree } => degree as i64 * regs.sum_off,
+            _ => (local.iter().zip(self.start as usize..))
+                .map(|(&x, v)| x as i64 * graph.degree(v) as i64)
+                .sum(),
+        };
+        let mut held = (regs.counts.iter().enumerate())
+            .filter(|&(_, &c)| c > 0)
+            .map(|(off, _)| off as u32);
+        regs.lo = held.next().expect("domains are non-empty");
+        regs.hi = held.next_back().unwrap_or(regs.lo);
+    }
+}
+
+/// Overwrites `counts` with the opinion counts of `local`.
+fn histogram(local: &[u32], counts: &mut [u32]) {
+    counts.fill(0);
+    for &x in local {
+        counts[x as usize] += 1;
+    }
+}
+
+/// The double-buffered frontier snapshot, indexed by vertex: round `r`
+/// reads buffer `r mod 2` and publishes into the other.  After
+/// construction only frontier entries are ever read or written.
+#[derive(Debug)]
+struct Snapshot([Vec<AtomicU32>; 2]);
+
+impl Clone for Snapshot {
+    fn clone(&self) -> Self {
+        Snapshot(
+            (self.0.each_ref())
+                .map(|b| b.iter().map(|x| AtomicU32::new(x.load(Relaxed))).collect()),
+        )
     }
 }
 
@@ -264,37 +330,234 @@ pub struct ShardedProcess<'g> {
     graph: &'g Graph,
     kind: FastScheduler,
     base: i64,
-    span: usize,
     /// Domain boundaries: shard `p` owns vertices `[bounds[p], bounds[p+1])`.
     bounds: Vec<u32>,
     /// The live opinion offsets, written only through disjoint per-domain
     /// slices.
     live: Vec<u32>,
-    /// Round-start copy of `live`, read by cross-domain observations.
-    snapshot: Vec<u32>,
+    /// The frontier values cross-domain observations read.
+    snapshot: Snapshot,
     shards: Vec<Shard>,
     /// Step weight of each domain (`W_p`).
     weights: Vec<u64>,
     /// `W = Σ W_p`.
     total_weight: u64,
-    /// Edges crossing each domain's boundary (both endpoints' domains
-    /// count the edge), fixed at construction.
-    edge_cuts: Vec<u64>,
-    /// Steps executed per shard so far (`Σ` of its round allocations).
-    shard_steps: Vec<u64>,
-    /// The most recent round's per-shard allocation (the staleness
-    /// bound of each domain's snapshot contribution).
-    last_allocs: Vec<u64>,
     round_len: u64,
-    /// Cumulative *target* steps handed to the allocator; the executed
-    /// count is `Σ_p ⌊target·W_p/W⌋` (within `P` of the target).
+    /// Rounds executed so far; its parity picks the snapshot buffer the
+    /// next round reads.
+    rounds: u64,
+    /// Cumulative *target* steps handed to the allocator: shard `p` has
+    /// executed exactly `⌊target·W_p/W⌋` steps (see [`share`]).
     target: u64,
-    steps: u64,
+    /// The target length of the most recent round (`0` before the first).
+    last_round: u64,
+}
+
+/// Shard `p`'s executed steps after a cumulative target of `target`:
+/// `⌊target·W_p/W⌋`, in `u128` so the diffusion is exact for any
+/// reachable step count.
+fn share(target: u64, weight: u64, total_weight: u64) -> u64 {
+    (target as u128 * weight as u128 / total_weight as u128) as u64
+}
+
+/// Steps executed by all shards after a cumulative target of `target`.
+fn executed(weights: &[u64], total_weight: u64, target: u64) -> u64 {
+    (weights.iter())
+        .map(|&w| share(target, w, total_weight))
+        .sum()
+}
+
+/// A trajectory sample combined from per-domain registers: `O(P)` sums
+/// and extremes, `O(P·span)` distinct opinions.
+fn combine<R: Deref<Target = ShardRegs>>(
+    step: u64,
+    base: i64,
+    graph: &Graph,
+    regs: &[R],
+) -> TelemetrySample {
+    let n = graph.num_vertices() as i64;
+    let total_degree = graph.total_degree() as i64;
+    let lo = regs.iter().map(|r| r.lo).min().expect("P >= 1") as usize;
+    let hi = regs.iter().map(|r| r.hi).max().expect("P >= 1") as usize;
+    let dws = base * total_degree + regs.iter().map(|r| r.dw_off).sum::<i64>();
+    TelemetrySample {
+        step,
+        sum: base * n + regs.iter().map(|r| r.sum_off).sum::<i64>(),
+        z_weight: n as f64 * dws as f64 / total_degree as f64,
+        min: base + lo as i64,
+        max: base + hi as i64,
+        distinct: (lo..=hi)
+            .filter(|&off| regs.iter().any(|r| r.counts[off] > 0))
+            .count(),
+    }
+}
+
+/// What the workers of one run share: the round plan's fixed inputs, the
+/// snapshot, the boards every worker publishes into before the round's
+/// barrier, and the barrier.  The boards are double-buffered by round
+/// parity like the snapshot: round `r` writes and reads slot `r mod 2`,
+/// which nobody writes again before every worker has passed the barrier
+/// of round `r + 1`.
+struct Board<'a> {
+    weights: &'a [u64],
+    total_weight: u64,
+    round_len: u64,
+    stop_width: u32,
+    /// Rescan and publish the registers every this many rounds of the run
+    /// (`None` for a plain run).
+    sample_rounds: Option<u64>,
+    tier: KernelTier,
+    snapshot: &'a Snapshot,
+    /// Each domain's round-end extremes, `hi << 32 | lo`.
+    extremes: [Vec<AtomicU64>; 2],
+    /// Each domain's registers on sample rounds.
+    regs: [Vec<Mutex<ShardRegs>>; 2],
+    barrier: Barrier,
+    /// The round at whose barrier a panicking worker stands in
+    /// (`u64::MAX` while none has): the others stop once past it.
+    failed: AtomicU64,
+}
+
+/// Keeps a panicking worker from stranding the others at the barrier.
+/// `owes` is the round whose barrier the others still expect the worker
+/// at; on unwind the guard records that round as failed and takes the
+/// worker's place at its barrier, after which every worker leaves its
+/// loop and the panic reaches the caller through the thread scope.  The
+/// round number keeps the others from acting on the flag one barrier
+/// early, when it is raised after a barrier they have already passed.
+struct Unwind<'b, 'a> {
+    board: &'b Board<'a>,
+    owes: Cell<Option<u64>>,
+}
+
+impl Drop for Unwind<'_, '_> {
+    fn drop(&mut self) {
+        if let (true, Some(round)) = (std::thread::panicking(), self.owes.get()) {
+            self.board.failed.store(round, Relaxed);
+            self.board.barrier.wait();
+        }
+    }
+}
+
+impl Board<'_> {
+    /// The global opinion-range width from the extremes published in slot
+    /// `parity`.
+    fn width(&self, parity: usize) -> u32 {
+        let (lo, hi) = self.extremes[parity]
+            .iter()
+            .map(|e| e.load(Relaxed))
+            .fold((u32::MAX, 0), |(lo, hi), e| {
+                (lo.min(e as u32), hi.max((e >> 32) as u32))
+            });
+        hi - lo
+    }
+}
+
+/// The control state every worker replays: identical inputs and the same
+/// published extremes give every worker the same allocation, budget and
+/// stop decision, so they agree on each round without exchanging more
+/// than the extremes.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    /// Rounds executed by the process.
+    round: u64,
+    /// Rounds executed by this run.
+    rounds_run: u64,
+    /// Cumulative target steps.
+    target: u64,
+    /// The run's remaining budget target.
+    budget: u64,
+    /// The target length of the most recent round.
+    last_round: u64,
+    /// The global opinion-range width at the latest round boundary.
+    width: u32,
+}
+
+impl Plan {
+    /// Whether another round runs.
+    fn continues(&self, board: &Board<'_>) -> bool {
+        self.width > board.stop_width && self.budget > 0
+    }
+}
+
+/// A shard dealt to a worker, with its domain slice of the live array.
+struct Task<'s> {
+    p: usize,
+    shard: &'s mut Shard,
+    local: &'s mut [u32],
+}
+
+/// One worker's run: the control loop over its `crew` of shards, one
+/// barrier per round.  `after` runs once each round's barrier has passed,
+/// with the advanced plan, the round's board slot and whether it was a
+/// sample round; only the coordinator's does anything.  On exit the
+/// crew's registers are rescanned when any round ran.
+fn work(
+    graph: &Graph,
+    board: &Board<'_>,
+    mut plan: Plan,
+    crew: &mut [Task<'_>],
+    mut after: impl FnMut(&Board<'_>, &Plan, usize, bool),
+) -> Plan {
+    let unwind = Unwind {
+        board,
+        owes: Cell::new(None),
+    };
+    while plan.continues(board) {
+        unwind.owes.set(Some(plan.round));
+        let b = board.round_len.min(plan.budget);
+        let parity = (plan.round % 2) as usize;
+        let sampled =
+            (board.sample_rounds).is_some_and(|k| (plan.rounds_run + 1).is_multiple_of(k));
+        for t in crew.iter_mut() {
+            let w = board.weights[t.p];
+            let steps = share(plan.target + b, w, board.total_weight)
+                - share(plan.target, w, board.total_weight);
+            t.shard
+                .run(graph, &board.snapshot.0[parity], t.local, steps);
+            // Relaxed stores suffice here and below: the barrier orders
+            // them before every load of round `r + 1`, and no slot is
+            // stored to while another worker may load it.
+            t.shard.publish(t.local, &board.snapshot.0[parity ^ 1]);
+            let (lo, hi) = if sampled {
+                t.shard.rescan(graph, t.local);
+                let mut slot = board.regs[parity][t.p]
+                    .lock()
+                    .expect("slots are locked only to copy registers in or out");
+                slot.clone_from(&t.shard.regs);
+                (slot.lo, slot.hi)
+            } else {
+                kernels::min_max_u32(t.local, board.tier)
+            };
+            board.extremes[parity][t.p].store(u64::from(hi) << 32 | u64::from(lo), Relaxed);
+        }
+        board.barrier.wait();
+        if board.failed.load(Relaxed) == plan.round {
+            break;
+        }
+        plan = Plan {
+            round: plan.round + 1,
+            rounds_run: plan.rounds_run + 1,
+            target: plan.target + b,
+            budget: plan.budget - b,
+            last_round: b,
+            width: board.width(parity),
+        };
+        unwind.owes.set(plan.continues(board).then_some(plan.round));
+        after(board, &plan, parity, sampled);
+    }
+    unwind.owes.set(None);
+    if plan.rounds_run > 0 {
+        for t in crew.iter_mut() {
+            t.shard.rescan(graph, t.local);
+        }
+    }
+    plan
 }
 
 impl<'g> ShardedProcess<'g> {
-    /// Compiles the partition, per-shard samplers and registers.  One
-    /// shard per seed; shard `p` draws from
+    /// Compiles the partition, per-shard samplers, frontiers and
+    /// registers.  One shard per seed; shard `p` draws from
     /// `FastRng::seed_from_u64(shard_seeds[p])`, so deriving the seeds
     /// with `SeedSequence::seed_for(trial_seed, p)` makes the whole
     /// trajectory a pure function of `(trial_seed, P)`.
@@ -341,87 +604,75 @@ impl<'g> ShardedProcess<'g> {
             .map(|k| domain_weight(graph, scheduler, bounds[k], bounds[k + 1]))
             .collect();
         let total_weight: u64 = weights.iter().sum();
-        let tier = crate::kernels::KernelTier::active();
+        let (offsets, adjacency) = graph.csr();
         let shards: Vec<Shard> = (0..p)
             .map(|k| {
                 let (start, end) = (bounds[k] as usize, bounds[k + 1] as usize);
-                let mut counts = vec![0u32; span];
-                let (mut sum_off, mut dw_off) = (0i64, 0i64);
-                for (v, &off) in live.iter().enumerate().take(end).skip(start) {
-                    counts[off as usize] += 1;
-                    sum_off += off as i64;
-                    dw_off += off as i64 * graph.degree(v) as i64;
+                // The edge-cut pass: every adjacency entry leaving the
+                // domain is one of its cut edges (each is a potential
+                // snapshot read), and its source is a frontier vertex.
+                let (mut frontier, mut edge_cut) = (Vec::new(), 0u64);
+                for v in start..end {
+                    let out = adjacency[offsets[v]..offsets[v + 1]]
+                        .iter()
+                        .filter(|&&w| !(start..end).contains(&(w as usize)))
+                        .count();
+                    if out > 0 {
+                        frontier.push(v as u32);
+                        edge_cut += out as u64;
+                    }
                 }
-                // The extreme registers come from the shared vector
-                // block scan (every tier returns identical extremes, so
-                // the tier stays a pure throughput knob here too).
-                let (lo, hi) = crate::kernels::min_max_u32(&live[start..end], tier);
-                let sampler = match scheduler {
-                    FastScheduler::Vertex => ShardSampler::Uniform,
-                    FastScheduler::Edge | FastScheduler::EdgeAlias => {
-                        let degrees: Vec<u64> =
-                            (start..end).map(|v| graph.degree(v) as u64).collect();
-                        if degrees.iter().all(|&d| d == degrees[0]) {
-                            // Constant-degree domain: degree-biased is
-                            // uniform — skip the table (the million-vertex
-                            // regular families land here).
-                            ShardSampler::Uniform
-                        } else {
+                let d0 = graph.degree(start);
+                let sampler = if (start..end).all(|v| graph.degree(v) == d0) {
+                    // Constant degree: degree-biased is uniform, so both
+                    // laws skip the table and address neighbours directly
+                    // (the regular families land here).
+                    ShardSampler::Regular { degree: d0 as u32 }
+                } else {
+                    match scheduler {
+                        FastScheduler::Vertex => ShardSampler::Uniform,
+                        FastScheduler::Edge | FastScheduler::EdgeAlias => {
+                            let degrees: Vec<u64> =
+                                (start..end).map(|v| graph.degree(v) as u64).collect();
                             ShardSampler::Alias(packed_alias_slots(&degrees))
                         }
                     }
                 };
-                Shard {
+                let mut shard = Shard {
                     start: start as u32,
                     end: end as u32,
                     rng: FastRng::seed_from_u64(shard_seeds[k]),
                     sampler,
                     regs: ShardRegs {
-                        counts,
-                        lo,
-                        hi,
-                        sum_off,
-                        dw_off,
+                        counts: vec![0; span],
+                        ..ShardRegs::default()
                     },
-                }
+                    frontier,
+                    edge_cut,
+                };
+                shard.rescan(graph, &live[start..end]);
+                shard
             })
             .collect();
-        // Edges with endpoints in different domains: each is a potential
-        // snapshot (stale) read, so the per-domain tally is the
-        // observability gauge for partition quality.  `bounds` is tiny,
-        // so the binary searches cost O(m log P) — the same order as the
-        // partition pass above.
-        let mut edge_cuts = vec![0u64; p];
-        for e in 0..graph.num_edges() {
-            let (u, v) = graph.edge(e);
-            let du = bounds.partition_point(|&b| b <= u as u32) - 1;
-            let dv = bounds.partition_point(|&b| b <= v as u32) - 1;
-            if du != dv {
-                edge_cuts[du] += 1;
-                edge_cuts[dv] += 1;
-            }
-        }
+        let snapshot = Snapshot([0, 1].map(|_| live.iter().map(|&x| AtomicU32::new(x)).collect()));
         // One round ≈ one expected update per vertex, so a cross-domain
         // read is at most one sweep stale (the fidelity contract) while
-        // the O(n) snapshot refresh stays O(1) per step.
+        // the O(n) end-of-round extreme scans stay O(1) per step.
         let round_len = n as u64;
         Ok(ShardedProcess {
             graph,
             kind: scheduler,
             base,
-            span,
             bounds,
-            snapshot: live.clone(),
             live,
+            snapshot,
             shards,
             weights,
             total_weight,
-            edge_cuts,
-            shard_steps: vec![0; p],
-            last_allocs: vec![0; p],
             round_len,
+            rounds: 0,
             target: 0,
-            steps: 0,
+            last_round: 0,
         })
     }
 
@@ -446,9 +697,9 @@ impl<'g> ShardedProcess<'g> {
         &self.bounds
     }
 
-    /// Steps executed so far (summed over all shards).
+    /// Steps executed so far (summed over all shards) — `O(P)`.
     pub fn steps(&self) -> u64 {
-        self.steps
+        executed(&self.weights, self.total_weight, self.target)
     }
 
     /// `S(t) = Σ_v X_v` — an `O(P)` register combine.
@@ -483,14 +734,10 @@ impl<'g> ShardedProcess<'g> {
     /// `N_i(t)` for `opinion` (0 outside the initial span) — `O(P)`.
     pub fn count(&self, opinion: i64) -> usize {
         let off = opinion - self.base;
-        if (0..self.span as i64).contains(&off) {
-            self.shards
-                .iter()
-                .map(|s| s.regs.counts[off as usize] as usize)
-                .sum()
-        } else {
-            0
-        }
+        (self.shards.iter())
+            .filter_map(|s| s.regs.counts.get(usize::try_from(off).ok()?))
+            .map(|&c| c as usize)
+            .sum()
     }
 
     /// Whether all vertices agree.
@@ -511,41 +758,31 @@ impl<'g> ShardedProcess<'g> {
             .collect()
     }
 
-    /// The number of distinct opinions currently held — an `O(P·span)`
-    /// combine of the per-domain count registers.
-    fn distinct(&self) -> usize {
-        let (lo, hi) = (self.lo() as usize, self.hi() as usize);
-        (lo..=hi)
-            .filter(|&off| self.shards.iter().any(|s| s.regs.counts[off] > 0))
-            .count()
-    }
-
     /// The combined trajectory sample at the current (round-boundary)
-    /// state — an `O(P·span)` register combine, never an `O(n)` rescan.
-    /// A pure function of the registers, so it is identical for every
-    /// thread count.
+    /// state — an `O(P·span)` combine of the per-domain registers.  A pure
+    /// function of the trajectory, so it is identical for every thread
+    /// count.
     pub fn telemetry_sample(&self) -> TelemetrySample {
-        TelemetrySample {
-            step: self.steps,
-            sum: self.sum(),
-            z_weight: self.z_weight(),
-            min: self.min_opinion(),
-            max: self.max_opinion(),
-            distinct: self.distinct(),
-        }
+        let regs: Vec<&ShardRegs> = self.shards.iter().map(|s| &s.regs).collect();
+        combine(self.steps(), self.base, self.graph, &regs)
     }
 
     /// Per-domain balance gauges at the current round boundary: step
     /// weight, boundary edge cut, realised step count and the most
     /// recent round's allocation (the snapshot-refresh age bound).
     pub fn shard_gauges(&self) -> Vec<ShardGauge> {
-        (0..self.shards.len())
-            .map(|p| ShardGauge {
-                shard: p,
-                weight: self.weights[p],
-                edge_cut: self.edge_cuts[p],
-                steps: self.shard_steps[p],
-                round_lag: self.last_allocs[p],
+        let before = self.target - self.last_round;
+        (self.shards.iter().zip(&self.weights))
+            .enumerate()
+            .map(|(p, (s, &w))| {
+                let steps = share(self.target, w, self.total_weight);
+                ShardGauge {
+                    shard: p,
+                    weight: w,
+                    edge_cut: s.edge_cut,
+                    steps,
+                    round_lag: steps - share(before, w, self.total_weight),
+                }
             })
             .collect()
     }
@@ -573,30 +810,32 @@ impl<'g> ShardedProcess<'g> {
     /// target: the executed count never exceeds `max_steps` and falls
     /// short by fewer than `P` steps.
     pub fn run_to_consensus(&mut self, max_steps: u64, threads: usize) -> RunStatus {
-        self.run_rounds(max_steps, threads, 0)
+        self.run_rounds(max_steps, threads, 0, None, |_, _, _, _| {})
     }
 
     /// Runs until at most two adjacent opinions remain (the paper's `τ`)
     /// or the budget target is spent — round-boundary semantics as in
     /// [`ShardedProcess::run_to_consensus`].
     pub fn run_to_two_adjacent(&mut self, max_steps: u64, threads: usize) -> RunStatus {
-        self.run_rounds(max_steps, threads, 1)
+        self.run_rounds(max_steps, threads, 1, None, |_, _, _, _| {})
     }
 
     /// Runs to consensus with an [`Observer`] attached, emitting the
-    /// `O(P)`-combined sample at reconciliation-round boundaries.
+    /// combined sample at reconciliation-round boundaries.
     ///
     /// `sample_every` asks for at most one sample per that many steps
-    /// (rounded up to whole rounds; `0` = every round boundary).  Phase
-    /// transitions are reported at round-boundary granularity — the
+    /// (rounded up to whole rounds; `0` = every round boundary).  On a
+    /// sample round every worker rescans its domains' registers before
+    /// the round's barrier and the calling thread combines them after it.
+    /// Phase transitions are reported at round-boundary granularity — the
     /// first boundary at or after the hit, matching the engine's own
     /// step-reporting contract ([`ShardedProcess::run_to_consensus`]) —
     /// and the sampled content is a pure function of `(shard_seeds, P)`,
     /// so it is bit-identical across thread counts.
     ///
     /// With a disabled observer ([`Observer::ENABLED`] = `false`) this
-    /// is exactly [`ShardedProcess::run_to_consensus`]: the plain round
-    /// loop runs and no sampling machinery is touched.
+    /// is exactly [`ShardedProcess::run_to_consensus`]: no register is
+    /// rescanned and no sampling machinery is touched.
     pub fn run_observed<O: Observer>(
         &mut self,
         max_steps: u64,
@@ -607,45 +846,43 @@ impl<'g> ShardedProcess<'g> {
         if !O::ENABLED {
             return self.run_to_consensus(max_steps, threads);
         }
-        let threads = self.worker_count(threads);
         let started = Instant::now();
         obs.on_start(&self.telemetry_sample());
         let rounds_per_sample = sample_every.div_ceil(self.round_len).max(1);
-        let mut rounds_since_sample = 0u64;
+        let (base, graph) = (self.base, self.graph);
         let mut seen_two_adjacent = self.width() <= 1;
-        let mut budget = max_steps;
-        while self.width() > 0 && budget > 0 {
-            let b = self.round_len.min(budget);
-            let allocs = self.allocate(b);
-            let executed: u64 = allocs.iter().sum();
-            self.run_round(&allocs, threads);
-            self.note_round(&allocs);
-            self.steps += executed;
-            self.target += b;
-            budget -= b;
-            self.snapshot.copy_from_slice(&self.live);
-            if !seen_two_adjacent && self.width() <= 1 {
-                seen_two_adjacent = true;
-                obs.on_phase(&PhaseEvent {
-                    phase: Phase::TwoAdjacent,
-                    step: self.steps,
-                });
-            }
-            if self.width() == 0 {
-                obs.on_phase(&PhaseEvent {
-                    phase: Phase::Consensus,
-                    step: self.steps,
-                });
-            } else {
-                rounds_since_sample += 1;
-                if rounds_since_sample >= rounds_per_sample {
-                    rounds_since_sample = 0;
-                    obs.on_sample(&self.telemetry_sample());
+        let status = self.run_rounds(
+            max_steps,
+            threads,
+            0,
+            Some(rounds_per_sample),
+            |board, plan, parity, sampled| {
+                let step = executed(board.weights, board.total_weight, plan.target);
+                if !seen_two_adjacent && plan.width <= 1 {
+                    seen_two_adjacent = true;
+                    obs.on_phase(&PhaseEvent {
+                        phase: Phase::TwoAdjacent,
+                        step,
+                    });
                 }
-            }
-        }
+                if plan.width == 0 {
+                    obs.on_phase(&PhaseEvent {
+                        phase: Phase::Consensus,
+                        step,
+                    });
+                } else if sampled {
+                    let regs: Vec<_> = board.regs[parity]
+                        .iter()
+                        .map(|r| r.lock().expect("workers hold no register slot now"))
+                        .collect();
+                    let sample = combine(step, base, graph, &regs);
+                    drop(regs);
+                    obs.on_sample(&sample);
+                }
+            },
+        );
         obs.on_finish(&self.telemetry_sample(), started.elapsed());
-        self.status_snapshot()
+        status
     }
 
     /// Resolves a requested thread count to the worker count actually
@@ -659,117 +896,84 @@ impl<'g> ShardedProcess<'g> {
         threads.min(self.shards.len()).max(1)
     }
 
-    /// Folds a round's per-shard allocation into the step gauges.
-    fn note_round(&mut self, allocs: &[u64]) {
-        for (p, &a) in allocs.iter().enumerate() {
-            self.shard_steps[p] += a;
-        }
-        self.last_allocs.copy_from_slice(allocs);
-    }
-
-    fn run_rounds(&mut self, max_steps: u64, threads: usize, stop_width: u32) -> RunStatus {
+    /// The one round loop behind every run.  Spawns `threads − 1` workers
+    /// once (the calling thread is worker 0, the coordinator), deals
+    /// shard `p` to worker `p mod threads`, and runs [`work`] on every
+    /// worker until the range width is at most `stop_width` or the budget
+    /// is spent; `after` is the coordinator's per-round hook.  The deal
+    /// is pure bookkeeping — each shard's work is self-contained — so the
+    /// trajectory is thread-count-invariant.
+    fn run_rounds(
+        &mut self,
+        max_steps: u64,
+        threads: usize,
+        stop_width: u32,
+        sample_rounds: Option<u64>,
+        after: impl FnMut(&Board<'_>, &Plan, usize, bool),
+    ) -> RunStatus {
         let threads = self.worker_count(threads);
-        let mut budget = max_steps;
-        while self.width() > stop_width && budget > 0 {
-            let b = self.round_len.min(budget);
-            let allocs = self.allocate(b);
-            let executed: u64 = allocs.iter().sum();
-            self.run_round(&allocs, threads);
-            self.note_round(&allocs);
-            self.steps += executed;
-            self.target += b;
-            budget -= b;
-            // The round-boundary reconciliation: publish this round's
-            // writes to the snapshot every cross-domain read uses next.
-            self.snapshot.copy_from_slice(&self.live);
-        }
-        self.status_snapshot()
-    }
-
-    /// The per-shard step allocation for a round of target length `b`:
-    /// shard `p` advances from `⌊T·W_p/W⌋` to `⌊(T+b)·W_p/W⌋` executed
-    /// steps (`T` = cumulative target), in `u128` so the diffusion is
-    /// exact for any reachable step count.
-    fn allocate(&self, b: u64) -> Vec<u64> {
-        let w = self.total_weight as u128;
-        let t = self.target as u128;
-        self.weights
-            .iter()
-            .map(|&wp| {
-                let wp = wp as u128;
-                (((t + b as u128) * wp / w) - (t * wp / w)) as u64
-            })
-            .collect()
-    }
-
-    /// Executes one round: every shard steps its allocation concurrently,
-    /// reading cross-domain opinions from the shared snapshot and writing
-    /// its own domain slice.  Shards are dealt to workers round-robin
-    /// (`shard p → worker p mod threads`); the deal is pure bookkeeping —
-    /// each shard's work is self-contained, so the trajectory is
-    /// thread-count-invariant.
-    fn run_round(&mut self, allocs: &[u64], threads: usize) {
-        let graph = self.graph;
-        let snapshot = &self.snapshot;
-        // Disjoint per-domain slices of the live array (safe Rust: each
-        // split hands out a non-overlapping region).
-        let mut slices: Vec<&mut [u32]> = Vec::with_capacity(self.shards.len());
+        let start = Plan {
+            round: self.rounds,
+            rounds_run: 0,
+            target: self.target,
+            budget: max_steps,
+            last_round: self.last_round,
+            width: self.width(),
+        };
+        let p = self.shards.len();
+        let board = Board {
+            weights: &self.weights,
+            total_weight: self.total_weight,
+            round_len: self.round_len,
+            stop_width,
+            sample_rounds,
+            tier: KernelTier::active(),
+            snapshot: &self.snapshot,
+            extremes: [0, 1].map(|_| (0..p).map(|_| AtomicU64::new(0)).collect()),
+            regs: [0, 1].map(|_| (0..p).map(|_| Mutex::default()).collect()),
+            barrier: Barrier::new(threads),
+            failed: AtomicU64::new(u64::MAX),
+        };
+        let mut crews: Vec<Vec<Task<'_>>> = (0..threads).map(|_| Vec::new()).collect();
         let mut rest: &mut [u32] = &mut self.live;
-        for p in 0..self.shards.len() {
-            let len = (self.bounds[p + 1] - self.bounds[p]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
+        for (k, shard) in self.shards.iter_mut().enumerate() {
+            let len = (shard.end - shard.start) as usize;
+            let (local, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
+            crews[k % threads].push(Task { p: k, shard, local });
         }
-        let tasks: Vec<(&mut Shard, &mut [u32], u64)> = self
-            .shards
-            .iter_mut()
-            .zip(slices)
-            .zip(allocs)
-            .map(|((s, l), &a)| (s, l, a))
-            .collect();
-        if threads <= 1 {
-            for (shard, local, steps) in tasks {
-                shard.run(graph, snapshot, local, steps);
+        let graph = self.graph;
+        let end = std::thread::scope(|scope| {
+            let mut crews = crews.into_iter();
+            let mut own = crews.next().expect("threads >= 1");
+            for mut crew in crews {
+                let board = &board;
+                scope.spawn(move || work(graph, board, start, &mut crew, |_, _, _, _| {}));
             }
-            return;
-        }
-        let mut bins: Vec<Vec<(&mut Shard, &mut [u32], u64)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            bins[i % threads].push(task);
-        }
-        std::thread::scope(|scope| {
-            let mut bins = bins.into_iter();
-            let own = bins.next().expect("threads >= 1");
-            for bin in bins {
-                scope.spawn(move || {
-                    for (shard, local, steps) in bin {
-                        shard.run(graph, snapshot, local, steps);
-                    }
-                });
-            }
-            // The coordinator works worker 0's bin instead of idling.
-            for (shard, local, steps) in own {
-                shard.run(graph, snapshot, local, steps);
-            }
+            work(graph, &board, start, &mut own, after)
         });
+        self.rounds = end.round;
+        self.target = end.target;
+        self.last_round = end.last_round;
+        self.status_snapshot()
     }
 
     fn status_snapshot(&self) -> RunStatus {
         if self.is_consensus() {
             RunStatus::Consensus {
                 opinion: self.min_opinion(),
-                steps: self.steps,
+                steps: self.steps(),
             }
         } else if self.is_two_adjacent() {
             RunStatus::TwoAdjacent {
                 low: self.min_opinion(),
                 high: self.max_opinion(),
-                steps: self.steps,
+                steps: self.steps(),
             }
         } else {
-            RunStatus::StepLimit { steps: self.steps }
+            RunStatus::StepLimit {
+                steps: self.steps(),
+            }
         }
     }
 }
@@ -789,7 +993,9 @@ fn domain_weight(graph: &Graph, kind: FastScheduler, start: u32, end: u32) -> u6
 /// by a greedy cut-minimising pass — each boundary slides inside a
 /// `±n/(8p)` window to the position crossed by the fewest edges, so
 /// cross-domain (snapshot-read) traffic shrinks where the graph allows
-/// it.  Every domain keeps at least one vertex.
+/// it.  Every domain keeps at least one vertex: boundary `k` stays in
+/// `[bounds[k−1] + 1, n − (p − k)]`, even when the step weight piles up
+/// at either end of the vertex order.
 fn partition(graph: &Graph, kind: FastScheduler, p: usize) -> Vec<u32> {
     let n = graph.num_vertices();
     let mut prefix = vec![0u64; n + 1];
@@ -815,8 +1021,12 @@ fn partition(graph: &Graph, kind: FastScheduler, p: usize) -> Vec<u32> {
     for k in 1..p {
         let target = (total as u128 * k as u128 / p as u128) as u64;
         let naive = prefix.partition_point(|&x| x < target).min(n);
-        let lo = (bounds[k - 1] as usize + 1).max(naive.saturating_sub(window));
-        let hi = (naive + window).min(n - (p - k)).max(lo);
+        // The last position that leaves a vertex for each later domain.
+        let last = n - (p - k);
+        let lo = (bounds[k - 1] as usize + 1)
+            .max(naive.saturating_sub(window))
+            .min(last);
+        let hi = (naive + window).min(last).max(lo);
         let mut best = lo;
         for b in lo..=hi {
             let closer = b.abs_diff(naive) < best.abs_diff(naive);
@@ -843,15 +1053,63 @@ mod tests {
     #[test]
     fn partition_covers_and_is_strictly_increasing() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::random_regular(200, 6, &mut rng).unwrap();
-        for p in [1usize, 2, 3, 7, 16] {
+        let regular = generators::random_regular(200, 6, &mut rng).unwrap();
+        let check = |g: &Graph, p: usize| {
+            let n = g.num_vertices() as u32;
             for kind in [FastScheduler::Vertex, FastScheduler::Edge] {
-                let b = partition(&g, kind, p);
+                let b = partition(g, kind, p);
                 assert_eq!(b.len(), p + 1);
                 assert_eq!(b[0], 0);
-                assert_eq!(b[p], 200);
-                assert!(b.windows(2).all(|w| w[0] < w[1]), "{b:?}");
+                assert_eq!(b[p], n);
+                assert!(b.windows(2).all(|w| w[0] < w[1]), "P={p} {kind:?}: {b:?}");
             }
+        };
+        for p in [1usize, 2, 3, 7, 16] {
+            check(&regular, p);
+        }
+        // Edge-process weight piled up at the end of the vertex order
+        // (the hub of `multipartite:20,1` is vertex 20), at the start
+        // (the star's hub is vertex 0) and at both hubs of a double star:
+        // every P up to one vertex per domain must stay admissible.
+        let hubs = [
+            generators::complete_multipartite(&[20, 1]).unwrap(),
+            generators::star(21).unwrap(),
+            generators::double_star(6, 9).unwrap(),
+        ];
+        for g in &hubs {
+            for p in 1..=g.num_vertices() {
+                check(g, p);
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_counts_every_layout_and_span() {
+        for (span, len) in [(9, 1_003), (3, 2)] {
+            let cyclic: Vec<u32> = (0..len).map(|v| (v * 7 % span) as u32).collect();
+            let runs: Vec<u32> = (0..len).map(|v| (v * span / len) as u32).collect();
+            for local in [cyclic, runs] {
+                let mut counts = vec![1u32; span];
+                histogram(&local, &mut counts);
+                let mut naive = vec![0u32; span];
+                for &x in &local {
+                    naive[x as usize] += 1;
+                }
+                assert_eq!(counts, naive, "span {span}, {len} vertices");
+            }
+        }
+    }
+
+    #[test]
+    fn hub_last_graphs_shard_without_panicking() {
+        let g = generators::complete_multipartite(&[20, 1]).unwrap();
+        let opinions = init::spread(21, 5).unwrap();
+        for p in [7, 8, 11, 19, 21] {
+            let mut proc =
+                ShardedProcess::new(&g, opinions.clone(), FastScheduler::Edge, &seeds(p, 8))
+                    .unwrap();
+            let status = proc.run_to_consensus(10_000_000, 2);
+            assert!(status.consensus_opinion().is_some(), "P={p}: {status:?}");
         }
     }
 
@@ -1012,6 +1270,36 @@ mod tests {
         let fin = rec1.final_sample().unwrap();
         assert_eq!(fin.distinct, 1);
         assert_eq!(fin.min, fin.max);
+    }
+
+    #[test]
+    fn a_panicking_observer_reaches_the_caller_instead_of_stranding_workers() {
+        // Panics mid-run (the first sample, with rounds still to come)
+        // and on the last round (consensus, when the other workers have
+        // already left their loop).
+        struct Boom(Option<Phase>);
+        impl Observer for Boom {
+            fn on_sample(&mut self, _: &TelemetrySample) {
+                assert!(self.0.is_some(), "observer failed on a sample");
+            }
+            fn on_phase(&mut self, event: &PhaseEvent) {
+                assert_ne!(Some(event.phase), self.0, "observer failed on a phase");
+            }
+        }
+        let g = generators::complete(40).unwrap();
+        let opinions = init::spread(40, 3).unwrap();
+        for boom in [None, Some(Phase::Consensus)] {
+            let mut p =
+                ShardedProcess::new(&g, opinions.clone(), FastScheduler::Vertex, &seeds(4, 1))
+                    .unwrap();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p.run_observed(50_000_000, 2, 0, &mut Boom(boom))
+            }));
+            assert!(
+                run.is_err(),
+                "{boom:?}: the observer's panic must propagate"
+            );
+        }
     }
 
     #[test]

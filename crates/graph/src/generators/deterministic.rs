@@ -337,31 +337,28 @@ pub fn circulant(n: usize, strides: &[usize]) -> Result<Graph, GraphError> {
             "circulant requires at least one stride",
         ));
     }
-    let mut seen = std::collections::HashSet::new();
-    for &s in strides {
+    for (i, &s) in strides.iter().enumerate() {
         if s == 0 || s > n / 2 {
             return Err(GraphError::invalid(format!(
                 "circulant stride {s} outside 1..={}",
                 n / 2
             )));
         }
-        if !seen.insert(s) {
+        if strides[..i].contains(&s) {
             return Err(GraphError::invalid(format!(
                 "duplicate circulant stride {s}"
             )));
         }
     }
-    // Every non-antipodal stride generates each edge once from each
-    // endpoint; deduplicate through a set before feeding the builder.
+    // Edge {v, v + s} arises once per vertex v for each stride, and two
+    // distinct strides s, t ≤ n/2 meet on one edge only when s + t = n.
+    // So the only repeats come from the antipodal stride 2s = n, where
+    // v and v + s name the same edge: take it from v < n/2 alone.
     let mut b = GraphBuilder::with_capacity(n, n * strides.len())?;
-    let mut edges = std::collections::HashSet::with_capacity(n * strides.len());
-    for v in 0..n {
-        for &s in strides {
-            let w = (v + s) % n;
-            let key = if v < w { (v, w) } else { (w, v) };
-            if edges.insert(key) {
-                b.add_edge(key.0, key.1)?;
-            }
+    for &s in strides {
+        let sources = if 2 * s == n { n / 2 } else { n };
+        for v in 0..sources {
+            b.add_edge(v, (v + s) % n)?;
         }
     }
     b.build()

@@ -111,6 +111,33 @@ impl Graph {
         span[i] as usize
     }
 
+    /// The raw compressed-sparse-row arrays `(offsets, neighbors)`: the
+    /// sorted neighbours of `v` are `neighbors[offsets[v]..offsets[v + 1]]`,
+    /// `offsets` has length `n + 1` and `neighbors` length `2m`.
+    ///
+    /// Hot loops that address a run of vertices directly (for example
+    /// `neighbors[offsets[a] + i·d + slot]` over constant-degree vertices
+    /// `a..b`) read these instead of chasing [`Graph::neighbor`]'s two
+    /// dependent loads.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use div_graph::Graph;
+    ///
+    /// # fn main() -> Result<(), div_graph::GraphError> {
+    /// let g = Graph::from_edges(3, [(0, 1), (1, 2)])?;
+    /// let (offsets, neighbors) = g.csr();
+    /// assert_eq!(offsets, &[0, 1, 3, 4]);
+    /// assert_eq!(neighbors, &[1, 0, 2, 1]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    #[inline]
+    pub fn csr(&self) -> (&[usize], &[u32]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// Iterator over the neighbours of `v` in ascending order.
     ///
     /// # Panics
