@@ -14,8 +14,8 @@
 //!                 [--budget N] [--sample-every K] [--shards P] [--threads T]
 //! divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded]
 //!                 [--seed N] [--trials N] [--faults SPEC] [--budget N]
-//!                 [--lanes K] [--shards P] [--threads T]
-//!                 [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]
+//!                 [--lanes K] [--shards P] [--threads T] [--checkpoint PATH]
+//!                 [--resume] [--serve ADDR] [--serve-linger SECS]
 //! divlab spectral --graph SPEC [--init SPEC] [--seed N]
 //! divlab graph6   --graph SPEC [--init SPEC] [--seed N]
 //! divlab analyze  --traces PATH [--out DIR]
@@ -25,8 +25,14 @@
 //! Each subcommand accepts exactly the flags it reads; any other flag is
 //! a usage error naming it.
 //!
-//! Graph and opinion spec grammars are documented in
-//! [`div_bench::spec`]; e.g. `--graph regular:200:8 --init uniform:5`.
+//! The campaign flags (`--graph --init --scheduler --engine --seed
+//! --trials --budget --faults --lanes --shards --threads`, and
+//! `--checkpoint-every` on `submit`) are the keys of a
+//! [`div_bench::spec::CampaignSpec`]:
+//! `--key value` is the spec line `key value`, parsed and validated by
+//! the same code as a `divd` job, before anything is printed.  Graph and
+//! opinion spec grammars are documented in [`div_bench::spec`]; e.g.
+//! `--graph regular:200:8 --init uniform:5`.
 //! Fault specs follow `div_core::FaultPlan::parse`, e.g.
 //! `--faults drop:0.1,noise:0.05:1,stubborn:3`.
 //!
@@ -34,58 +40,38 @@
 //! resilient Monte-Carlo campaign: panicking trials are retried with
 //! fresh deterministic sub-seeds and reported in an outcome taxonomy,
 //! and `--checkpoint PATH` + `--resume` make a killed campaign resume
-//! exactly (byte-identical report, including its aggregated metrics
-//! block).  `divlab campaign` is the same command with campaign mode
-//! forced on, so single-trial smoke campaigns don't need `--trials 2`.
-//!
-//! Every engine runs through the shared executors and campaign dispatch
-//! of [`div_bench::trial`], the same code `divd` runs.
-//!
-//! `--engine batch` runs campaigns through the lockstep batch engine
-//! ([`div_core::BatchProcess`]): trials are grouped into `--lanes K`
-//! lanes (default 8) stepped together over one compiled graph, with
-//! groups sharded across `--threads T` workers (default: available
-//! parallelism).  Every lane is bit-exact against the scalar fast
-//! engine for the same seed, so batch and fast campaigns print
-//! byte-identical reports — including under fault plans and on resumed
-//! checkpoints.
+//! exactly (byte-identical report).  `divlab campaign` is the same
+//! command with campaign mode forced on.  Every engine runs through the
+//! shared executors and campaign dispatch of [`div_bench::trial`], the
+//! same code `divd` runs; batch lanes are bit-exact against the fast
+//! engine, so batch and fast campaigns print byte-identical reports.
 //!
 //! `--telemetry PATH` streams the single run's trajectory through the
-//! engines' observer hooks to a JSONL file (or CSV when the path ends in
-//! `.csv`): `W(t)` samples every `--sample-every` steps (default 64),
-//! exact phase-transition events, fault counters, wall-clock timing.  In
-//! campaign mode `PATH` is a directory (created if needed) receiving one
-//! `trial-<seed>.jsonl` file per trial — the trace corpora that
-//! `divlab analyze` consumes.  `divlab stats` runs one observed trial
-//! into an in-memory recorder and prints the trajectory summary instead.
-//! Fault-free batch and sharded runs observe **natively**: the batch
-//! engine snapshots every lane on its block lattice (`--sample-every`
-//! rounded up to whole blocks; without the flag the engine picks its own
-//! low-overhead cadence) and the sharded engine combines its per-shard
-//! registers at round boundaries — neither demotes to the scalar engine
-//! any more.  Only fault-injected observation still falls back to fast
-//! (the batch engine has no faulty observed path; the sharded engine has
-//! no fault pipeline), with a uniform warning.
+//! engines' observer hooks to a JSONL file (CSV when the path ends in
+//! `.csv`): `W(t)` samples every `--sample-every` steps, exact
+//! phase-transition events, fault counters, wall-clock timing.  In
+//! campaign mode `PATH` is a directory receiving one
+//! `trial-<seed>.jsonl` file per trial — the corpora `divlab analyze`
+//! consumes.  `divlab stats` prints one observed trial's trajectory
+//! summary instead.  Batch and sharded runs observe natively on their
+//! block or round lattice; only fault-injected batch observation falls
+//! back to fast, with the uniform demotion warning.
 //!
-//! `--spans PATH` (campaign mode) additionally records wall-clock
-//! lifecycle spans — one per trial execution plus a campaign root — as a
-//! Chrome-trace-event JSON array that loads directly into Perfetto; span
-//! ids are a deterministic hash of (master seed, trial seed, attempt).
-//! `--trace` needs the reference engine's per-step stage log; every entry
-//! point (run, campaign, compare, stats) resolves `--trace --engine
-//! fast` by warning and falling back to the reference engine.
+//! `--spans PATH` (campaign mode) records wall-clock lifecycle spans —
+//! one per trial execution plus a campaign root — as a Perfetto-loadable
+//! Chrome-trace JSON array; span ids are a deterministic hash of (master
+//! seed, trial seed, attempt).  `--trace` needs the reference engine's
+//! stage log, so every entry point demotes other engines with a warning.
 //!
 //! `--serve ADDR` (on `run`, campaigns and `compare`) publishes live
-//! progress over HTTP while the command executes: `/metrics` in
-//! Prometheus text format, `/progress` as JSON, `/healthz`.  Bind port 0
-//! for an ephemeral port; the resolved address is announced on stderr.
-//! `--serve-linger SECS` keeps the endpoint up after the command
-//! finishes so a final scrape can be compared against the report.
+//! progress over HTTP — `/metrics` (Prometheus), `/progress` (JSON),
+//! `/healthz` — announcing the bound address on stderr;
+//! `--serve-linger SECS` keeps it up after the command finishes.
 //!
 //! `divlab analyze` re-derives the paper's trajectory checks (Lemma 3
 //! zero drift, the eq. (5) Azuma envelope, phase steps, the eq. (4)
-//! `E[T]`-vs-`k` fit) from a recorded trace corpus, writing markdown and
-//! JSON reports under `--out` (default `results/`).
+//! `E[T]`-vs-`k` fit) from a trace corpus into markdown and JSON
+//! reports under `--out` (default `results/`).
 //!
 //! Exit codes: `0` clean, `2` usage or IO error, `3` campaign complete
 //! but degraded (non-converged outcomes present) or `analyze` checks
@@ -95,10 +81,9 @@
 use div_baselines::{
     run_to_consensus, BestOfK, LoadBalancing, MedianVoting, PullVoting, PushVoting,
 };
-use div_bench::spec;
+use div_bench::spec::{demotion, Campaign, CampaignInputs, CampaignSpec, Front};
 use div_bench::trial::{
-    exceeds_lane_span, outcome_of, parse_scheduler, publish_faults, run_engine_campaign, Engine,
-    Pending, TrialSetup,
+    exceeds_lane_span, outcome_of, publish_faults, run_engine_campaign, Engine, Pending, TrialSetup,
 };
 use div_core::{
     hex_id, init, render_spans, span_id, theory, BatchProcess, CsvExporter, DivProcess,
@@ -108,8 +93,7 @@ use div_core::{
 };
 use div_sim::table::Table;
 use div_sim::{
-    CampaignConfig, CampaignHooks, CampaignMonitor, MetricsServer, MonitorPhase, TrialCtx,
-    TrialOutcome,
+    CampaignHooks, CampaignMonitor, MetricsServer, MonitorPhase, TrialCtx, TrialOutcome,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -129,10 +113,10 @@ fn main() {
         usage_and_exit();
     }
     let result = parse_flags(command, rest).and_then(|opts| match command.as_str() {
-        "run" => cmd_run(&opts, false),
-        "campaign" => cmd_run(&opts, true),
+        "run" => served(&opts, |m| cmd_run(&opts, m, false)),
+        "campaign" => served(&opts, |m| cmd_run(&opts, m, true)),
         "stats" => cmd_stats(&opts),
-        "compare" => cmd_compare(&opts),
+        "compare" => served(&opts, |m| cmd_compare(&opts, m)),
         "spectral" => cmd_spectral(&opts).map(|()| 0),
         "graph6" => cmd_graph6(&opts).map(|()| 0),
         "analyze" => cmd_analyze(&opts),
@@ -150,7 +134,7 @@ fn main() {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage:\n  divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N] [--trace]\n                  [--telemetry PATH] [--sample-every K] [--spans PATH] [--faults SPEC] [--trials N] [--budget N] [--lanes K] [--shards P] [--threads T]\n                  [--checkpoint PATH] [--resume] [--stop-after N] [--serve ADDR] [--serve-linger SECS]\n  divlab campaign ...same flags as run (campaign mode forced, even at --trials 1)\n  divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N]\n                  [--faults SPEC] [--budget N] [--sample-every K] [--shards P] [--threads T]\n  divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded] [--seed N] [--trials N] [--faults SPEC] [--budget N]\n                  [--lanes K] [--shards P] [--threads T] [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]\n  divlab spectral --graph SPEC [--seed N]\n  divlab graph6   --graph SPEC [--seed N]\n  divlab analyze  --traces PATH [--out DIR]\n  divlab submit   --server HOST:PORT --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine fast|batch|reference]\n                  [--seed N] [--trials N] [--budget N] [--faults SPEC] [--lanes K] [--threads T] [--checkpoint-every K]\n                  [--client NAME] [--timeout SECS] [--detach] [--watch]   (client mode for a divd daemon)\n\ngraph specs:  complete:N path:N cycle:N star:N wheel:N grid:RxC torus:RxC\n              hypercube:D binary-tree:N barbell:H:B lollipop:H:T double-star:L:R\n              circulant:N:s1,s2 multipartite:a,b regular:N:D gnp:N:P ws:N:K:B ba:N:M\ninit specs:   uniform:K spread:K blocks:VxC,VxC,...\nfault specs:  drop:Q noise:P:D stale:P:AGE stubborn:K crash:P:OUTAGE (comma-separated), or none\nengines:      reference (observable baseline), fast (compiled scalar), batch (lockstep lanes;\n              campaigns step --lanes K trials together across --threads T workers, bit-exact vs fast),\n              sharded (--shards P concurrent vertex domains per trial on --threads T std threads;\n              deterministic for fixed seed+P, built for million-vertex single trials)\ntelemetry:    --telemetry out.jsonl streams W(t) samples + phase events (CSV when PATH ends in .csv);\n              in campaign mode PATH is a directory receiving one trial-<seed>.jsonl per trial;\n              batch/sharded engines observe natively (block/round sampling lattice);\n              --spans PATH (campaign) writes Chrome-trace lifecycle spans (load in Perfetto)\nmonitoring:   --serve 127.0.0.1:9100 exposes /metrics (Prometheus), /progress (JSON), /healthz\nanalyze:      divlab analyze --traces DIR re-derives Lemma 3 / eq. (5) / eq. (4) checks offline"
+        "usage:\n  divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N] [--trace]\n                  [--telemetry PATH] [--sample-every K] [--spans PATH] [--faults SPEC] [--trials N] [--budget N] [--lanes K] [--shards P] [--threads T]\n                  [--checkpoint PATH] [--resume] [--stop-after N] [--serve ADDR] [--serve-linger SECS]\n  divlab campaign ...same flags as run (campaign mode forced, even at --trials 1)\n  divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N]\n                  [--faults SPEC] [--budget N] [--sample-every K] [--shards P] [--threads T]\n  divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded] [--seed N] [--trials N] [--faults SPEC] [--budget N]\n                  [--lanes K] [--shards P] [--threads T] [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]\n  divlab spectral --graph SPEC [--seed N]\n  divlab graph6   --graph SPEC [--seed N]\n  divlab analyze  --traces PATH [--out DIR]\n  divlab submit   --server HOST:PORT --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine fast|batch|reference|sharded]\n                  [--seed N] [--trials N] [--budget N] [--faults SPEC] [--lanes K] [--shards P] [--threads T] [--checkpoint-every K]\n                  [--client NAME] [--timeout SECS] [--detach] [--watch]   (client mode for a divd daemon)\n\ngraph specs:  complete:N path:N cycle:N star:N wheel:N grid:RxC torus:RxC\n              hypercube:D binary-tree:N barbell:H:B lollipop:H:T double-star:L:R\n              circulant:N:s1,s2 multipartite:a,b regular:N:D gnp:N:P ws:N:K:B ba:N:M\ninit specs:   uniform:K spread:K blocks:VxC,VxC,...\nfault specs:  drop:Q noise:P:D stale:P:AGE stubborn:K crash:P:OUTAGE (comma-separated), or none\nengines:      reference (observable baseline), fast (compiled scalar), batch (lockstep lanes;\n              campaigns step --lanes K trials together across --threads T workers, bit-exact vs fast),\n              sharded (--shards P concurrent vertex domains per trial on --threads T std threads;\n              deterministic for fixed seed+P, built for million-vertex single trials)\ntelemetry:    --telemetry out.jsonl streams W(t) samples + phase events (CSV when PATH ends in .csv);\n              in campaign mode PATH is a directory receiving one trial-<seed>.jsonl per trial;\n              batch/sharded engines observe natively (block/round sampling lattice);\n              --spans PATH (campaign) writes Chrome-trace lifecycle spans (load in Perfetto)\nmonitoring:   --serve 127.0.0.1:9100 exposes /metrics (Prometheus), /progress (JSON), /healthz\nanalyze:      divlab analyze --traces DIR re-derives Lemma 3 / eq. (5) / eq. (4) checks offline"
     );
     exit(0);
 }
@@ -176,7 +160,7 @@ fn flags_of(command: &str) -> Option<&'static str> {
         "spectral" | "graph6" => "graph init seed",
         "analyze" => "traces out",
         "submit" => {
-            "server graph init scheduler engine seed trials budget faults lanes threads \
+            "server graph init scheduler engine seed trials budget faults lanes shards threads \
              checkpoint-every client timeout detach watch"
         }
         _ => return None,
@@ -220,145 +204,80 @@ fn parse_opt<T: std::str::FromStr>(
         .transpose()
 }
 
-fn setup(opts: &HashMap<String, String>) -> Result<(div_graph::Graph, Vec<i64>, StdRng), String> {
-    let seed: u64 = parse_opt(opts, "seed")?.unwrap_or(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let gspec = opts.get("graph").ok_or("missing --graph SPEC")?;
-    let graph = spec::parse_graph(gspec, &mut rng)?;
-    if !div_graph::algo::is_connected(&graph) {
-        return Err(format!(
-            "graph {gspec:?} is not connected; voting cannot reach consensus"
-        ));
-    }
-    let ispec = opts.get("init").cloned().unwrap_or("uniform:5".to_string());
-    let opinions = spec::parse_opinions(&ispec, graph.num_vertices(), &mut rng)?;
-    Ok((graph, opinions, rng))
-}
-
-/// Resolves `--engine` against `--trace`, identically for every entry
-/// point (run, campaign, compare, stats): `--trace` needs the reference
-/// engine's per-step stage log, so fast+trace (and batch+trace) warns on
-/// stderr and falls back to the reference engine instead of erroring or
-/// silently ignoring the flag.
-fn resolve_engine(opts: &HashMap<String, String>) -> Result<Engine, String> {
-    let name = opts.map_or_default("engine", Engine::Reference.name());
-    let engine = Engine::parse(&name).ok_or_else(|| {
-        format!(
-            "unknown engine {name:?} (use {})",
-            Engine::list(&Engine::ALL)
-        )
-    })?;
-    if engine != Engine::Reference && opts.contains_key("trace") {
-        eprintln!(
-            "divlab: --trace needs the reference engine (the {engine} engine has no per-step \
-             stage log); falling back to --engine {}",
-            Engine::Reference
-        );
-        return Ok(Engine::Reference);
-    }
-    Ok(engine)
-}
-
-/// The one warning every engine demotion site prints: `what` is not
-/// supported by `engine`, so the run falls back to the scalar fast
-/// engine.  One phrasing for every site keeps the stderr contract
-/// greppable; regression tests pin this exact text for the batch and
-/// sharded engines.
-fn warn_demote(engine: Engine, what: &str) -> Engine {
-    eprintln!(
-        "divlab: {what} is not supported by the {engine} engine; falling back to --engine {}",
-        Engine::Fast
-    );
-    Engine::Fast
-}
-
-/// Demotes the sharded engine to fast when a non-trivial fault plan is
-/// configured: the sharded engine has no fault pipeline (faults inject
-/// into a single sequential step stream), so the scalar engine runs the
-/// trial instead, with a warning.
-fn demote_sharded_for_faults(engine: Engine, faults: &FaultPlan) -> Engine {
-    if engine == Engine::Sharded && !faults.is_trivial() {
-        return warn_demote(engine, "fault injection");
-    }
-    engine
-}
-
-/// Demotes the batch engine to fast for *fault-injected* observation
-/// only: the batch engine has no faulty observed path.  Fault-free batch
-/// and sharded runs stream telemetry natively through their own
-/// `run_observed` loops and are never demoted (the sharded+faults
-/// combination is already handled by [`demote_sharded_for_faults`]).
-fn demote_faulty_observers(engine: Engine, faults: &FaultPlan, what: &str) -> Engine {
-    if engine == Engine::Batch && !faults.is_trivial() {
-        return warn_demote(engine, what);
-    }
-    engine
-}
-
-/// Applies the engine knobs to `setup`: the sharded engine's `--shards
-/// P` concurrent vertex domains (default 4 — fixed, not machine-derived,
-/// so the same command line replays the same trajectory everywhere) and
-/// `--threads T` in-trial workers (default 0 = available parallelism;
-/// never affects the trajectory), plus the observers' sampling strides.
-/// This is where `--shards` is checked against the graph.
-fn engine_setup<'a>(
+/// The campaign spec `opts` describes: each campaign-key flag `--key
+/// value` is the spec line `key value`.  Local commands default to the
+/// reference engine and `local_trials` trials; `None` keeps the daemon's
+/// defaults ([`CampaignSpec::default`]).
+fn spec_of(
     opts: &HashMap<String, String>,
-    engine: Engine,
-    setup: TrialSetup<'a>,
-) -> Result<TrialSetup<'a>, String> {
-    let shards: usize = parse_opt(opts, "shards")?.unwrap_or(4);
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
+    local_trials: Option<usize>,
+) -> Result<CampaignSpec, String> {
+    if !opts.contains_key("graph") {
+        return Err("missing --graph SPEC".to_string());
     }
-    if engine == Engine::Sharded && shards > setup.graph.num_vertices() {
-        return Err(format!(
-            "--shards {shards} exceeds the graph's {} vertices",
-            setup.graph.num_vertices()
-        ));
+    let mut spec = CampaignSpec::default();
+    if let Some(trials) = local_trials {
+        spec.engine = Engine::Reference.name().to_string();
+        spec.trials = trials;
     }
-    Ok(TrialSetup {
-        shards,
-        shard_threads: parse_opt(opts, "threads")?.unwrap_or(0),
-        stride: parse_stride(opts)?,
-        engine_stride: parse_engine_stride(opts)?,
-        ..setup
-    })
+    for key in CampaignSpec::KEYS {
+        if let Some(value) = opts.get(key) {
+            spec.set(key, value)
+                .map_err(|e| format!("bad --{key} {value:?}: {e}"))?;
+        }
+    }
+    Ok(spec)
 }
 
-/// The campaign parallelism knobs: `--lanes K` trials stepped per
-/// lockstep group (batch engine only, default 8) and `--threads T`
-/// campaign worker threads (default 0 = available parallelism; the
-/// sharded engine spends them inside each trial instead).
-fn parse_batch_knobs(opts: &HashMap<String, String>) -> Result<(usize, usize), String> {
-    let lanes: usize = parse_opt(opts, "lanes")?.unwrap_or(8);
-    if lanes == 0 {
-        return Err("--lanes must be at least 1".to_string());
+/// Fault-free single runs, `stats` and `compare` run to consensus
+/// however long it takes unless `--budget` says otherwise; fault plans
+/// can obstruct consensus entirely, so they keep the finite default.
+fn lift_budget(spec: &mut CampaignSpec, opts: &HashMap<String, String>, faults: &FaultPlan) {
+    if faults.is_trivial() && !opts.contains_key("budget") {
+        spec.budget = u64::MAX;
     }
-    let threads: usize = parse_opt(opts, "threads")?.unwrap_or(0);
-    Ok((lanes, threads))
 }
 
-/// The `--sample-every` stride (default 64), validated.
-fn parse_stride(opts: &HashMap<String, String>) -> Result<u64, String> {
-    let stride: u64 = parse_opt(opts, "sample-every")?.unwrap_or(64);
-    if stride == 0 {
+/// Resolves `spec` into the campaign `front` runs on `inputs`: warns on
+/// stderr when the engine is demoted (every engine under `--trace`, the
+/// sharded engine under faults) and applies `--sample-every`.  The
+/// scalar engines sample every 64 steps by default; the batch and
+/// sharded engines round an explicit stride up to whole blocks or
+/// rounds, and without one pick their own low-overhead lattice
+/// (encoded as 0).
+fn campaign_of<'a>(
+    opts: &HashMap<String, String>,
+    spec: &CampaignSpec,
+    inputs: &'a CampaignInputs,
+    front: Front,
+) -> Result<Campaign<'a>, String> {
+    let stride: Option<u64> = parse_opt(opts, "sample-every")?;
+    if stride == Some(0) {
         return Err("--sample-every must be at least 1".to_string());
     }
-    Ok(stride)
+    let c = spec.campaign(inputs, front, opts.contains_key("trace"))?;
+    if let Some(why) = &c.demotion {
+        eprintln!("divlab: {why}");
+    }
+    let setup = TrialSetup {
+        stride: stride.unwrap_or(64),
+        engine_stride: stride.unwrap_or(0),
+        ..c.setup
+    };
+    Ok(Campaign { setup, ..c })
 }
 
-/// `--sample-every` for the batch/sharded engines, where explicitness
-/// matters: without the flag these engines use their own low-overhead
-/// default lattice (encoded as `0` — whole sample chunks / one sample per
-/// round), while an explicit value is rounded up to the engine's block or
-/// round granularity.  The scalar engines keep [`parse_stride`]'s
-/// historical default of 64.
-fn parse_engine_stride(opts: &HashMap<String, String>) -> Result<u64, String> {
-    if opts.contains_key("sample-every") {
-        parse_stride(opts)
-    } else {
-        Ok(0)
+/// Demotes the batch engine to fast, with the pinned demotion warning,
+/// for *fault-injected* observation only: the batch engine has no faulty
+/// observed path.  Fault-free batch and sharded runs stream telemetry
+/// natively through their own `run_observed` loops (the spec already
+/// demoted sharded+faults).
+fn demote_faulty_observers(engine: Engine, faults: &FaultPlan, what: &str) -> Engine {
+    if engine == Engine::Batch && !faults.is_trivial() {
+        eprintln!("divlab: {}", demotion(engine, what));
+        return Engine::Fast;
     }
+    engine
 }
 
 fn print_fault_stats(stats: &FaultStats) {
@@ -373,44 +292,31 @@ fn print_fault_stats(stats: &FaultStats) {
     );
 }
 
-/// A live `--serve` endpoint attached to the command currently running.
-struct Serving {
-    monitor: Arc<CampaignMonitor>,
-    server: MetricsServer,
-    linger_secs: u64,
-}
-
-impl Serving {
-    /// Flushes the command's report, optionally lingers so a final scrape
-    /// can be diffed against it, then stops the endpoint.
-    fn finish(self) {
-        use std::io::Write;
-        // Redirected stdout is block-buffered: flush so the report is
-        // visible to whoever scrapes during the linger window.
-        std::io::stdout().flush().ok();
-        std::io::stderr().flush().ok();
-        if self.linger_secs > 0 {
-            std::thread::sleep(std::time::Duration::from_secs(self.linger_secs));
-        }
-        self.server.shutdown();
-    }
-}
-
-/// Binds the `--serve ADDR` endpoint when requested; `None` otherwise.
-fn start_serving(opts: &HashMap<String, String>) -> Result<Option<Serving>, String> {
+/// Runs `cmd` with a live monitor when `--serve ADDR` asks for one.
+/// The endpoint outlives `cmd`: the report is flushed, then the endpoint
+/// lingers `--serve-linger` seconds so a final scrape can be diffed
+/// against it, then stops.
+fn served(
+    opts: &HashMap<String, String>,
+    cmd: impl FnOnce(Option<&CampaignMonitor>) -> Result<i32, String>,
+) -> Result<i32, String> {
+    use std::io::Write;
     let Some(addr) = opts.get("serve") else {
-        return Ok(None);
+        return cmd(None);
     };
     let linger_secs: u64 = parse_opt(opts, "serve-linger")?.unwrap_or(0);
     let monitor = Arc::new(CampaignMonitor::new());
     let server = MetricsServer::bind(addr, Arc::clone(&monitor))
         .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
     eprintln!("divlab: serving metrics on {}", server.local_addr());
-    Ok(Some(Serving {
-        monitor,
-        server,
-        linger_secs,
-    }))
+    let result = cmd(Some(&monitor));
+    // Redirected stdout is block-buffered: flush so the report is
+    // visible to whoever scrapes during the linger window.
+    std::io::stdout().flush().ok();
+    std::io::stderr().flush().ok();
+    std::thread::sleep(std::time::Duration::from_secs(linger_secs));
+    server.shutdown();
+    result
 }
 
 /// Observer adapter that mirrors two-adjacent phase crossings into the
@@ -507,109 +413,82 @@ impl SpanSink {
     }
 }
 
-fn cmd_run(opts: &HashMap<String, String>, force_campaign: bool) -> Result<i32, String> {
-    let serving = start_serving(opts)?;
-    let result = cmd_run_inner(opts, serving.as_ref().map(|s| &*s.monitor), force_campaign);
-    if let Some(s) = serving {
-        s.finish();
-    }
-    result
-}
-
-fn cmd_run_inner(
+fn cmd_run(
     opts: &HashMap<String, String>,
     monitor: Option<&CampaignMonitor>,
     force_campaign: bool,
 ) -> Result<i32, String> {
-    let (graph, opinions, mut rng) = setup(opts)?;
-    let scheduler = opts.map_or_default("scheduler", "edge");
-    let kind = parse_scheduler(&scheduler)?;
-    let c = match kind {
-        FastScheduler::Vertex => init::degree_weighted_average(&graph, &opinions),
-        _ => init::average(&opinions),
-    };
-    let pred = theory::win_prediction(c);
-    println!("{graph}; initial average c = {c:.4}");
-    println!(
-        "Theorem 2 prediction: {} w.p. {:.3}, {} w.p. {:.3}",
-        pred.lower, pred.p_lower, pred.upper, pred.p_upper
-    );
-
-    let faults_spec = opts.map_or_default("faults", "none");
-    let faults = FaultPlan::parse(&faults_spec)?;
-    let engine = demote_sharded_for_faults(resolve_engine(opts)?, &faults);
-    let trials: usize = parse_opt(opts, "trials")?.unwrap_or(1);
-    if trials == 0 {
-        return Err("--trials must be at least 1".to_string());
-    }
+    let mut spec = spec_of(opts, Some(1))?;
     let campaign_mode = force_campaign
-        || trials > 1
+        || spec.trials > 1
         || opts.contains_key("checkpoint")
         || opts.contains_key("resume")
         || opts.contains_key("stop-after");
-    // Fault plans can obstruct consensus entirely, so faulty and campaign
-    // runs default to a finite watchdog budget instead of u64::MAX.
-    let budget: u64 =
-        parse_opt(opts, "budget")?.unwrap_or(if faults.is_trivial() && !campaign_mode {
-            u64::MAX
-        } else {
-            1_000_000_000
-        });
-    // Validate the plan against this instance up front (e.g. more stubborn
-    // vertices than the graph has).
-    faults.session(&opinions).map_err(|e| e.to_string())?;
-    let setup = engine_setup(
-        opts,
-        engine,
-        TrialSetup {
-            monitor,
-            ..TrialSetup::new(&graph, &opinions, kind, &faults)
-        },
-    )?;
+    let (inputs, mut rng) = spec.build()?;
+    if !campaign_mode {
+        lift_budget(&mut spec, opts, &inputs.faults);
+    }
+    let mut c = campaign_of(opts, &spec, &inputs, Front::Run)?;
+    c.setup.monitor = monitor;
 
+    // Every usage error comes before the first line of stdout.
     let telemetry = opts.get("telemetry").map(PathBuf::from);
     if campaign_mode {
-        let telemetry_dir = match telemetry {
-            Some(path) if path.is_file() => {
+        c.cfg.checkpoint = opts.get("checkpoint").map(PathBuf::from);
+        c.cfg.resume = opts.contains_key("resume");
+        c.cfg.stop_after = parse_opt(opts, "stop-after")?;
+        if c.cfg.resume && c.cfg.checkpoint.is_none() {
+            return Err("--resume needs --checkpoint PATH".to_string());
+        }
+        if let Some(path) = &telemetry {
+            if path.is_file() {
                 return Err(format!(
                     "--telemetry {} exists as a regular file; campaign mode writes per-trial \
                      files into a directory",
                     path.display()
                 ));
             }
-            Some(path) => {
-                std::fs::create_dir_all(&path).map_err(|e| {
-                    format!("cannot create telemetry directory {}: {e}", path.display())
-                })?;
-                Some(path)
-            }
-            None => None,
-        };
-        return run_campaign_cmd(
-            opts,
-            &setup,
-            engine,
-            trials,
-            budget,
-            telemetry_dir.as_deref(),
+            std::fs::create_dir_all(path).map_err(|e| {
+                format!("cannot create telemetry directory {}: {e}", path.display())
+            })?;
+        }
+        print_prediction(&inputs, c.setup.kind);
+        return run_campaign_cmd(opts, &spec, c, telemetry.as_deref());
+    }
+    if telemetry.is_some() && opts.contains_key("trace") {
+        return Err(
+            "--trace and --telemetry are mutually exclusive (trace prints the reference \
+             engine's stage log; telemetry streams observer events)"
+                .to_string(),
         );
     }
+    check_single(&inputs)?;
+    let telemetry = telemetry
+        .map(|path| {
+            std::fs::File::create(&path)
+                .map(|file| (path.clone(), file))
+                .map_err(|e| format!("cannot create telemetry file {}: {e}", path.display()))
+        })
+        .transpose()?;
+    print_prediction(&inputs, c.setup.kind);
+
     if let Some(m) = monitor {
         m.set_expected(1);
         m.trial_started();
     }
-    if let Some(path) = telemetry {
-        if opts.contains_key("trace") {
-            return Err(
-                "--trace and --telemetry are mutually exclusive (trace prints the reference \
-                 engine's stage log; telemetry streams observer events)"
-                    .to_string(),
-            );
-        }
-        let engine = demote_faulty_observers(engine, &faults, "fault-injected telemetry");
-        let (outcome, label, telemetry_err) =
-            run_telemetry_export(&setup, engine, &scheduler, budget, &mut rng, &path)?;
-        let code = finish_single_run(outcome, &label, monitor)?;
+    let scheduler = spec.scheduler.as_str();
+    if let Some((path, file)) = telemetry {
+        let engine = demote_faulty_observers(c.engine, &inputs.faults, "fault-injected telemetry");
+        let (outcome, label, telemetry_err) = run_telemetry_export(
+            &c.setup,
+            engine,
+            scheduler,
+            spec.budget,
+            &mut rng,
+            &path,
+            file,
+        );
+        let code = finish_single_run(outcome, &label, monitor);
         if let Some(err) = telemetry_err {
             // The run itself finished, but its exported trajectory is
             // incomplete on disk: that is data loss, not a usage error.
@@ -618,32 +497,31 @@ fn cmd_run_inner(
         }
         return Ok(code);
     }
-    if engine != Engine::Reference {
+    if c.engine != Engine::Reference {
         let (outcome, label) = single_run(
-            &setup,
-            engine,
-            &scheduler,
-            budget,
+            &c.setup,
+            c.engine,
+            scheduler,
+            spec.budget,
             &mut rng,
             &mut NullObserver,
-        )?;
-        return finish_single_run(outcome, &label, monitor);
+        );
+        return Ok(finish_single_run(outcome, &label, monitor));
     }
 
     // The unobserved reference run also records the stage log behind the
     // elimination order and `--trace`.
     fn reference_single<S: Scheduler>(
-        graph: &div_graph::Graph,
-        opinions: &[i64],
+        inputs: &CampaignInputs,
         scheduler: S,
-        faults: &FaultPlan,
         budget: u64,
         rng: &mut StdRng,
-    ) -> Result<(RunStatus, StageLog, FaultStats, bool, i64, i64), String> {
+    ) -> (RunStatus, StageLog, FaultStats, bool, i64, i64) {
+        let opinions = &inputs.opinions;
         let mut p =
-            DivProcess::new(graph, opinions.to_vec(), scheduler).map_err(|e| e.to_string())?;
+            DivProcess::new(&inputs.graph, opinions.clone(), scheduler).expect("validated inputs");
         let mut log = StageLog::new(p.state());
-        let mut session = faults.session(opinions).map_err(|e| e.to_string())?;
+        let mut session = inputs.faults.session(opinions).expect("validated inputs");
         let status = p.run_faulty_until(
             budget,
             &mut session,
@@ -652,35 +530,15 @@ fn cmd_run_inner(
             |ev, st| log.observe(ev, st),
         );
         let s = p.state();
-        Ok((
-            status,
-            log,
-            *session.stats(),
-            s.is_two_adjacent(),
-            s.min_opinion(),
-            s.max_opinion(),
-        ))
+        let (two_adjacent, low, high) = (s.is_two_adjacent(), s.min_opinion(), s.max_opinion());
+        (status, log, *session.stats(), two_adjacent, low, high)
     }
     let (status, log, stats, two_adjacent, low, high) = if scheduler == "edge" {
-        reference_single(
-            &graph,
-            &opinions,
-            EdgeScheduler::new(),
-            &faults,
-            budget,
-            &mut rng,
-        )?
+        reference_single(&inputs, EdgeScheduler::new(), spec.budget, &mut rng)
     } else {
-        reference_single(
-            &graph,
-            &opinions,
-            VertexScheduler::new(),
-            &faults,
-            budget,
-            &mut rng,
-        )?
+        reference_single(&inputs, VertexScheduler::new(), spec.budget, &mut rng)
     };
-    if !faults.is_trivial() {
+    if !inputs.faults.is_trivial() {
         print_fault_stats(&stats);
         publish_faults(monitor, &stats);
     }
@@ -688,7 +546,7 @@ fn cmd_run_inner(
         outcome_of(status, two_adjacent, low, high),
         &format!("{scheduler} scheduler"),
         monitor,
-    )?;
+    );
     if code == 0 {
         println!("elimination order: {:?}", log.elimination_order());
         if opts.contains_key("trace") {
@@ -696,6 +554,30 @@ fn cmd_run_inner(
         }
     }
     Ok(code)
+}
+
+/// The engines' own constructor check for a single run, as a usage
+/// error rather than a panic inside the executor.  (A campaign records
+/// such a trial as panicked.)
+fn check_single(inputs: &CampaignInputs) -> Result<(), String> {
+    OpinionState::new(&inputs.graph, inputs.opinions.clone())
+        .map(drop)
+        .map_err(|e| e.to_string())
+}
+
+/// Prints the `run` banner: the graph, its initial average (degree
+/// weighted for the vertex process) and Theorem 2's prediction.
+fn print_prediction(inputs: &CampaignInputs, kind: FastScheduler) {
+    let c = match kind {
+        FastScheduler::Vertex => init::degree_weighted_average(&inputs.graph, &inputs.opinions),
+        _ => init::average(&inputs.opinions),
+    };
+    let pred = theory::win_prediction(c);
+    println!("{}; initial average c = {c:.4}", inputs.graph);
+    println!(
+        "Theorem 2 prediction: {} w.p. {:.3}, {} w.p. {:.3}",
+        pred.lower, pred.p_lower, pred.upper, pred.p_upper
+    );
 }
 
 /// Runs one single (non-campaign) trial on `engine`, watched by `obs`,
@@ -711,10 +593,7 @@ fn single_run<O: Observer>(
     budget: u64,
     rng: &mut StdRng,
     obs: &mut O,
-) -> Result<(TrialOutcome, String), String> {
-    // The engines' own constructor check, as a usage error rather than a
-    // panic inside the executor.
-    OpinionState::new(setup.graph, setup.opinions.to_vec()).map_err(|e| e.to_string())?;
+) -> (TrialOutcome, String) {
     let wide = engine == Engine::Batch && exceeds_lane_span(setup.opinions);
     if wide {
         // Wider than the u16 lane columns: the scalar fast engine replays
@@ -751,17 +630,13 @@ fn single_run<O: Observer>(
         _ if wide => format!("{scheduler} scheduler, {engine} engine (scalar fallback)"),
         _ => format!("{scheduler} scheduler, {engine} engine"),
     };
-    Ok((run.outcome, label))
+    (run.outcome, label)
 }
 
 /// Prints the single-run verdict and picks the exit code (0 clean,
 /// 3 degraded), publishing the outcome to the live monitor when one is
 /// attached.
-fn finish_single_run(
-    outcome: TrialOutcome,
-    label: &str,
-    monitor: Option<&CampaignMonitor>,
-) -> Result<i32, String> {
+fn finish_single_run(outcome: TrialOutcome, label: &str, monitor: Option<&CampaignMonitor>) -> i32 {
     if let Some(m) = monitor {
         // record_outcome also bumps `finished` (publication ordering lives
         // in the monitor, not here).
@@ -770,15 +645,15 @@ fn finish_single_run(
     match outcome {
         TrialOutcome::Converged { winner, steps } => {
             println!("consensus on {winner} after {steps} steps ({label})");
-            Ok(0)
+            0
         }
         TrialOutcome::TwoAdjacent { low, high, steps } => {
             println!("degraded: stuck between {low} and {high} after {steps} steps ({label})");
-            Ok(3)
+            3
         }
         TrialOutcome::Timeout { steps } => {
             println!("degraded: no consensus within {steps} steps ({label})");
-            Ok(3)
+            3
         }
         TrialOutcome::Panicked { .. } => unreachable!("single runs propagate panics"),
     }
@@ -789,21 +664,24 @@ fn finish_single_run(
 /// per-trial telemetry export, lifecycle spans and live monitoring.
 fn run_campaign_cmd(
     opts: &HashMap<String, String>,
-    setup: &TrialSetup<'_>,
-    engine: Engine,
-    trials: usize,
-    budget: u64,
+    spec: &CampaignSpec,
+    mut c: Campaign<'_>,
     telemetry_dir: Option<&Path>,
 ) -> Result<i32, String> {
     // Fault-free batch/sharded campaigns keep their native engines under
     // `--telemetry DIR`: lanes snapshot on the block lattice, shards
     // combine at round boundaries.  Only fault-injected batch telemetry
     // still demotes (the batch engine has no faulty observed path).
-    let engine = if telemetry_dir.is_some() {
-        demote_faulty_observers(engine, setup.faults, "fault-injected per-trial telemetry")
-    } else {
-        engine
-    };
+    if telemetry_dir.is_some() {
+        c.engine = demote_faulty_observers(
+            c.engine,
+            c.setup.faults,
+            "fault-injected per-trial telemetry",
+        );
+        // The manifest names the engine the trials really run on.
+        c.cfg.tag = spec.tag(Front::Run, c.engine);
+    }
+    let (engine, setup, cfg) = (c.engine, &c.setup, &c.cfg);
     if engine == Engine::Batch && exceeds_lane_span(setup.opinions) {
         // The lockstep groups cannot hold this span in their u16 lane
         // columns; the executor runs every group per lane on the scalar
@@ -814,22 +692,6 @@ fn run_campaign_cmd(
             BatchProcess::LANE_SPAN_LIMIT
         );
     }
-    let (lanes, threads) = parse_batch_knobs(opts)?;
-    let master: u64 = parse_opt(opts, "seed")?.unwrap_or(1);
-    let mut cfg = CampaignConfig::new(trials, master);
-    cfg.step_budget = budget;
-    cfg.checkpoint = opts.get("checkpoint").map(PathBuf::from);
-    cfg.resume = opts.contains_key("resume");
-    cfg.stop_after = parse_opt(opts, "stop-after")?;
-    cfg.threads = threads;
-    if cfg.resume && cfg.checkpoint.is_none() {
-        return Err("--resume needs --checkpoint PATH".to_string());
-    }
-    let gspec = opts.map_or_default("graph", "");
-    let ispec = opts.map_or_default("init", "uniform:5");
-    let scheduler = opts.map_or_default("scheduler", "edge");
-    let faults_spec = opts.map_or_default("faults", "none");
-    cfg.tag = format!("run {gspec} {ispec} {scheduler} {engine} {faults_spec} {budget}");
 
     // Live scrapes can identify what is running before the first trial
     // finishes (`div_engine_info{engine,kernel_tier}`).
@@ -839,7 +701,7 @@ fn run_campaign_cmd(
     }
     let spans = opts
         .get("spans")
-        .map(|p| SpanSink::new(PathBuf::from(p), master));
+        .map(|p| SpanSink::new(PathBuf::from(p), cfg.master_seed));
 
     // Telemetry export failures (file creation, latched write errors) must
     // not kill the campaign — the trial result is still sound — but they
@@ -870,13 +732,13 @@ fn run_campaign_cmd(
         monitor,
         ..CampaignHooks::default()
     };
-    let report = run_engine_campaign(engine, setup, &cfg, lanes, hooks, Some(&around))
+    let report = run_engine_campaign(engine, setup, cfg, c.lanes, hooks, Some(&around))
         .map_err(|e| e.to_string())?;
 
     let mut span_lost = false;
     if let Some(sink) = spans {
         let path = sink.path.clone();
-        match sink.finish(engine.name(), trials) {
+        match sink.finish(engine.name(), cfg.trials) {
             Ok(()) => eprintln!("divlab: lifecycle spans written to {}", path.display()),
             Err(e) => {
                 span_lost = true;
@@ -986,10 +848,11 @@ fn run_traced(
 }
 
 /// The `--telemetry PATH` mode of `divlab run`: streams the observed
-/// single run to a JSONL file, or CSV when the path ends in `.csv`.
+/// single run to `file`, created at `path` before the banner: JSONL, or
+/// CSV when the path ends in `.csv`.
 ///
-/// A file that cannot be created is a usage/IO error (`Err`, exit 2).  A
-/// *latched* exporter write error is different: the run itself completed,
+/// A *latched* exporter write error is not a usage error: the run itself
+/// completed,
 /// so the outcome and label come back normally with the error text in the
 /// third slot, and the caller maps it to exit code 4 (data loss) after
 /// printing the verdict.
@@ -1000,19 +863,18 @@ fn run_telemetry_export(
     budget: u64,
     rng: &mut StdRng,
     path: &Path,
-) -> Result<(TrialOutcome, String, Option<String>), String> {
-    let file = std::fs::File::create(path)
-        .map_err(|e| format!("cannot create telemetry file {}: {e}", path.display()))?;
+    file: std::fs::File,
+) -> (TrialOutcome, String, Option<String>) {
     let out = BufWriter::new(file);
     let csv = path.extension().and_then(|e| e.to_str()) == Some("csv");
     let relay = PhaseToMonitor(setup.monitor);
     let ((outcome, label), write_err) = if csv {
         let mut obs = (CsvExporter::new(out), relay);
-        let r = single_run(setup, engine, scheduler, budget, rng, &mut obs)?;
+        let r = single_run(setup, engine, scheduler, budget, rng, &mut obs);
         (r, obs.0.finish().err())
     } else {
         let mut obs = (JsonlExporter::new(out), relay);
-        let r = single_run(setup, engine, scheduler, budget, rng, &mut obs)?;
+        let r = single_run(setup, engine, scheduler, budget, rng, &mut obs);
         (r, obs.0.finish().err())
     };
     let telemetry_err =
@@ -1025,40 +887,39 @@ fn run_telemetry_export(
             path.display()
         );
     }
-    Ok((outcome, label, telemetry_err))
+    (outcome, label, telemetry_err)
 }
 
 /// The `stats` subcommand: one observed run into an in-memory recorder,
 /// summarised as the trajectory-level view of the run (phases, `W(t)`
 /// excursion, sampling coverage).
 fn cmd_stats(opts: &HashMap<String, String>) -> Result<i32, String> {
-    let (graph, opinions, mut rng) = setup(opts)?;
-    let scheduler = opts.map_or_default("scheduler", "edge");
-    let kind = parse_scheduler(&scheduler)?;
-    let faults_spec = opts.map_or_default("faults", "none");
-    let faults = FaultPlan::parse(&faults_spec)?;
+    let mut spec = spec_of(opts, Some(1))?;
+    let (inputs, mut rng) = spec.build()?;
+    lift_budget(&mut spec, opts, &inputs.faults);
+    let c = campaign_of(opts, &spec, &inputs, Front::Run)?;
     // Fault-free batch/sharded stats run natively on their own engines;
     // only fault-injected observation falls back to fast (uniform
     // warning in both cases — no more silent demotion).
-    let engine = demote_sharded_for_faults(resolve_engine(opts)?, &faults);
-    let engine = demote_faulty_observers(engine, &faults, "fault-injected observation");
-    faults.session(&opinions).map_err(|e| e.to_string())?;
-    let budget: u64 = parse_opt(opts, "budget")?.unwrap_or(if faults.is_trivial() {
-        u64::MAX
-    } else {
-        1_000_000_000
-    });
-    let setup = engine_setup(
-        opts,
-        engine,
-        TrialSetup::new(&graph, &opinions, kind, &faults),
-    )?;
-    let stride = setup.stride;
-    println!("{graph}; c = {:.4}", init::average(&opinions));
+    let engine = demote_faulty_observers(c.engine, &inputs.faults, "fault-injected observation");
+    let (setup, stride) = (&c.setup, c.setup.stride);
+    check_single(&inputs)?;
+    println!(
+        "{}; c = {:.4}",
+        inputs.graph,
+        init::average(&inputs.opinions)
+    );
 
     let mut rec = RingRecorder::new(4096);
-    let (outcome, label) = single_run(&setup, engine, &scheduler, budget, &mut rng, &mut rec)?;
-    let code = finish_single_run(outcome, &label, None)?;
+    let (outcome, label) = single_run(
+        setup,
+        engine,
+        &spec.scheduler,
+        spec.budget,
+        &mut rng,
+        &mut rec,
+    );
+    let code = finish_single_run(outcome, &label, None);
 
     let first = rec.samples().first().expect("observed runs always start");
     let last = rec.final_sample().expect("observed runs always finish");
@@ -1095,76 +956,50 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<i32, String> {
     Ok(code)
 }
 
-fn cmd_compare(opts: &HashMap<String, String>) -> Result<i32, String> {
-    let serving = start_serving(opts)?;
-    let result = cmd_compare_inner(opts, serving.as_ref().map(|s| &*s.monitor));
-    if let Some(s) = serving {
-        s.finish();
-    }
-    result
-}
-
-/// `compare` proper.  The live monitor (when attached) tracks the div
+/// The `compare` subcommand.  The live monitor (when attached) tracks the div
 /// campaign row; baseline rows run unmonitored so the scrape's expected /
 /// outcome counts describe exactly one campaign.
-fn cmd_compare_inner(
+fn cmd_compare(
     opts: &HashMap<String, String>,
     monitor: Option<&CampaignMonitor>,
 ) -> Result<i32, String> {
-    let (graph, opinions, _) = setup(opts)?;
-    let trials: usize = parse_opt(opts, "trials")?.unwrap_or(50);
-    let seed: u64 = opts.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let faults_spec = opts.map_or_default("faults", "none");
-    let faults = FaultPlan::parse(&faults_spec)?;
-    let engine = demote_sharded_for_faults(resolve_engine(opts)?, &faults);
-    faults.session(&opinions).map_err(|e| e.to_string())?;
-    let budget: u64 = parse_opt(opts, "budget")?.unwrap_or(if faults.is_trivial() {
-        u64::MAX
-    } else {
-        1_000_000_000
-    });
-    let c = init::average(&opinions);
+    let mut spec = spec_of(opts, Some(50))?;
+    let (inputs, _) = spec.build()?;
+    lift_budget(&mut spec, opts, &inputs.faults);
+    let mut div = campaign_of(opts, &spec, &inputs, Front::Compare)?;
+    // The div row runs as a resilient campaign: fault injection, panic
+    // isolation, optional checkpoint/resume.  Trials run exactly as in a
+    // standalone campaign, so the row is the same pure function of
+    // (seed ^ 3, engine knobs) as `divlab campaign` with that master
+    // seed; `seed ^ 3` keeps the per-trial seeds identical to the
+    // historical `seed ^ "div".len()`.
+    let (trials, seed) = (spec.trials, spec.seed);
+    div.cfg.master_seed = seed ^ 3;
+    div.cfg.checkpoint = opts.get("checkpoint").map(PathBuf::from);
+    div.cfg.resume = opts.contains_key("resume");
+    if div.cfg.resume && div.cfg.checkpoint.is_none() {
+        return Err("--resume needs --checkpoint PATH".to_string());
+    }
+    div.setup.monitor = monitor;
+    let (graph, opinions) = (&inputs.graph, &inputs.opinions);
+    let c = init::average(opinions);
     println!(
         "{graph}; c = {c:.3}; mode/median of the initial opinions vs each process, {trials} trials"
     );
-    if !faults.is_trivial() {
-        println!("fault plan {faults_spec} applies to the div row only (baselines run clean)");
+    if !inputs.faults.is_trivial() {
+        println!(
+            "fault plan {} applies to the div row only (baselines run clean)",
+            spec.faults
+        );
     }
 
     let mut table = Table::new(&["process", "winner histogram (opinion: runs)"]);
-
-    // The div row runs as a resilient campaign: fault injection, panic
-    // isolation, optional checkpoint/resume.  `seed ^ 3` keeps the
-    // per-trial seeds identical to the historical `seed ^ "div".len()`.
-    let mut cfg = CampaignConfig::new(trials, seed ^ 3);
-    cfg.step_budget = budget;
-    cfg.checkpoint = opts.get("checkpoint").map(PathBuf::from);
-    cfg.resume = opts.contains_key("resume");
-    if cfg.resume && cfg.checkpoint.is_none() {
-        return Err("--resume needs --checkpoint PATH".to_string());
-    }
-    let gspec = opts.map_or_default("graph", "");
-    let ispec = opts.map_or_default("init", "uniform:5");
-    cfg.tag = format!("compare div {gspec} {ispec} {engine} {faults_spec} {budget}");
-    // Trials run exactly as in a standalone campaign, so the div row is
-    // the same pure function of (seed ^ 3, engine knobs) as `divlab
-    // campaign` with that master seed — sharded rows included.
-    let (lanes, threads) = parse_batch_knobs(opts)?;
-    cfg.threads = threads;
-    let setup = engine_setup(
-        opts,
-        engine,
-        TrialSetup {
-            monitor,
-            ..TrialSetup::new(&graph, &opinions, FastScheduler::Edge, &faults)
-        },
-    )?;
     let hooks = CampaignHooks {
         monitor,
         ..CampaignHooks::default()
     };
-    let report =
-        run_engine_campaign(engine, &setup, &cfg, lanes, hooks, None).map_err(|e| e.to_string())?;
+    let report = run_engine_campaign(div.engine, &div.setup, &div.cfg, div.lanes, hooks, None)
+        .map_err(|e| e.to_string())?;
     let mut rendered: Vec<String> = report
         .winner_histogram()
         .iter()
@@ -1191,23 +1026,23 @@ fn cmd_compare_inner(
             let ops = opinions.clone();
             match name {
                 "pull" => {
-                    let mut p = PullVoting::new(&graph, ops, EdgeScheduler::new()).unwrap();
+                    let mut p = PullVoting::new(graph, ops, EdgeScheduler::new()).unwrap();
                     run_to_consensus(&mut p, u64::MAX, &mut rng).consensus_opinion()
                 }
                 "push" => {
-                    let mut p = PushVoting::new(&graph, ops).unwrap();
+                    let mut p = PushVoting::new(graph, ops).unwrap();
                     run_to_consensus(&mut p, u64::MAX, &mut rng).consensus_opinion()
                 }
                 "median" => {
-                    let mut p = MedianVoting::new(&graph, ops).unwrap();
+                    let mut p = MedianVoting::new(graph, ops).unwrap();
                     run_to_consensus(&mut p, u64::MAX, &mut rng).consensus_opinion()
                 }
                 "best-of-3" => {
-                    let mut p = BestOfK::new(&graph, ops, 3).unwrap();
+                    let mut p = BestOfK::new(graph, ops, 3).unwrap();
                     run_to_consensus(&mut p, u64::MAX, &mut rng).consensus_opinion()
                 }
                 "load-balancing (near-balance low)" => {
-                    let mut p = LoadBalancing::new(&graph, ops).unwrap();
+                    let mut p = LoadBalancing::new(graph, ops).unwrap();
                     // LB may never reach consensus; near-balance midpoint.
                     p.run_to_near_balance(u64::MAX, &mut rng);
                     Some(p.state().min_opinion())
@@ -1239,7 +1074,7 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<i32, String> {
         .get("traces")
         .map(PathBuf::from)
         .ok_or("missing --traces PATH (a trace file or a directory of traces)")?;
-    let out_dir = PathBuf::from(opts.map_or_default("out", "results"));
+    let out_dir = PathBuf::from(opts.get("out").map_or("results", String::as_str));
     let report = div_bench::analyze::analyze_path(&traces)?;
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create output directory {}: {e}", out_dir.display()))?;
@@ -1265,8 +1100,9 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<i32, String> {
     }
 }
 
-/// Client mode for a `divd` daemon: builds the line-based job spec from
-/// the familiar campaign flags, submits it with the `X-Client` fairness
+/// Client mode for a `divd` daemon: renders the [`CampaignSpec`] the
+/// campaign flags describe (over the daemon's defaults, so a missing
+/// `--engine` means `fast`), submits it with the `X-Client` fairness
 /// token, waits by following the daemon's `/results` stream (which ends
 /// with `end <state>` once the job is terminal), then prints the final
 /// report to stdout.  Exit codes mirror `divlab campaign`: 0 clean,
@@ -1277,6 +1113,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<i32, String> {
     use std::time::Duration;
 
     let server = opts.get("server").ok_or("missing --server HOST:PORT")?;
+    let spec = spec_of(opts, None)?.render();
     let addr = {
         use std::net::ToSocketAddrs;
         server
@@ -1285,25 +1122,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<i32, String> {
             .next()
             .ok_or_else(|| format!("--server {server:?} resolved to no address"))?
     };
-    let gspec = opts.get("graph").ok_or("missing --graph SPEC")?;
-    let mut spec = format!("graph {gspec}\n");
-    for key in [
-        "init",
-        "scheduler",
-        "engine",
-        "seed",
-        "trials",
-        "budget",
-        "faults",
-        "lanes",
-        "threads",
-        "checkpoint-every",
-    ] {
-        if let Some(v) = opts.get(key) {
-            spec.push_str(&format!("{key} {v}\n"));
-        }
-    }
-    let client = opts.map_or_default("client", "divlab");
+    let client = opts.get("client").map_or("divlab", String::as_str);
     let wait_secs: u64 = parse_opt(opts, "timeout")?.unwrap_or(600);
     let quick = Duration::from_secs(10);
 
@@ -1311,7 +1130,7 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<i32, String> {
         addr,
         "POST",
         "/campaigns",
-        &[("X-Client", &client)],
+        &[("X-Client", client)],
         spec.as_bytes(),
         quick,
     )
@@ -1404,8 +1223,15 @@ fn cmd_submit(opts: &HashMap<String, String>) -> Result<i32, String> {
     }
 }
 
+/// The graph `--graph`, `--init` and `--seed` describe, built and
+/// validated exactly as a campaign builds it.
+fn graph_of(opts: &HashMap<String, String>) -> Result<div_graph::Graph, String> {
+    let (inputs, _) = spec_of(opts, None)?.build()?;
+    Ok(inputs.graph)
+}
+
 fn cmd_spectral(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (graph, _, _) = setup(opts)?;
+    let graph = graph_of(opts)?;
     let stats = div_graph::algo::degree_stats(&graph);
     let pi = div_spectral::StationaryDistribution::new(&graph).map_err(|e| e.to_string())?;
     let lambda = div_spectral::lambda(&graph).map_err(|e| e.to_string())?;
@@ -1440,20 +1266,7 @@ fn cmd_spectral(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_graph6(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (graph, _, _) = setup(opts)?;
+    let graph = graph_of(opts)?;
     println!("{}", div_graph::graph6::encode(&graph));
     Ok(())
-}
-
-/// Small ergonomic helper for flag maps.
-trait MapExt {
-    fn map_or_default(&self, key: &str, default: &str) -> String;
-}
-
-impl MapExt for HashMap<String, String> {
-    fn map_or_default(&self, key: &str, default: &str) -> String {
-        self.get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
 }

@@ -159,10 +159,12 @@ pub struct TrialRun {
 /// One campaign's trial inputs: everything an executor needs besides the
 /// trial's seed and step budget.
 ///
-/// Inputs are validated by whoever builds the setup (graph connectivity,
-/// the fault plan against the opinions, `shards` against the graph);
-/// executors treat a violation as a bug and panic, which the campaign
-/// driver records as a [`TrialOutcome::Panicked`] slot.
+/// Inputs are validated by whoever builds the setup (normally
+/// [`CampaignSpec`](crate::spec::CampaignSpec)'s `build` and `campaign`:
+/// graph connectivity, the fault plan against the opinions, `shards`
+/// against the graph); executors treat a violation as a bug and panic,
+/// which the campaign driver records as a [`TrialOutcome::Panicked`]
+/// slot.
 #[derive(Clone, Copy)]
 pub struct TrialSetup<'a> {
     /// The interaction graph.

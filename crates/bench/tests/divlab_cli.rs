@@ -436,6 +436,216 @@ fn unknown_engine_names_all_variants() {
 }
 
 #[test]
+fn usage_errors_come_before_any_stdout() {
+    let existing = temp_file("regular", "txt");
+    std::fs::write(&existing, "x").unwrap();
+    let existing = existing.to_str().unwrap();
+    for (args, needle) in [
+        (
+            &[
+                "compare",
+                "--graph",
+                "complete:10",
+                "--trials",
+                "2",
+                "--engine",
+                "sharded",
+                "--shards",
+                "20",
+            ][..],
+            "shards 20 exceeds the graph's 10 vertices",
+        ),
+        (
+            &[
+                "run",
+                "--graph",
+                "complete:10",
+                "--engine",
+                "sharded",
+                "--shards",
+                "11",
+            ][..],
+            "exceeds the graph's 10 vertices",
+        ),
+        (
+            &["run", "--graph", "complete:10", "--shards", "0"][..],
+            "--shards",
+        ),
+        (
+            &["campaign", "--graph", "complete:10", "--resume"][..],
+            "--resume needs --checkpoint",
+        ),
+        (
+            &["campaign", "--graph", "complete:10", "--stop-after", "x"][..],
+            "--stop-after",
+        ),
+        (
+            &[
+                "campaign",
+                "--graph",
+                "complete:10",
+                "--telemetry",
+                existing,
+            ][..],
+            "regular file",
+        ),
+        (
+            &[
+                "run",
+                "--graph",
+                "complete:10",
+                "--trace",
+                "--telemetry",
+                "t.jsonl",
+            ][..],
+            "mutually exclusive",
+        ),
+        (
+            &["run", "--graph", "complete:10", "--sample-every", "0"][..],
+            "--sample-every",
+        ),
+        (
+            &["stats", "--graph", "complete:10", "--faults", "stubborn:11"][..],
+            "stubborn",
+        ),
+        (
+            &["compare", "--graph", "complete:10", "--lanes", "0"][..],
+            "--lanes",
+        ),
+    ] {
+        let out = divlab(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{args:?} printed before failing");
+    }
+    let _ = std::fs::remove_file(existing);
+}
+
+#[test]
+fn sharded_checkpoints_refuse_a_different_shard_count() {
+    // A sharded trajectory is a function of (seed, shards): a manifest
+    // written at P=2 must not be completed at P=4.
+    let manifest = temp_file("shards", "manifest");
+    let path = manifest.to_str().unwrap();
+    let campaign = |shards: &str, extra: &[&str]| {
+        let mut args = vec![
+            "campaign",
+            "--graph",
+            "cycle:40",
+            "--init",
+            "uniform:5",
+            "--engine",
+            "sharded",
+            "--seed",
+            "5",
+            "--trials",
+            "6",
+            "--threads",
+            "1",
+            "--shards",
+            shards,
+            "--checkpoint",
+            path,
+        ];
+        args.extend_from_slice(extra);
+        divlab(&args)
+    };
+    let partial = campaign("2", &["--stop-after", "3"]);
+    assert_eq!(
+        partial.status.code(),
+        Some(4),
+        "stderr: {}",
+        stderr(&partial)
+    );
+    let resumed = campaign("4", &["--resume"]);
+    assert_eq!(
+        resumed.status.code(),
+        Some(2),
+        "stderr: {}",
+        stderr(&resumed)
+    );
+    assert!(
+        stderr(&resumed).contains("manifest tag")
+            && stderr(&resumed).contains("sharded none 1000000000 shards 2\"")
+            && stderr(&resumed).contains("shards 4\""),
+        "stderr: {}",
+        stderr(&resumed)
+    );
+    let resumed = campaign("2", &["--resume"]);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr(&resumed)
+    );
+    // ...and completes to the uninterrupted run's report.
+    assert_eq!(stdout(&resumed), stdout(&campaign("2", &[])));
+    let _ = std::fs::remove_file(&manifest);
+}
+
+#[test]
+fn manifests_in_the_older_tag_formats_still_resume() {
+    // `compare` tags never named the scheduler, and a faulty batch
+    // campaign under `--telemetry` runs (and is tagged) as fast.  A
+    // partial manifest written in those formats must finish to the
+    // uninterrupted report.
+    let compare: &[&str] = &[
+        "compare",
+        "--graph",
+        "complete:10",
+        "--engine",
+        "batch",
+        "--trials",
+        "6",
+    ];
+    let compare_tag = "compare div complete:10 uniform:5 batch none 18446744073709551615";
+    let dir = temp_file("old-tags", "d");
+    let telemetry = dir.to_str().unwrap();
+    let run: &[&str] = &[
+        "campaign",
+        "--graph",
+        "cycle:12",
+        "--engine",
+        "batch",
+        "--trials",
+        "6",
+        "--faults",
+        "drop:0.1",
+        "--telemetry",
+        telemetry,
+    ];
+    let run_tag = "run cycle:12 uniform:5 edge fast drop:0.1 1000000000";
+    for (args, master, tag) in [(compare, 2, compare_tag), (run, 1, run_tag)] {
+        let manifest = temp_file("old-tag", "manifest");
+        let path = manifest.to_str().unwrap();
+        let with_manifest = |extra: &[&str]| {
+            let mut all = args.to_vec();
+            all.extend_from_slice(&["--checkpoint", path]);
+            all.extend_from_slice(extra);
+            divlab(&all)
+        };
+        let full = with_manifest(&[]);
+        assert_eq!(full.status.code(), Some(0), "{}", stderr(&full));
+        let written = std::fs::read_to_string(&manifest).unwrap();
+        let trials: Vec<&str> = written
+            .lines()
+            .filter(|l| l.starts_with("trial "))
+            .collect();
+        assert_eq!(trials.len(), 6);
+        let old = format!(
+            "divlab-campaign v1\nmaster {master}\ntrials 6\ntag {tag}\n{}\n",
+            trials[..3].join("\n")
+        );
+        std::fs::write(&manifest, old).unwrap();
+        let resumed = with_manifest(&["--resume"]);
+        assert_eq!(resumed.status.code(), Some(0), "{}", stderr(&resumed));
+        assert_eq!(stdout(&resumed), stdout(&full), "{args:?}");
+        let _ = std::fs::remove_file(&manifest);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn campaign_subcommand_forces_campaign_mode_at_one_trial() {
     let out = divlab(&[
         "campaign",

@@ -60,28 +60,59 @@ const CAMPAIGN_FLAGS: &[&str] = &[
 #[test]
 fn submit_prints_the_byte_identical_local_campaign_report() {
     let (daemon, addr, dir) = start_daemon("identical");
+    let variants: &[&[&str]] = &[
+        &["--engine", "fast"],
+        &["--engine", "batch", "--lanes", "2"],
+        &["--engine", "reference"],
+        &["--engine", "sharded", "--shards", "3", "--threads", "2"],
+        &["--engine", "fast", "--faults", "drop:0.1"],
+    ];
+    let mut reports = Vec::new();
+    for extra in variants {
+        let mut flags: Vec<&str> = CAMPAIGN_FLAGS
+            .chunks(2)
+            .filter(|kv| kv[0] != "--engine")
+            .flatten()
+            .copied()
+            .collect();
+        flags.extend_from_slice(extra);
 
-    let mut args = vec!["submit", "--server", addr.as_str()];
-    args.extend_from_slice(CAMPAIGN_FLAGS);
-    let remote = divlab(&args);
-    assert_eq!(remote.status.code(), Some(0), "stderr: {}", stderr(&remote));
+        let mut args = vec!["submit", "--server", addr.as_str()];
+        args.extend_from_slice(&flags);
+        let remote = divlab(&args);
+        assert_eq!(
+            remote.status.code(),
+            Some(0),
+            "{extra:?}: {}",
+            stderr(&remote)
+        );
 
-    let mut args = vec!["campaign"];
-    args.extend_from_slice(CAMPAIGN_FLAGS);
-    let local = divlab(&args);
-    assert_eq!(local.status.code(), Some(0), "stderr: {}", stderr(&local));
+        let mut args = vec!["campaign"];
+        args.extend_from_slice(&flags);
+        let local = divlab(&args);
+        assert_eq!(
+            local.status.code(),
+            Some(0),
+            "{extra:?}: {}",
+            stderr(&local)
+        );
 
-    // `campaign` prefixes the report with the graph banner; everything
-    // from the report header on must match the daemon's bytes exactly.
-    let local_out = stdout(&local);
-    let report_at = local_out
-        .find("campaign master=")
-        .expect("local campaign prints a report");
-    assert_eq!(
-        stdout(&remote),
-        &local_out[report_at..],
-        "daemon-produced report differs from the local campaign's"
-    );
+        // `campaign` prefixes the report with the graph banner; everything
+        // from the report header on must match the daemon's bytes exactly.
+        let local_out = stdout(&local);
+        let report_at = local_out
+            .find("campaign master=")
+            .expect("local campaign prints a report");
+        assert_eq!(
+            stdout(&remote),
+            &local_out[report_at..],
+            "{extra:?}: daemon-produced report differs from the local campaign's"
+        );
+        reports.push(stdout(&remote));
+    }
+    // The sharded and faulty campaigns really ran something else.
+    assert_ne!(reports[3], reports[0]);
+    assert_ne!(reports[4], reports[0]);
     daemon.drain();
     let _ = std::fs::remove_dir_all(&dir);
 }

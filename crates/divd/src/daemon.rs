@@ -8,7 +8,7 @@
 //! fsynced before the daemon acts on it:
 //!
 //! ```text
-//! submit <id> <client> <spec…>   # accepted into the queue
+//! submit <id> <client> <spec…>   # accepted; spec = CampaignSpec::render
 //! schedule <id>                  # claimed by a worker
 //! outcome <id> trial <i> …       # one completed trial (manifest encoding)
 //! retried <id> <i>               # a panicked attempt was retried
@@ -77,11 +77,13 @@ use std::time::Duration;
 use div_core::{hex_id, render_spans, span_id, SpanClock, SpanEvent};
 use div_oplog::{atomic_write, Oplog, Replay};
 use div_sim::http::{HttpLimits, HttpServer, Request, Response};
-use div_sim::{CampaignConfig, CampaignHooks, CampaignReport, SeedSequence, TrialOutcome};
+use div_sim::{CampaignHooks, CampaignReport, SeedSequence, TrialOutcome};
 
-use div_bench::trial::{run_engine_campaign, TrialSetup};
+use div_bench::spec::{CampaignInputs, Front};
+use div_bench::trial::run_engine_campaign;
 
-use crate::job::{JobSpec, JobState};
+use crate::job::JobState;
+use crate::JobSpec;
 
 /// Daemon tunables; construct with [`DaemonConfig::new`] and adjust.
 #[derive(Debug, Clone)]
@@ -827,9 +829,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     let result = spec
         .build()
         .map_err(|e| format!("campaign setup failed: {e}"))
-        .and_then(|(graph, opinions, faults)| {
-            run_engine(shared, id, &spec, &graph, &opinions, &faults, &cancel)
-        });
+        .and_then(|(inputs, _)| run_engine(shared, id, &spec, &inputs, &cancel));
 
     let mut inner = shared.lock();
     inner.running -= 1;
@@ -893,25 +893,22 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
 
 /// Runs the job's campaign with hooks that journal every completed
 /// trial and retry.  The report is produced by exactly the code path
-/// `divlab` uses (`div_bench::trial::run_engine_campaign`), so daemon
+/// `divlab` uses ([`run_engine_campaign`]), so daemon
 /// and CLI reports for the same spec are byte-identical.
 fn run_engine(
     shared: &Arc<Shared>,
     id: u64,
     spec: &JobSpec,
-    graph: &div_graph::Graph,
-    opinions: &[i64],
-    faults: &div_core::FaultPlan,
+    inputs: &CampaignInputs,
     cancel: &AtomicBool,
 ) -> Result<CampaignReport, String> {
-    let mut cfg = CampaignConfig::new(spec.trials, spec.seed);
-    cfg.step_budget = spec.budget;
-    cfg.threads = spec.threads;
-    cfg.checkpoint_every = spec.checkpoint_every;
+    let mut campaign = spec.campaign(inputs, Front::Daemon, false)?;
+    if let Some(why) = &campaign.demotion {
+        eprintln!("divd: job {id}: {why}");
+    }
     let manifest = shared.checkpoint_path(id);
-    cfg.resume = manifest.exists();
-    cfg.checkpoint = Some(manifest);
-    cfg.tag = spec.tag();
+    campaign.cfg.resume = manifest.exists();
+    campaign.cfg.checkpoint = Some(manifest);
 
     let on_trial = |i: usize, outcome: &TrialOutcome| {
         let line = outcome.manifest_line(i);
@@ -979,9 +976,8 @@ fn run_engine(
         on_retry: Some(&on_retry),
         ..CampaignHooks::default()
     };
-    let setup = TrialSetup::new(graph, opinions, spec.kind()?, faults);
-    let report = run_engine_campaign(spec.engine()?, &setup, &cfg, spec.lanes, hooks, None);
-    report.map_err(|e| e.to_string())
+    let c = &campaign;
+    run_engine_campaign(c.engine, &c.setup, &c.cfg, c.lanes, hooks, None).map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------
@@ -1061,7 +1057,10 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
     };
     // Semantic validation up front: a spec that cannot build must be a
     // clean 400 now, not a `failed` job later.
-    if let Err(e) = spec.build() {
+    let checked = spec
+        .build()
+        .and_then(|(inputs, _)| spec.campaign(&inputs, Front::Daemon, false).map(drop));
+    if let Err(e) = checked {
         return Response::text(400, format!("bad spec: {e}\n"));
     }
 

@@ -31,4 +31,5 @@ pub mod daemon;
 pub mod job;
 
 pub use daemon::{Daemon, DaemonConfig};
-pub use job::{JobSpec, JobState};
+pub use div_bench::spec::CampaignSpec as JobSpec;
+pub use job::JobState;

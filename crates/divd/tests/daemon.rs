@@ -11,8 +11,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use div_oplog::Oplog;
 use div_sim::http::{http_request, HttpResponse};
-use divd::{Daemon, DaemonConfig};
+use divd::{Daemon, DaemonConfig, JobSpec};
 
 fn temp_dir(label: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -263,6 +264,75 @@ fn kill_nine_with_batch_engine_report_is_byte_identical() {
                 faults stubborn:3\nseed 11\ntrials 40\nbudget 400000\nlanes 4\nthreads 1\n\
                 checkpoint-every 1\n";
     kill_dash_nine_roundtrip("kill9-batch", spec, 4);
+}
+
+/// A `submit` op as a daemon journalled it before the spec had a
+/// `shards` key: that version's 11-key canonical render, verbatim.
+const OLD_SUBMIT_OP: &str = "submit 1 ci graph cycle:40\ninit uniform:5\nscheduler edge\n\
+                             engine fast\nseed 5\ntrials 12\nbudget 1000000000\nfaults none\n\
+                             lanes 8\nthreads 1\ncheckpoint-every 1\n";
+
+/// The checkpoint tag that version gave the job above.
+const OLD_TAG: &str = "divd cycle:40 uniform:5 edge fast none 1000000000";
+
+#[test]
+fn journals_from_before_the_shards_key_replay_and_resume() {
+    let spec_text = OLD_SUBMIT_OP.strip_prefix("submit 1 ci ").unwrap();
+    let spec = JobSpec::parse(spec_text).unwrap();
+    assert_eq!(spec.shards, JobSpec::default().shards);
+    assert_eq!(JobSpec::parse(&spec.render()).unwrap(), spec);
+
+    // Control: the campaign on a fresh daemon, keeping its manifest for
+    // the trial records the old daemon would have checkpointed.
+    let control_dir = temp_dir("old-journal-control");
+    let daemon = Daemon::start(one_worker(&control_dir)).unwrap();
+    let id = submit(daemon.local_addr(), spec_text);
+    wait_state(
+        daemon.local_addr(),
+        id,
+        "completed",
+        Duration::from_secs(60),
+    );
+    let expect = report_of(daemon.local_addr(), id);
+    daemon.drain();
+    let manifest = std::fs::read_to_string(control_dir.join("checkpoints/job-1.manifest")).unwrap();
+    let done: Vec<&str> = manifest
+        .lines()
+        .filter(|l| l.starts_with("trial "))
+        .take(5)
+        .collect();
+    assert_eq!(done.len(), 5);
+
+    // The old daemon died mid-run: the journal holds the submit, the
+    // schedule and five outcomes, and its manifest those five trials
+    // under the old tag.
+    let dir = temp_dir("old-journal");
+    std::fs::create_dir_all(dir.join("checkpoints")).unwrap();
+    let (mut log, _) = Oplog::open(&dir.join("oplog.div")).unwrap();
+    log.commit(&[OLD_SUBMIT_OP.to_string()]).unwrap();
+    log.commit(&["schedule 1".to_string()]).unwrap();
+    for line in &done {
+        log.commit(&[format!("outcome 1 {line}")]).unwrap();
+    }
+    drop(log);
+    let old_manifest = format!(
+        "divlab-campaign v1\nmaster 5\ntrials 12\ntag {OLD_TAG}\n{}\n",
+        done.join("\n")
+    );
+    std::fs::write(dir.join("checkpoints/job-1.manifest"), old_manifest).unwrap();
+
+    let daemon = Daemon::start(one_worker(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let status = wait_state(addr, 1, "completed", Duration::from_secs(60));
+    assert_eq!(
+        field(&status, "recovered").as_deref(),
+        Some("1"),
+        "{status}"
+    );
+    assert_eq!(report_of(addr, 1), expect);
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&control_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -801,6 +871,21 @@ fn api_surface_validates_inputs() {
         "{}",
         bad.text()
     );
+    // Shard counts are checked at submit: a clean 400, never a failed job.
+    for (body, needle) in [
+        (
+            "graph complete:8\nengine sharded\nshards 0\n",
+            "shards must be at least 1",
+        ),
+        (
+            "graph complete:8\nengine sharded\nshards 9\n",
+            "shards 9 exceeds the graph's 8 vertices",
+        ),
+    ] {
+        let bad = req(addr, "POST", "/campaigns", body.as_bytes());
+        assert_eq!(bad.status, 400, "{body:?}");
+        assert!(bad.text().contains(needle), "{}", bad.text());
+    }
     let bad = req_as(
         addr,
         "POST",
@@ -812,6 +897,7 @@ fn api_surface_validates_inputs() {
 
     // A report for an unfinished job is a conflict, not an empty 200.
     let id = submit(addr, SLOW_SPEC);
+    assert_eq!(id, 1, "a rejected spec never became a job");
     let early = req(addr, "GET", &format!("/campaigns/{id}/report"), b"");
     assert_eq!(early.status, 409, "{}", early.text());
     let _ = req(addr, "DELETE", &format!("/campaigns/{id}"), b"");
