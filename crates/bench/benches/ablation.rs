@@ -18,10 +18,12 @@
 //!   `regular8_1k` — both arms replay identical seeded trajectories, so
 //!   the ratio is pure per-step engine overhead plus the batch engine's
 //!   amortised setup.
-//! * `kernels`: the same eight-lane batch workload forced through every
-//!   kernel tier the host supports (`scalar`, `swar`, `avx2`, `avx512`
-//!   via `set_kernel_tier`) — the tiers replay bit-identical
-//!   trajectories, so the arm ratios isolate the vector drives.
+//! * `kernels`: the same eight-lane batch workload, edge and vertex
+//!   process, forced through every kernel tier the host supports
+//!   (`scalar`, `avx2` via `set_kernel_tier`) — the tiers replay
+//!   bit-identical trajectories, so the arm ratios isolate the vector
+//!   drives (the vertex arms keep the vertex family's routing to the
+//!   scalar drive measurable).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use div_core::{
@@ -334,8 +336,10 @@ fn bench_batch(c: &mut Criterion) {
 }
 
 /// The batch engine's kernel tiers against each other: the identical
-/// eight-lane workload forced through every tier the host supports
-/// (`scalar`, `swar`, `avx2`, `avx512`).  All tiers replay the same
+/// eight-lane workload, on the edge and the vertex process, forced
+/// through every tier the host supports (`scalar`, `avx2`).  The vertex
+/// family takes the scalar drive on every tier, so its `avx2` arm
+/// re-checks that routing decision.  All tiers replay the same
 /// trajectories bit-exactly (DESIGN.md §3.4), so the arm ratios isolate
 /// the vector drives' throughput — unsupported tiers are skipped rather
 /// than measured as something else.
@@ -358,19 +362,24 @@ fn bench_kernels(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(7);
             init::uniform_random(g.num_vertices(), 9, &mut rng).unwrap()
         };
-        for tier in KernelTier::supported() {
-            group.bench_function(format!("{gname}/{}_x{LANES}", tier.name()), |b| {
-                b.iter_batched(
-                    mk,
-                    |ops| {
-                        let mut p = BatchProcess::new(g, ops, FastScheduler::Edge, &seeds).unwrap();
-                        p.set_kernel_tier(tier);
-                        p.run_to_consensus(BUDGET);
-                        (0..LANES).map(|l| p.steps(l)).sum::<u64>()
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
+        for (sname, sched) in [
+            ("edge", FastScheduler::Edge),
+            ("vertex", FastScheduler::Vertex),
+        ] {
+            for tier in KernelTier::supported() {
+                group.bench_function(format!("{gname}/{sname}/{}_x{LANES}", tier.name()), |b| {
+                    b.iter_batched(
+                        mk,
+                        |ops| {
+                            let mut p = BatchProcess::new(g, ops, sched, &seeds).unwrap();
+                            p.set_kernel_tier(tier);
+                            p.run_to_consensus(BUDGET);
+                            (0..LANES).map(|l| p.steps(l)).sum::<u64>()
+                        },
+                        BatchSize::SmallInput,
+                    )
+                });
+            }
         }
     }
     group.finish();

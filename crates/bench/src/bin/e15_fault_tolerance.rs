@@ -11,7 +11,7 @@
 
 use div_baselines::PushSum;
 use div_bench::{banner, emit, ExpConfig};
-use div_core::{init, theory, EdgeScheduler, LossyDiv};
+use div_core::{init, theory, DivProcess, EdgeScheduler, FaultPlan};
 use div_graph::generators;
 use div_sim::stats::{wilson_interval, Summary, Z95};
 use div_sim::table::Table;
@@ -42,11 +42,13 @@ fn main() {
     ]);
     let mut baseline_work = None;
     for q in [0.0f64, 0.25, 0.5, 0.75] {
+        let plan = FaultPlan::drop_only(q).unwrap();
         let results = div_sim::run_trials(cfg.trials, cfg.seed ^ (q * 100.0) as u64, |_, seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let opinions = init::shuffled_blocks(&spec, &mut rng).unwrap();
-            let mut p = LossyDiv::new(&g, opinions, EdgeScheduler::new(), q).unwrap();
-            let status = p.run_to_consensus(u64::MAX, &mut rng);
+            let mut session = plan.session(&opinions).unwrap();
+            let mut p = DivProcess::new(&g, opinions, EdgeScheduler::new()).unwrap();
+            let status = p.run_faulty_to_consensus(u64::MAX, &mut session, &mut rng);
             (status.consensus_opinion().unwrap(), status.steps() as f64)
         });
         let total = results.len() as u64;

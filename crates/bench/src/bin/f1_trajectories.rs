@@ -11,7 +11,7 @@
 //! * **distinct opinions** vs steps — the stage structure.
 
 use div_bench::{banner, ExpConfig};
-use div_core::{init, DivProcess, EdgeScheduler, RangeSeries, WeightSeries};
+use div_core::{init, DivProcess, EdgeScheduler, RingRecorder, TelemetrySample};
 use div_graph::{generators, Graph};
 use div_sim::plot::Plot;
 use rand::rngs::StdRng;
@@ -28,32 +28,38 @@ fn run_one(label: &'static str, g: &Graph, k: usize, seed: u64, cap: u64) -> Tra
     let mut rng = StdRng::seed_from_u64(seed);
     let opinions = init::uniform_random(g.num_vertices(), k, &mut rng).unwrap();
     let mut p = DivProcess::new(g, opinions, EdgeScheduler::new()).unwrap();
-    let mut ws = WeightSeries::new(p.state(), (cap / 200).max(1));
-    let mut rs = RangeSeries::new(p.state());
-    p.run_until(
-        cap,
-        &mut rng,
-        |s| s.is_consensus(),
-        |ev, st| {
-            ws.observe(ev, st);
-            rs.observe(ev, st);
-        },
-    );
-    let s0 = ws.samples()[0].sum as f64;
+    // A sample every step, with room for all of them: the recorder never
+    // decimates, so each range change is plotted at its exact step.
+    let mut rec = RingRecorder::new(cap as usize + 2);
+    p.run_observed(cap, &mut rng, 1, &mut rec);
+    let mut samples = rec.samples().to_vec();
+    let last = *rec.final_sample().expect("the run finished");
+    if samples.last().map(|s| s.step) != Some(last.step) {
+        samples.push(last);
+    }
+    let mut changes: Vec<&TelemetrySample> = Vec::new();
+    for s in &samples {
+        if changes
+            .last()
+            .is_none_or(|c| (c.min, c.max, c.distinct) != (s.min, s.max, s.distinct))
+        {
+            changes.push(s);
+        }
+    }
+    let stride = (cap / 200).max(1);
+    let s0 = samples[0].sum as f64;
     Trajectory {
         label,
-        range: rs
-            .samples()
+        range: changes
             .iter()
-            .map(|s| (s.step as f64, (s.max - s.min) as f64))
+            .map(|s| (s.step as f64, s.width() as f64))
             .collect(),
-        drift: ws
-            .samples()
+        drift: samples
             .iter()
+            .filter(|s| s.step.is_multiple_of(stride))
             .map(|s| (s.step as f64, s.sum as f64 - s0))
             .collect(),
-        distinct: rs
-            .samples()
+        distinct: changes
             .iter()
             .map(|s| (s.step as f64, s.distinct as f64))
             .collect(),

@@ -50,9 +50,9 @@
 //! distinct opinion, so the full step budget runs in the wide-interval
 //! regime the kernels optimize, with no consensus-tail variance) is run
 //! single-threaded with the kernel tier pinned to each tier the host
-//! supports (`scalar`, `swar`, `avx2`, `avx512`), and the JSON gains a
-//! `simd` block with the selected tier, the host's vector CPU features
-//! and per-tier `ns_per_lane_step` / campaign throughput.  On AVX2
+//! supports (`scalar`, `avx2`), and the JSON gains a `simd` block with
+//! the selected tier, the host's vector CPU features and per-tier
+//! `ns_per_lane_step` / campaign throughput.  On AVX2
 //! hosts `--check-overhead` additionally gates the selected tier's
 //! sweep-campaign speedup on `complete_1k` at ≥ 2.8× the scalar engine;
 //! hosts without AVX2 record `"gate": "skipped (no avx2)"` instead.
@@ -659,9 +659,9 @@ fn measure_simd(budget: u64) -> SimdSection {
 /// The live SIMD acceptance gate: on hosts with AVX2, the batch
 /// campaign under the auto-selected tier must beat the scalar campaign
 /// by at least [`SIMD_SPEEDUP_GATE`]× on `complete_1k` at
-/// `K = DEFAULT_LANES`, T=1.  Hosts without AVX2 skip with a note —
-/// the SWAR tier helps but is not held to the vector bar.  Returns
-/// whether the gate failed.
+/// `K = DEFAULT_LANES`, T=1.  Hosts without AVX2 skip with a note:
+/// their only tier is the scalar baseline itself.  Returns whether the
+/// gate failed.
 fn check_simd_speedup(budget: u64) -> bool {
     if !KernelTier::Avx2.is_supported() {
         println!("simd gate: AVX2 unavailable on this host; skipped");

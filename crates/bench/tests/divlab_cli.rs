@@ -177,6 +177,49 @@ fn batch_campaign_report_matches_fast_campaign_report() {
     assert!(stdout(&batch).contains("outcomes converged=13"));
 }
 
+/// Scripts that still force a removed kernel tier (`swar`, `avx512`)
+/// degrade, not break: the unknown `DIV_KERNELS` value warns once and
+/// the batch campaign report is byte-identical to an unset run's.
+#[test]
+fn removed_kernel_tiers_warn_once_and_keep_the_report() {
+    let run = |tier: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_divlab"));
+        cmd.args([
+            "campaign",
+            "--graph",
+            "regular:120:6",
+            "--init",
+            "uniform:5",
+            "--trials",
+            "13",
+            "--seed",
+            "17",
+            "--engine",
+            "batch",
+        ]);
+        match tier {
+            Some(name) => cmd.env("DIV_KERNELS", name),
+            None => cmd.env_remove("DIV_KERNELS"),
+        };
+        cmd.output().expect("divlab spawns")
+    };
+    let unset = run(None);
+    assert!(unset.status.success(), "stderr: {}", stderr(&unset));
+    for removed in ["swar", "avx512"] {
+        let out = run(Some(removed));
+        assert!(out.status.success(), "{removed}: stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        let warnings: Vec<&str> = err.lines().filter(|l| l.starts_with("div-core:")).collect();
+        assert_eq!(warnings.len(), 1, "{removed}: stderr: {err}");
+        assert!(warnings[0].contains(removed), "{removed}: {}", warnings[0]);
+        assert_eq!(
+            stdout(&out),
+            stdout(&unset),
+            "DIV_KERNELS={removed} must not change the report"
+        );
+    }
+}
+
 #[test]
 fn faulty_batch_campaign_report_matches_fast_campaign_report() {
     let args = |engine: &'static str| {

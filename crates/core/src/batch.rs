@@ -35,12 +35,12 @@
 //! together and column scans, snapshots and rewinds are straight-line
 //! `memcpy`/scan loops.  Cross-lane SIMD on the *opinion words* never
 //! aligns (each lane steps an independently drawn vertex), but the
-//! *draw* does: on the SWAR and AVX2 [`crate::kernels`] tiers the drive
-//! phase steps active lanes in lockstep groups of four, generating four
-//! xoshiro words and four masked Lemire draws per vector operation while
-//! the toward-stores stay per-lane — see [`crate::KernelTier`] for the
-//! dispatch ladder and the module docs of [`crate::kernels`] for why
-//! every tier is bit-exact.  The per-lane stat
+//! *draw* does: on the AVX2 [`crate::kernels`] tier the drive phase steps
+//! active lanes of the complete-pair and edge families in lockstep
+//! groups of four, generating four xoshiro words and four masked Lemire
+//! draws per vector operation while the toward-stores stay per-lane —
+//! see [`crate::KernelTier`] for the dispatch and the module docs of
+//! [`crate::kernels`] for why every tier is bit-exact.  The per-lane stat
 //! registers (`S(t)`, `Z(t)`, min/max, distinct, `N_i(t)`) are derived
 //! from the columns by contiguous scans when read; they never burden
 //! the hot loop.
@@ -409,11 +409,11 @@ impl<'g> BatchProcess<'g> {
     /// The hot loop: every lane above `stop_width` takes at most
     /// `max_steps` additional steps, in blocks of `B = max(n, 1024)`
     /// bare toward-steps per lane (see the module docs for the
-    /// block/scan/rewind scheme).  On the SWAR/AVX2 kernel tiers, active
-    /// lanes are driven in lockstep groups of eight or four through
-    /// [`kernels::drive_group`] (breaking the per-lane RNG dependency
-    /// chain); leftover lanes — and every lane on the scalar tier or for
-    /// an unaccelerated sampler family — take the lane-at-a-time path.
+    /// block/scan/rewind scheme).  When [`kernels::accelerates`] the
+    /// tier/sampler pair, active lanes are driven in lockstep groups of
+    /// [`kernels::GROUP`] through [`kernels::drive_group`] (breaking the
+    /// per-lane RNG dependency chain); leftover lanes — and every lane of
+    /// an unaccelerated batch — take the lane-at-a-time path.
     /// Lanes never interact, so group order, per-lane order and
     /// round-lockstep order are all observationally identical.  The
     /// sampler variant of the scalar path is matched **once** out here so
@@ -428,10 +428,10 @@ impl<'g> BatchProcess<'g> {
         // overshoot is paid once per lane (the block it finishes in), at
         // scalar replay speed, so large blocks cost almost nothing.
         let block = (4 * n as u64).max(8192);
-        let gw = kernels::group_width(self.tier, &self.sampler);
+        let grouped = kernels::accelerates(self.tier, &self.sampler);
         let mut remaining = max_steps;
         let mut col_snap: Vec<u16> = vec![0u16; n];
-        let mut group_snap: Vec<u16> = vec![0u16; gw * n];
+        let mut group_snap: Vec<u16> = vec![0u16; if grouped { kernels::GROUP * n } else { 0 }];
         let mut counts_scratch: Vec<u32> = Vec::new();
         while remaining > 0 && !active.is_empty() {
             let b = block.min(remaining);
@@ -441,7 +441,6 @@ impl<'g> BatchProcess<'g> {
             // `finished` collects lanes whose end-of-block width is at or
             // below the stop target; they are rewound and replayed below.
             let mut finished: Vec<u32> = Vec::new();
-            let mut grouped = 0usize;
             {
                 let graph = self.graph;
                 let tier = self.tier;
@@ -452,60 +451,45 @@ impl<'g> BatchProcess<'g> {
                     ..
                 } = self;
 
-                // Kernel-driven lockstep groups, widest first (8-lane
-                // AVX2 groups interleave two RNG register sets; 4-lane
-                // groups cover the remainder and the SWAR tier).
-                macro_rules! drive_chunks {
-                    ($w:literal) => {
-                        while active.len() - grouped >= $w {
-                            let chunk = &active[grouped..grouped + $w];
-                            grouped += $w;
-                            let ranges: [core::ops::Range<usize>; $w] = core::array::from_fn(|j| {
+                // Kernel-driven lockstep groups; the remainder falls
+                // through to the lane-at-a-time drive below.
+                let mut chunks = active.chunks_exact(kernels::GROUP);
+                let rest = if grouped {
+                    for chunk in chunks.by_ref() {
+                        let ranges: [core::ops::Range<usize>; kernels::GROUP] =
+                            core::array::from_fn(|j| {
                                 let l = chunk[j] as usize;
                                 l * n..(l + 1) * n
                             });
-                            let mut cols = opinions
-                                .get_disjoint_mut(ranges)
-                                .expect("lane columns are disjoint");
-                            for (j, col) in cols.iter().enumerate() {
-                                group_snap[j * n..(j + 1) * n].copy_from_slice(col);
-                            }
-                            let snap_rngs: [FastRng; $w] =
-                                core::array::from_fn(|j| rngs[chunk[j] as usize]);
-                            let mut group_rngs = snap_rngs;
-                            kernels::drive_group(
-                                tier,
-                                sampler,
-                                graph,
-                                &mut cols,
-                                &mut group_rngs,
-                                b,
-                            );
-                            for j in 0..$w {
-                                let (mn, mx) = kernels::min_max_u16(cols[j], tier);
-                                if mx - mn <= stop_width {
-                                    // Crossed inside the block: rewind
-                                    // column and RNG (left at the
-                                    // snapshot) to the block start; the
-                                    // settle phase replays to the exact
-                                    // first hit.
-                                    cols[j].copy_from_slice(&group_snap[j * n..(j + 1) * n]);
-                                    finished.push(chunk[j]);
-                                } else {
-                                    rngs[chunk[j] as usize] = group_rngs[j];
-                                }
+                        let mut cols = opinions
+                            .get_disjoint_mut(ranges)
+                            .expect("lane columns are disjoint");
+                        for (j, col) in cols.iter().enumerate() {
+                            group_snap[j * n..(j + 1) * n].copy_from_slice(col);
+                        }
+                        let mut group_rngs: [FastRng; kernels::GROUP] =
+                            core::array::from_fn(|j| rngs[chunk[j] as usize]);
+                        kernels::drive_group(tier, sampler, &mut cols, &mut group_rngs, b);
+                        for (j, col) in cols.iter_mut().enumerate() {
+                            let (mn, mx) = kernels::min_max_u16(col, tier);
+                            if mx - mn <= stop_width {
+                                // Crossed inside the block: rewind the
+                                // column (the RNG was left at the
+                                // snapshot) to the block start; the
+                                // settle phase replays to the exact first
+                                // hit.
+                                col.copy_from_slice(&group_snap[j * n..(j + 1) * n]);
+                                finished.push(chunk[j]);
+                            } else {
+                                rngs[chunk[j] as usize] = group_rngs[j];
                             }
                         }
-                    };
-                }
-                if gw >= 8 {
-                    drive_chunks!(8);
-                }
-                if gw >= 4 {
-                    drive_chunks!(4);
-                }
+                    }
+                    chunks.remainder()
+                } else {
+                    &active[..]
+                };
 
-                let rest = &active[grouped..];
                 macro_rules! drive {
                     ($pick:expr) => {{
                         let pick = $pick;

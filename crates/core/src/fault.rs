@@ -14,7 +14,7 @@
 //!   with probability `Q`; the updater keeps its opinion, the clock still
 //!   advances.  Drops are an unbiased thinning of the schedule, so the
 //!   winner law is invariant and only time dilates by `1/(1−Q)`
-//!   ([`crate::LossyDiv`] is exactly this special case).
+//!   ([`FaultPlan::drop_only`] builds a plan with this fault alone).
 //! * **Observation noise** (`noise:P:D`) — with probability `P` the read
 //!   value is perturbed by `±D` (sign uniform), then clamped to the
 //!   initial opinion span (a bounded-sensor model; the clamp keeps the
@@ -110,7 +110,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A drop-only plan — the [`crate::LossyDiv`] special case.
+    /// A drop-only plan: each interaction is lost with probability
+    /// `drop`, nothing else is injected.
     ///
     /// # Errors
     ///
@@ -415,6 +416,8 @@ impl FaultSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{init, DivProcess, EdgeScheduler};
+    use div_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -455,6 +458,11 @@ mod tests {
             assert!(FaultPlan::parse(spec).is_err(), "spec {spec:?} accepted");
         }
         assert!(FaultPlan::parse("none").unwrap().is_trivial());
+        // The typed constructor enforces the same `[0, 1)` drop range.
+        for q in [1.0, -0.1, f64::NAN] {
+            assert!(FaultPlan::drop_only(q).is_err(), "drop {q} accepted");
+        }
+        assert!(FaultPlan::drop_only(0.0).unwrap().is_trivial());
     }
 
     #[test]
@@ -477,6 +485,25 @@ mod tests {
         use rand::RngCore;
         assert_eq!(a.next_u64(), b.next_u64(), "no draw may have been taken");
         assert_eq!(session.stats().delivered, 199);
+
+        // So a zero-drop run replays `DivProcess::step` event for event.
+        let g = generators::wheel(15).unwrap();
+        let opinions = init::spread(15, 6).unwrap();
+        let mut plain = DivProcess::new(&g, opinions.clone(), EdgeScheduler::new()).unwrap();
+        let mut faulty = DivProcess::new(&g, opinions.clone(), EdgeScheduler::new()).unwrap();
+        let mut session = FaultPlan::drop_only(0.0)
+            .unwrap()
+            .session(&opinions)
+            .unwrap();
+        let mut ra = StdRng::seed_from_u64(9);
+        let mut rb = StdRng::seed_from_u64(9);
+        for _ in 0..5000 {
+            assert_eq!(
+                plain.step(&mut ra),
+                faulty.step_faulty(&mut session, &mut rb)
+            );
+        }
+        assert_eq!(plain.state(), faulty.state());
     }
 
     #[test]
@@ -507,6 +534,45 @@ mod tests {
         let rate = 1.0 - delivered as f64 / total as f64;
         assert!((rate - 0.4).abs() < 0.02, "drop rate {rate}");
         assert_eq!(session.stats().dropped + delivered, total);
+
+        // The same rate through a process, whose step count includes the
+        // dropped interactions.
+        let g = generators::complete(20).unwrap();
+        let opinions = init::spread(20, 5).unwrap();
+        let mut p = DivProcess::new(&g, opinions.clone(), EdgeScheduler::new()).unwrap();
+        let mut session = plan.session(&opinions).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..20_000 {
+            p.step_faulty(&mut session, &mut rng);
+        }
+        let rate = session.stats().dropped as f64 / p.steps() as f64;
+        assert!((rate - 0.4).abs() < 0.02, "process drop rate {rate}");
+        p.state().check_invariants();
+    }
+
+    #[test]
+    fn drop_only_converges_and_dilates_time() {
+        // Drops thin the schedule without biasing it, so consensus time
+        // dilates by 1/(1−q): 2 at q = 0.5, within Monte-Carlo noise.
+        let g = generators::complete(40).unwrap();
+        let spec = [(1i64, 20), (5, 20)];
+        let trials = 40;
+        let mean_time = |q: f64, master: u64| -> f64 {
+            let plan = FaultPlan::drop_only(q).unwrap();
+            let mut total = 0u64;
+            for t in 0..trials {
+                let mut rng = StdRng::seed_from_u64(master + t);
+                let opinions = init::shuffled_blocks(&spec, &mut rng).unwrap();
+                let mut session = plan.session(&opinions).unwrap();
+                let mut p = DivProcess::new(&g, opinions, EdgeScheduler::new()).unwrap();
+                let status = p.run_faulty_to_consensus(u64::MAX, &mut session, &mut rng);
+                assert!(status.consensus_opinion().is_some());
+                total += status.steps();
+            }
+            total as f64 / trials as f64
+        };
+        let ratio = mean_time(0.5, 200) / mean_time(0.0, 100);
+        assert!((1.5..3.0).contains(&ratio), "dilation ratio {ratio}");
     }
 
     #[test]

@@ -1,27 +1,25 @@
 //! AVX2 kernel tier: the four lane RNGs live in four `__m256i` registers
 //! (xoshiro state word `i` of all lanes side by side), Lemire bounded
 //! sampling rides `vpmuludq`, and column scans use `vpminuw`/`vpmaxuw`.
-//! Algorithms and the masked rejection-redraw discipline mirror
-//! `super::swar` exactly — the two tiers are kept structurally parallel
-//! so the bit-exactness argument is the same; only the arithmetic width
-//! differs.
+//! Each drive replays `CompiledSampler::pick` lane by lane: a masked
+//! redraw advances only the lanes whose draw rejected, so every lane
+//! consumes exactly its scalar word sequence (see the bit-exactness
+//! notes in `super`).
 //!
 //! # Unsafe policy
 //!
-//! This file is the only `unsafe_code` in the crate (re-allowed below;
-//! `unsafe_op_in_unsafe_fn` stays denied).  Every `pub(super)` entry
-//! point is an `unsafe fn` whose single safety requirement is **AVX2 is
-//! available on the running CPU**; the dispatcher in `super` only calls
-//! them for [`KernelTier::Avx2`](super::KernelTier::Avx2), a tier value
-//! that can only be obtained after `is_x86_feature_detected!("avx2")`
-//! succeeded.  Internal `unsafe {}` blocks are limited to 32-byte
-//! in-bounds vector loads and `transmute` between `__m256i` and plain
-//! integer arrays of the same size (no padding, all bit patterns valid).
+//! This file is the only `unsafe_code` in the crate (re-allowed below).
+//! Every `pub(super)` entry point is a `#[target_feature(enable =
+//! "avx2")]` function, so Rust makes the dispatchers in `super` call it
+//! inside `unsafe {}`; each checks `is_x86_feature_detected!("avx2")`
+//! (through `KernelTier::is_supported`) on the same call first.
+//! Internal `unsafe {}` blocks are limited to 32-byte in-bounds vector
+//! loads and `transmute` between `__m256i` and plain integer arrays of
+//! the same size (no padding, all bit patterns valid).
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
-use super::swar::toward;
 use crate::rng::FastRng;
 
 /// `x <<< 23` on each 64-bit element.
@@ -129,7 +127,17 @@ impl Rng4x {
     }
 }
 
-/// Per-tier constants of the complete-pair draw.
+/// The branchless toward-step on one lane column: `v` moves one unit
+/// toward `w`'s opinion (sign arithmetic, no data-dependent branch).
+#[inline(always)]
+fn toward(col: &mut [u16], v: usize, w: usize) {
+    let xv = col[v];
+    let xw = col[w];
+    let delta = (xw > xv) as i32 - ((xw < xv) as i32);
+    col[v] = (xv as i32 + delta) as u16;
+}
+
+/// Constants of the complete-pair draw.
 #[derive(Clone, Copy)]
 struct PairConsts {
     lo32: __m256i,
@@ -196,14 +204,12 @@ fn toward4(cols: &mut [&mut [u16]; 4], vw: __m256i) {
     }
 }
 
-/// Lockstep AVX2 drive for the complete-pair sampler on four lanes; see
-/// `super::swar::drive_complete_pair` for the draw discipline.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// Lockstep drive for the complete-pair sampler on four lanes: one word
+/// per step per lane, high half → `v` over `n`, low half → `w` over
+/// `n − 1` with the skip-over-`v` map.  Rejection of either half
+/// redraws the whole word, per lane, exactly as the scalar pick does.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn drive_complete_pair(
+pub(super) fn drive_complete_pair(
     cols: &mut [&mut [u16]; 4],
     rngs: &mut [FastRng; 4],
     n: u32,
@@ -264,15 +270,12 @@ fn edge_step(rng4: &mut Rng4x, cols: &mut [&mut [u16]; 4], endpoints: &[u32], tw
     }
 }
 
-/// Lockstep AVX2 drive for the edge sampler on four lanes; see
-/// `super::swar::drive_edge` for the draw discipline.  `two_m < 2³²` is
-/// guaranteed by `super::accelerates`.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// Lockstep drive for the edge sampler on four lanes: one 64-bit Lemire
+/// draw `j ∈ [0, 2m)` per step per lane addresses the directed edge
+/// `(endpoints[j], endpoints[j ^ 1])`.  `two_m < 2³²` is guaranteed by
+/// `super::accelerates`.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn drive_edge(
+pub(super) fn drive_edge(
     cols: &mut [&mut [u16]; 4],
     rngs: &mut [FastRng; 4],
     endpoints: &[u32],
@@ -290,12 +293,8 @@ pub(super) unsafe fn drive_edge(
 
 /// One masked 64-bit Lemire draw per lane (test/bench entry for the
 /// vectorised sampler).  `range` must be in `(0, 2³²)`.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn bounded_u64_x4(rngs: &mut [FastRng; 4], range: u64) -> [u64; 4] {
+pub(super) fn bounded_u64_x4(rngs: &mut [FastRng; 4], range: u64) -> [u64; 4] {
     let mut rng4 = Rng4x::load(rngs);
     let t = range.wrapping_neg() % range;
     let mut words = rng4.next_words();
@@ -307,12 +306,8 @@ pub(super) unsafe fn bounded_u64_x4(rngs: &mut [FastRng; 4], range: u64) -> [u64
 /// AVX2 min/max over a `u16` slice: 16 values per `vpminuw`/`vpmaxuw`,
 /// horizontal reduction at the end, scalar tail.  Returns
 /// `(u16::MAX, 0)` for an empty slice, like the scalar fold.
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn min_max_u16(xs: &[u16]) -> (u16, u16) {
+pub(super) fn min_max_u16(xs: &[u16]) -> (u16, u16) {
     let mut chunks = xs.chunks_exact(16);
     let mut vmn = _mm256_set1_epi16(-1);
     let mut vmx = _mm256_setzero_si256();
@@ -337,12 +332,8 @@ pub(super) unsafe fn min_max_u16(xs: &[u16]) -> (u16, u16) {
 
 /// AVX2 min/max over a `u32` slice (8 values per vector op); the `u32`
 /// twin of [`min_max_u16`].
-///
-/// # Safety
-///
-/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn min_max_u32(xs: &[u32]) -> (u32, u32) {
+pub(super) fn min_max_u32(xs: &[u32]) -> (u32, u32) {
     let mut chunks = xs.chunks_exact(8);
     let mut vmn = _mm256_set1_epi32(-1);
     let mut vmx = _mm256_setzero_si256();

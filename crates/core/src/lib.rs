@@ -57,15 +57,14 @@
 //!   probabilities, the eq. (4) time bound, the Azuma tail (5).
 //! * [`FaultPlan`] / [`FaultSession`] — the fault-injection layer (message
 //!   drop, observation noise, stale reads, stubborn and crash–recover
-//!   vertices), pluggable into both stepping engines; [`LossyDiv`] is its
-//!   drop-only special case.
+//!   vertices), pluggable into both stepping engines.
 //! * [`FastProcess`] / [`FastRng`] — the high-throughput stepping engine
 //!   (precompiled samplers, block stepping, xoshiro256++) for Monte-Carlo
 //!   volume; [`DivProcess`] stays the observable correctness oracle.
-//! * [`kernels`] — runtime-dispatched SIMD kernels (AVX2 / portable SWAR
-//!   / scalar, selected by [`KernelTier`] and overridable via
-//!   `DIV_KERNELS`) behind the batch and sharded engines' hot paths;
-//!   every tier is bit-exact against the scalar engine.
+//! * [`kernels`] — runtime-dispatched SIMD kernels (AVX2 or scalar,
+//!   selected by [`KernelTier`] and overridable via `DIV_KERNELS`)
+//!   behind the batch and sharded engines' hot paths; both tiers are
+//!   bit-exact against the scalar engine.
 //! * [`telemetry`] — zero-cost-when-disabled [`Observer`] hooks threaded
 //!   through both engines (`run_observed`): stride samples of `S(t)`/
 //!   `Z(t)`/range/distinct count, exact phase-transition events, fault
@@ -81,11 +80,12 @@
 //!   the files load directly into Perfetto / `chrome://tracing`.
 
 // Unsafe policy: `unsafe_code` is denied crate-wide and re-allowed only
-// in the vector kernel modules — `kernels::avx2` and `kernels::avx512`
-// — whose entry points carry documented CPU-feature-availability
-// contracts and whose interior unsafety is limited to in-bounds vector
-// loads and size-equal transmutes.  Unsafe operations inside
-// `unsafe fn` bodies still require explicit blocks.
+// in the vector kernel module `kernels::avx2` (plus the dispatchers in
+// `kernels` that call into it).  Its entry points are
+// `#[target_feature(enable = "avx2")]` functions, called only after the
+// runtime feature check passed; its interior unsafety is limited to
+// in-bounds vector loads and size-equal transmutes.  Unsafe
+// operations inside any `unsafe fn` still require explicit blocks.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -96,8 +96,6 @@ mod error;
 mod fault;
 pub mod init;
 pub mod kernels;
-mod lossy;
-mod observer;
 mod process;
 mod rng;
 mod scheduler;
@@ -117,8 +115,6 @@ pub use engine::{FastProcess, FastScheduler, FinishPolicy};
 pub use error::DivError;
 pub use fault::{CrashFault, FaultPlan, FaultSession, FaultStats, NoiseFault, StaleFault};
 pub use kernels::KernelTier;
-pub use lossy::LossyDiv;
-pub use observer::{RangeSample, RangeSeries, WeightSample, WeightSeries};
 pub use process::{DivProcess, RunStatus, StepEvent};
 pub use rng::FastRng;
 pub use scheduler::{
