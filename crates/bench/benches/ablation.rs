@@ -24,11 +24,16 @@
 //!   bit-identical trajectories, so the arm ratios isolate the vector
 //!   drives (the vertex arms keep the vertex family's routing to the
 //!   scalar drive measurable).
+//! * `faulty`: a drop-only fault plan (`drop:0.1`) on `regular8_1k`,
+//!   vertex and edge process, through `FastProcess::run_faulty_to_consensus`
+//!   (the thinned block engine) vs a naive loop of `step_faulty` calls
+//!   with a width check per step — identical trajectories, so the ratio
+//!   is the faulty layer's per-step overhead (reported in ns/step).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use div_core::{
     init, BatchProcess, BiasedVertexScheduler, DivProcess, EdgeScheduler, FastProcess, FastRng,
-    FastScheduler, FinishPolicy, KernelTier, OpinionState, VertexScheduler,
+    FastScheduler, FaultPlan, FinishPolicy, KernelTier, OpinionState, VertexScheduler,
 };
 use div_graph::generators;
 use rand::rngs::StdRng;
@@ -385,6 +390,61 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fast engine's faulty layer under `drop:0.1`: the thinned block
+/// engine against a per-step `step_faulty` loop on the same seeded
+/// trajectory.  The budget stays far below the consensus time, so both
+/// arms take exactly `STEPS` steps and ns/elem reads as ns/step.
+fn bench_faulty(c: &mut Criterion) {
+    const STEPS: u64 = 200_000;
+    let mut group = c.benchmark_group("ablation/faulty");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(STEPS));
+    let mut grng = StdRng::seed_from_u64(1);
+    let g = generators::random_regular(1000, 8, &mut grng).unwrap();
+    let plan = FaultPlan::drop_only(0.1).unwrap();
+    let mk = || {
+        let mut rng = StdRng::seed_from_u64(7);
+        init::uniform_random(g.num_vertices(), 9, &mut rng).unwrap()
+    };
+    for (sname, sched) in [
+        ("edge", FastScheduler::Edge),
+        ("vertex", FastScheduler::Vertex),
+    ] {
+        group.bench_function(format!("regular8_1k/{sname}/thinned"), |b| {
+            b.iter_batched(
+                mk,
+                |ops| {
+                    let mut session = plan.session(&ops).unwrap();
+                    let mut p = FastProcess::new(&g, ops, sched).unwrap();
+                    let mut rng = FastRng::seed_from_u64(3);
+                    p.run_faulty_to_consensus(STEPS, &mut session, &mut rng);
+                    p.steps()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(format!("regular8_1k/{sname}/step_faulty"), |b| {
+            b.iter_batched(
+                mk,
+                |ops| {
+                    let mut session = plan.session(&ops).unwrap();
+                    let mut p = FastProcess::new(&g, ops, sched).unwrap();
+                    let mut rng = FastRng::seed_from_u64(3);
+                    for _ in 0..STEPS {
+                        if p.is_consensus() {
+                            break;
+                        }
+                        p.step_faulty(&mut session, &mut rng);
+                    }
+                    p.steps()
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_edge_sampling,
@@ -392,6 +452,7 @@ criterion_group!(
     bench_early_stop,
     bench_engine,
     bench_batch,
-    bench_kernels
+    bench_kernels,
+    bench_faulty
 );
 criterion_main!(benches);

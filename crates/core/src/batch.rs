@@ -69,10 +69,11 @@
 //! * a lane's steps, final state and RNG position freeze at its exact
 //!   first hit of the stop width (block overshoot is rewound and
 //!   replayed, exactly like the scalar engine's `run_blocks`);
-//! * faulty lanes run the identical per-step fault pipeline
-//!   ([`FaultSession::filter`]) with the identical documented RNG draw
-//!   order, falling back to per-lane scalar stepping (faults can widen
-//!   the range, so the monotonicity argument above does not apply);
+//! * faulty lanes run the scalar engine's faulty code itself, one lane
+//!   at a time on the lane's column: drop/stubborn plans on its thinned
+//!   block engine, every other plan step by step through
+//!   [`FaultSession::filter`] (noise and stale reads can widen the range,
+//!   so the monotonicity argument above does not apply to them);
 //! * the analytic finish ([`FinishPolicy::AnalyticTwoAdjacent`]) makes
 //!   the same single bounded draw from the lane's stream at `τ`.
 //!
@@ -107,7 +108,7 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::SeedableRng;
 
-use crate::engine::{bounded_u32_half, bounded_u64, CompiledSampler};
+use crate::engine::{bounded_u64, CompiledSampler, Drive, FastState, FaultyRun, Pick};
 use crate::error::DivError;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::kernels::{self, KernelTier};
@@ -490,98 +491,20 @@ impl<'g> BatchProcess<'g> {
                     &active[..]
                 };
 
-                macro_rules! drive {
-                    ($pick:expr) => {{
-                        let pick = $pick;
-                        for &lane in rest.iter() {
-                            let l = lane as usize;
-                            let col = &mut opinions[l * n..(l + 1) * n];
-                            col_snap.copy_from_slice(col);
-                            let snap_rng = rngs[l];
-                            let mut rng = rngs[l];
-                            for _ in 0..b {
-                                let (v, w) = pick(&mut rng);
-                                let xv = col[v as usize];
-                                let xw = col[w as usize];
-                                let delta = (xw > xv) as i32 - ((xw < xv) as i32);
-                                col[v as usize] = (xv as i32 + delta) as u16;
-                            }
-                            let (mn, mx) = kernels::min_max_u16(col, tier);
-                            if mx - mn <= stop_width {
-                                // Crossed inside the block: rewind to the
-                                // block start; the settle phase replays to
-                                // the exact first hit.
-                                col.copy_from_slice(&col_snap);
-                                rngs[l] = snap_rng;
-                                finished.push(lane);
-                            } else {
-                                rngs[l] = rng;
-                            }
-                        }
-                    }};
-                }
-
-                match sampler {
-                    CompiledSampler::Vertex { n } => {
-                        let n = *n;
-                        drive!(|rng: &mut FastRng| loop {
-                            let word = rng.next_word();
-                            let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
-                                continue;
-                            };
-                            let d = graph.degree(v as usize) as u32;
-                            let Some(slot) = bounded_u32_half(word as u32, d) else {
-                                continue;
-                            };
-                            break (v, graph.neighbor(v as usize, slot as usize) as u32);
-                        });
-                    }
-                    CompiledSampler::CompletePair { n } => {
-                        let n = *n;
-                        drive!(|rng: &mut FastRng| loop {
-                            let word = rng.next_word();
-                            let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
-                                continue;
-                            };
-                            let Some(w) = bounded_u32_half(word as u32, n - 1) else {
-                                continue;
-                            };
-                            // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
-                            break (v, w + (w >= v) as u32);
-                        });
-                    }
-                    CompiledSampler::Edge { endpoints, two_m } => {
-                        let endpoints = endpoints.as_slice();
-                        let two_m = *two_m;
-                        drive!(|rng: &mut FastRng| {
-                            let j = bounded_u64(rng, two_m) as usize;
-                            (endpoints[j], endpoints[j ^ 1])
-                        });
-                    }
-                    CompiledSampler::Alias { slots, n } => {
-                        let slots = slots.as_slice();
-                        let n = *n;
-                        drive!(|rng: &mut FastRng| {
-                            let v = loop {
-                                let word = rng.next_word();
-                                let Some(i) = bounded_u32_half((word >> 32) as u32, n) else {
-                                    continue;
-                                };
-                                let slot = slots[i as usize];
-                                break if (word as u32) < (slot >> 32) as u32 {
-                                    i as usize
-                                } else {
-                                    (slot as u32) as usize
-                                };
-                            };
-                            let d = graph.degree(v) as u64;
-                            (
-                                v as u32,
-                                graph.neighbor(v, bounded_u64(rng, d) as usize) as u32,
-                            )
-                        });
-                    }
-                }
+                sampler.drive(
+                    graph,
+                    BareLanes {
+                        lanes: rest,
+                        opinions,
+                        rngs,
+                        col_snap: &mut col_snap,
+                        n,
+                        steps: b,
+                        stop_width,
+                        tier,
+                        finished: &mut finished,
+                    },
+                );
             }
 
             // Settle phase: survivors took every round; finishers replay
@@ -798,12 +721,13 @@ impl<'g> BatchProcess<'g> {
 
     /// Runs every lane to consensus under a fault plan.
     ///
-    /// Faulty lanes fall back to per-lane scalar stepping: each lane gets
-    /// its own fresh [`FaultSession`](crate::FaultSession) (validated
-    /// against the shared initial opinions) and replays the scalar
-    /// engine's exact per-step fault pipeline and RNG draw order, with
-    /// full per-step bookkeeping (noise can widen the live range, so the
-    /// block deferral is unsound here).
+    /// Each lane gets its own fresh [`FaultSession`](crate::FaultSession)
+    /// (validated against the shared initial opinions) and runs, one lane
+    /// after another, the very code of
+    /// [`FastProcess::run_faulty_to_consensus`](crate::FastProcess::run_faulty_to_consensus)
+    /// on its column, from its step count and with its RNG, on the
+    /// batch's compiled sampler: drop/stubborn plans on the thinned block
+    /// engine, every other plan step by step.
     ///
     /// Like the scalar engine's faulty runners, each call builds fresh
     /// sessions — crash/stale timers restart, so chunking a faulty run is
@@ -841,76 +765,82 @@ impl<'g> BatchProcess<'g> {
         plan: &FaultPlan,
         stop_width: u16,
     ) -> Result<(Vec<RunStatus>, Vec<FaultStats>), DivError> {
-        let k = self.lanes;
         let n = self.initial.len();
-        let span = self.span;
-        let mut statuses = Vec::with_capacity(k);
-        let mut stats = Vec::with_capacity(k);
-        let mut counts: Vec<u32> = Vec::new();
-        for l in 0..k {
+        let mut statuses = Vec::with_capacity(self.lanes);
+        let mut stats = Vec::with_capacity(self.lanes);
+        let mut state = FastState::from_offsets(vec![0; n], self.span);
+        for l in 0..self.lanes {
             let mut session = plan.session(&self.initial)?;
-            counts.clear();
-            counts.resize(span, 0);
-            for v in 0..n {
-                counts[self.opinions[l * n + v] as usize] += 1;
+            let col = &mut self.opinions[l * n..(l + 1) * n];
+            state.load_column(col);
+            FaultyRun {
+                graph: self.graph,
+                sampler: &self.sampler,
+                state: &mut state,
+                base: self.base,
+                steps: &mut self.steps[l],
             }
-            let mut lo = counts.iter().position(|&c| c > 0).expect("non-empty") as u16;
-            let mut hi = counts.iter().rposition(|&c| c > 0).expect("non-empty") as u16;
-            let mut remaining = max_steps;
-            // Mirrors `FastProcess::run_faulty_width`: width check first,
-            // then the budget gate, then one scalar faulty step.
-            while hi - lo > stop_width {
-                if remaining == 0 {
-                    break;
-                }
-                remaining -= 1;
-                let (v, w) = self.sampler.pick(self.graph, &mut self.rngs[l]);
-                self.steps[l] += 1;
-                let step = self.steps[l];
-                let base = self.base;
-                let delivered = {
-                    let opinions = &self.opinions;
-                    session.filter(
-                        step,
-                        v,
-                        w,
-                        |u| base + opinions[l * n + u] as i64,
-                        &mut self.rngs[l],
-                    )
-                };
-                if let Some(x) = delivered {
-                    let target = (x - base).clamp(0, span as i64 - 1) as u16;
-                    let xi = l * n + v;
-                    let xv = self.opinions[xi];
-                    let delta = (target > xv) as i32 - ((target < xv) as i32);
-                    if delta != 0 {
-                        let new = (xv as i32 + delta) as u16;
-                        self.opinions[xi] = new;
-                        counts[xv as usize] -= 1;
-                        counts[new as usize] += 1;
-                        // Faults can push a lane back outside its
-                        // shrunken live range.
-                        lo = lo.min(new);
-                        hi = hi.max(new);
-                        if counts[xv as usize] == 0 {
-                            if xv == lo {
-                                while counts[lo as usize] == 0 {
-                                    lo += 1;
-                                }
-                            }
-                            if xv == hi {
-                                while counts[hi as usize] == 0 {
-                                    hi -= 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            .run_to_width(
+                max_steps,
+                &mut session,
+                &mut self.rngs[l],
+                stop_width as u32,
+            );
+            state.store_column(col);
             statuses.push(self.result_for(l, stop_width));
             stats.push(*session.stats());
         }
         Ok((statuses, stats))
+    }
+}
+
+/// The scalar drive of [`BatchProcess::run_width`] for
+/// [`CompiledSampler::drive`]: each lane in `lanes` takes `steps` bare
+/// toward-steps on its column with its RNG held in registers; a lane
+/// whose end-of-block width is at most `stop_width` is rewound to the
+/// block start (column and RNG) and pushed to `finished` for the settle
+/// phase's exact replay.
+struct BareLanes<'a> {
+    lanes: &'a [u32],
+    opinions: &'a mut [u16],
+    rngs: &'a mut [FastRng],
+    col_snap: &'a mut [u16],
+    n: usize,
+    steps: u64,
+    stop_width: u16,
+    tier: KernelTier,
+    finished: &'a mut Vec<u32>,
+}
+
+impl Drive for BareLanes<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn drive<P: Pick>(self, pick: P) {
+        let n = self.n;
+        for &lane in self.lanes {
+            let l = lane as usize;
+            let col = &mut self.opinions[l * n..(l + 1) * n];
+            self.col_snap.copy_from_slice(col);
+            let mut rng = self.rngs[l];
+            for _ in 0..self.steps {
+                let (v, w) = pick.pick(&mut rng);
+                let xv = col[v as usize];
+                let xw = col[w as usize];
+                let delta = (xw > xv) as i32 - ((xw < xv) as i32);
+                col[v as usize] = (xv as i32 + delta) as u16;
+            }
+            let (mn, mx) = kernels::min_max_u16(col, self.tier);
+            if mx - mn <= self.stop_width {
+                // Crossed inside the block: rewind the column (the RNG
+                // was left at the snapshot); the settle phase replays to
+                // the exact first hit.
+                col.copy_from_slice(self.col_snap);
+                self.finished.push(lane);
+            } else {
+                self.rngs[l] = rng;
+            }
+        }
     }
 }
 

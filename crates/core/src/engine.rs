@@ -24,6 +24,14 @@
 //!   endpoint satisfies the predicate contains the first hit; the engine
 //!   rewinds to the block's start snapshot and replays stepwise to report
 //!   the exact first-hit step count — block size never changes results.
+//! * **Thinned faulty blocks**: drop and stubborn faults only delete
+//!   steps, so the range still never expands and such fault plans keep
+//!   block stepping.  A step is one pick, the stubborn check (no draw)
+//!   and, when the drop rate is positive, one drop draw compared as an
+//!   integer ([`FaultSession::filter`]'s exact draw order); fault
+//!   counters and per-opinion counts are booked once per block.  Noise,
+//!   stale and crash faults step one at a time through
+//!   [`FaultSession::filter`].
 //! * **Branchless updates**: the signum and the aggregate increments
 //!   compile to arithmetic, not branches; the only data-dependent branch
 //!   left is the (rare) range-boundary shrink.
@@ -41,6 +49,7 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::{Rng, RngCore};
 
+use crate::kernels::{self, KernelTier};
 use crate::telemetry::{Observer, Phase, PhaseEvent, TelemetrySample};
 use crate::{DivError, FaultSession, OpinionState, RunStatus, SelectionBias};
 
@@ -193,55 +202,141 @@ impl CompiledSampler {
     /// Draws the ordered pair `(updater, observed)`.
     #[inline(always)]
     pub(crate) fn pick<R: RngCore + ?Sized>(&self, g: &Graph, rng: &mut R) -> (usize, usize) {
-        match *self {
-            CompiledSampler::Vertex { n } => loop {
-                let word = rng.next_u64();
-                let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
-                    continue;
-                };
-                let v = v as usize;
-                let d = g.degree(v) as u32;
-                let Some(slot) = bounded_u32_half(word as u32, d) else {
-                    continue;
-                };
-                return (v, g.neighbor(v, slot as usize));
-            },
-            CompiledSampler::CompletePair { n } => loop {
-                let word = rng.next_u64();
-                let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
-                    continue;
-                };
-                let Some(w) = bounded_u32_half(word as u32, n - 1) else {
-                    continue;
-                };
-                // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
-                let w = w + (w >= v) as u32;
-                return (v as usize, w as usize);
-            },
+        let (v, w) = match *self {
+            CompiledSampler::Vertex { n } => VertexPick { g, n }.pick(rng),
+            CompiledSampler::CompletePair { n } => CompletePairPick { n }.pick(rng),
             CompiledSampler::Edge {
                 ref endpoints,
                 two_m,
-            } => {
-                let j = bounded_u64(rng, two_m) as usize;
-                (endpoints[j] as usize, endpoints[j ^ 1] as usize)
-            }
-            CompiledSampler::Alias { ref slots, n } => {
-                let v = loop {
-                    let word = rng.next_u64();
-                    let Some(i) = bounded_u32_half((word >> 32) as u32, n) else {
-                        continue;
-                    };
-                    let slot = slots[i as usize];
-                    break if (word as u32) < (slot >> 32) as u32 {
-                        i as usize
-                    } else {
-                        (slot as u32) as usize
-                    };
-                };
-                let d = g.degree(v) as u64;
-                (v, g.neighbor(v, bounded_u64(rng, d) as usize))
-            }
+            } => EdgePick { endpoints, two_m }.pick(rng),
+            CompiledSampler::Alias { ref slots, n } => AliasPick { g, slots, n }.pick(rng),
+        };
+        (v as usize, w as usize)
+    }
+
+    /// Matches the sampler family **once** and hands `d` the family's
+    /// [`Pick`], so a loop inside [`Drive::drive`] is monomorphic: no
+    /// per-step dispatch.  The batch engine's lane drive and the fast
+    /// engine's thinned faulty blocks both run through here.
+    #[inline(always)]
+    pub(crate) fn drive<D: Drive>(&self, g: &Graph, d: D) -> D::Out {
+        match *self {
+            CompiledSampler::Vertex { n } => d.drive(VertexPick { g, n }),
+            CompiledSampler::CompletePair { n } => d.drive(CompletePairPick { n }),
+            CompiledSampler::Edge {
+                ref endpoints,
+                two_m,
+            } => d.drive(EdgePick { endpoints, two_m }),
+            CompiledSampler::Alias { ref slots, n } => d.drive(AliasPick { g, slots, n }),
         }
+    }
+}
+
+/// One sampler family's draw of an ordered `(updater, observed)` pair.
+/// The four implementations below are the only scalar implementation of
+/// the interaction law.
+pub(crate) trait Pick {
+    /// Draws one pair from `rng`.
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (u32, u32);
+}
+
+/// A loop over one sampler family's [`Pick`]; see
+/// [`CompiledSampler::drive`].
+pub(crate) trait Drive {
+    /// What the loop reports.
+    type Out;
+    /// Runs the loop, drawing each pair with `pick`.
+    fn drive<P: Pick>(self, pick: P) -> Self::Out;
+}
+
+/// One word: high half picks the vertex, low half the neighbour slot.
+struct VertexPick<'a> {
+    g: &'a Graph,
+    n: u32,
+}
+
+impl Pick for VertexPick<'_> {
+    #[inline(always)]
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (u32, u32) {
+        loop {
+            let word = rng.next_u64();
+            let Some(v) = bounded_u32_half((word >> 32) as u32, self.n) else {
+                continue;
+            };
+            let d = self.g.degree(v as usize) as u32;
+            let Some(slot) = bounded_u32_half(word as u32, d) else {
+                continue;
+            };
+            return (v, self.g.neighbor(v as usize, slot as usize) as u32);
+        }
+    }
+}
+
+/// A uniform ordered pair of distinct vertices from one word.
+struct CompletePairPick {
+    n: u32,
+}
+
+impl Pick for CompletePairPick {
+    #[inline(always)]
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (u32, u32) {
+        loop {
+            let word = rng.next_u64();
+            let Some(v) = bounded_u32_half((word >> 32) as u32, self.n) else {
+                continue;
+            };
+            let Some(w) = bounded_u32_half(word as u32, self.n - 1) else {
+                continue;
+            };
+            // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
+            return (v, w + (w >= v) as u32);
+        }
+    }
+}
+
+/// One draw `j ∈ [0, 2m)` addresses the directed edge
+/// `(endpoints[j], endpoints[j ^ 1])`.
+struct EdgePick<'a> {
+    endpoints: &'a [u32],
+    two_m: u64,
+}
+
+impl Pick for EdgePick<'_> {
+    #[inline(always)]
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (u32, u32) {
+        let j = bounded_u64(rng, self.two_m) as usize;
+        (self.endpoints[j], self.endpoints[j ^ 1])
+    }
+}
+
+/// One word draws the degree-biased vertex from the packed alias table,
+/// a second picks the neighbour.
+struct AliasPick<'a> {
+    g: &'a Graph,
+    slots: &'a [u64],
+    n: u32,
+}
+
+impl Pick for AliasPick<'_> {
+    #[inline(always)]
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (u32, u32) {
+        let v = loop {
+            let word = rng.next_u64();
+            let Some(i) = bounded_u32_half((word >> 32) as u32, self.n) else {
+                continue;
+            };
+            let slot = self.slots[i as usize];
+            break if (word as u32) < (slot >> 32) as u32 {
+                i as usize
+            } else {
+                (slot as u32) as usize
+            };
+        };
+        let d = self.g.degree(v) as u64;
+        (
+            v as u32,
+            self.g.neighbor(v, bounded_u64(rng, d) as usize) as u32,
+        )
     }
 }
 
@@ -304,7 +399,7 @@ pub(crate) fn packed_alias_slots(weights: &[u64]) -> Vec<u64> {
 
 /// Compact opinion state: opinions as offsets into the initial span.
 #[derive(Debug, Clone)]
-struct FastState {
+pub(crate) struct FastState {
     /// `opinions[v] = X_v − base`, always within `[0, span)`.
     opinions: Vec<u32>,
     counts: Vec<u32>,
@@ -316,6 +411,47 @@ struct FastState {
 }
 
 impl FastState {
+    /// The state holding `opinions`, offsets into a span of `span` values.
+    pub(crate) fn from_offsets(opinions: Vec<u32>, span: usize) -> FastState {
+        let mut state = FastState {
+            opinions,
+            counts: vec![0; span],
+            lo: 0,
+            hi: 0,
+            sum_off: 0,
+        };
+        state.recount();
+        state
+    }
+
+    /// Loads a batch lane's `u16` column (same offsets, same span).
+    pub(crate) fn load_column(&mut self, col: &[u16]) {
+        self.opinions.clear();
+        self.opinions.extend(col.iter().map(|&x| x as u32));
+        self.recount();
+    }
+
+    /// Writes the opinions back into a batch lane's `u16` column.
+    pub(crate) fn store_column(&self, col: &mut [u16]) {
+        for (slot, &x) in col.iter_mut().zip(&self.opinions) {
+            *slot = x as u16;
+        }
+    }
+
+    /// Rebuilds `counts`, `sum_off` and `lo/hi` from `opinions`, in
+    /// `O(n + span)`: what the bare thinned blocks skip per step.
+    fn recount(&mut self) {
+        self.counts.fill(0);
+        let mut sum_off = 0i64;
+        for &x in &self.opinions {
+            self.counts[x as usize] += 1;
+            sum_off += x as i64;
+        }
+        self.sum_off = sum_off;
+        self.lo = self.counts.iter().position(|&c| c > 0).expect("non-empty") as u32;
+        self.hi = self.counts.iter().rposition(|&c| c > 0).expect("non-empty") as u32;
+    }
+
     /// One DIV step: move `v` one unit toward `w`'s opinion.  The signum
     /// and all aggregate increments are branchless; when the pair already
     /// agrees every update is a provable no-op (`±0` / `−1+1`), so the
@@ -394,6 +530,162 @@ impl FastState {
     }
 }
 
+/// One trajectory under a fault plan: the compiled law and the state it
+/// steps.  [`FastProcess`] lends its own fields and a batch lane lends
+/// its column (widened into `state`) and step counter, so the fast and
+/// batch engines share this one faulty loop.
+pub(crate) struct FaultyRun<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) sampler: &'a CompiledSampler,
+    pub(crate) state: &'a mut FastState,
+    pub(crate) base: i64,
+    pub(crate) steps: &'a mut u64,
+}
+
+impl FaultyRun<'_> {
+    /// One step through [`FaultSession::filter`], reporting the updating
+    /// vertex and its opinion delta (what observed runs need to maintain
+    /// the degree-weighted sum incrementally).
+    fn step<R: Rng + ?Sized>(&mut self, faults: &mut FaultSession, rng: &mut R) -> (usize, i64) {
+        let (v, w) = self.sampler.pick(self.graph, rng);
+        *self.steps += 1;
+        let base = self.base;
+        let opinions = &self.state.opinions;
+        let before = self.state.sum_off;
+        if let Some(x) = faults.filter(*self.steps, v, w, |u| base + opinions[u] as i64, rng) {
+            let target = (x - base).clamp(0, self.state.counts.len() as i64 - 1) as u32;
+            self.state.apply_observed(v, target);
+        }
+        (v, self.state.sum_off - before)
+    }
+
+    /// Steps until the range width is at most `stop_width` (`true`) or
+    /// `max_steps` steps are spent (`false`), with the per-step semantics
+    /// of [`FaultyRun::step`]: width check, then budget, then one step.
+    /// Range-preserving plans take the thinned block engine, every other
+    /// plan the per-step loop.
+    pub(crate) fn run_to_width<R: Rng + Clone>(
+        &mut self,
+        max_steps: u64,
+        faults: &mut FaultSession,
+        rng: &mut R,
+        stop_width: u32,
+    ) -> bool {
+        if faults.plan().preserves_range() {
+            return self.run_thinned(max_steps, faults, rng, stop_width);
+        }
+        let mut remaining = max_steps;
+        while self.state.width() > stop_width {
+            if remaining == 0 {
+                return false;
+            }
+            remaining -= 1;
+            self.step(faults, rng);
+        }
+        true
+    }
+
+    /// The block engine for drop/stubborn plans.  Each block takes bare
+    /// thinned toward-steps (no counts, no `sum_off`, no width check),
+    /// then one min/max scan.  Those faults only delete steps, so the
+    /// width stays monotone: a block whose end is above `stop_width` was
+    /// above it throughout, and one whose end is not is rewound (opinions
+    /// and RNG) and replayed through [`FaultyRun::step`] to the exact
+    /// first hit.
+    fn run_thinned<R: Rng + Clone>(
+        &mut self,
+        max_steps: u64,
+        faults: &mut FaultSession,
+        rng: &mut R,
+        stop_width: u32,
+    ) -> bool {
+        if self.state.width() <= stop_width {
+            return true;
+        }
+        let tier = KernelTier::active();
+        let stubborn = faults.plan().stubborn as u32;
+        let drop_below = faults.plan().drop_threshold();
+        let n = self.state.opinions.len();
+        let block = (n as u64).max(1024);
+        let mut snap = vec![0u32; n];
+        let mut remaining = max_steps;
+        while remaining > 0 {
+            let b = block.min(remaining);
+            snap.copy_from_slice(&self.state.opinions);
+            let snap_rng = rng.clone();
+            let (dropped, suppressed) = self.sampler.drive(
+                self.graph,
+                Thinned {
+                    col: &mut self.state.opinions,
+                    rng,
+                    steps: b,
+                    stubborn,
+                    drop_below,
+                },
+            );
+            let (lo, hi) = kernels::min_max_u32(&self.state.opinions, tier);
+            if hi - lo <= stop_width {
+                self.state.opinions.copy_from_slice(&snap);
+                *rng = snap_rng;
+                self.state.recount();
+                for _ in 0..b {
+                    self.step(faults, rng);
+                    if self.state.width() <= stop_width {
+                        return true;
+                    }
+                }
+                unreachable!("stop held at block end but not in replay");
+            }
+            faults.record_thinned(b, dropped, suppressed);
+            *self.steps += b;
+            remaining -= b;
+        }
+        self.state.recount();
+        false
+    }
+}
+
+/// One bare thinned block for [`CompiledSampler::drive`]: `steps` draws,
+/// each filtered exactly as [`FaultSession::filter`] filters a
+/// drop/stubborn plan — a stubborn updater (`v < stubborn`) is suppressed
+/// without a draw, then one word is drawn iff `drop_below > 0` and the
+/// interaction is lost when `word >> 11 < drop_below` — and otherwise
+/// a branchless toward-step.  Reports `(dropped, suppressed)`.
+struct Thinned<'a, R> {
+    col: &'a mut [u32],
+    rng: &'a mut R,
+    steps: u64,
+    stubborn: u32,
+    drop_below: u64,
+}
+
+impl<R: RngCore + Clone> Drive for Thinned<'_, R> {
+    type Out = (u64, u64);
+
+    #[inline(always)]
+    fn drive<P: Pick>(self, pick: P) -> (u64, u64) {
+        let col = self.col;
+        // A register-resident copy of the stream, written back at the end.
+        let mut rng = self.rng.clone();
+        let (mut dropped, mut suppressed) = (0u64, 0u64);
+        for _ in 0..self.steps {
+            let (v, w) = pick.pick(&mut rng);
+            if v < self.stubborn {
+                suppressed += 1;
+                continue;
+            }
+            let lost = self.drop_below > 0 && (rng.next_u64() >> 11) < self.drop_below;
+            dropped += lost as u64;
+            let xv = col[v as usize];
+            let xw = col[w as usize];
+            let delta = ((xw > xv) as i32 - (xw < xv) as i32) * !lost as i32;
+            col[v as usize] = (xv as i32 + delta) as u32;
+        }
+        *self.rng = rng;
+        (dropped, suppressed)
+    }
+}
+
 /// High-throughput DIV process; see the module docs for the design
 /// and [`crate::DivProcess`] for the observable reference implementation.
 ///
@@ -446,22 +738,11 @@ impl<'g> FastProcess<'g> {
             .iter()
             .map(|&x| (x - base) as u32)
             .collect();
-        let mut counts = vec![0u32; span];
-        for &off in &opinions_off {
-            counts[off as usize] += 1;
-        }
-        let sum_off = reference.sum() - base * reference.num_vertices() as i64;
         Ok(FastProcess {
             graph,
             kind: scheduler,
             sampler: CompiledSampler::compile(graph, scheduler),
-            state: FastState {
-                opinions: opinions_off,
-                counts,
-                lo: 0,
-                hi: (span - 1) as u32,
-                sum_off,
-            },
+            state: FastState::from_offsets(opinions_off, span),
             base,
             steps: 0,
         })
@@ -604,38 +885,35 @@ impl<'g> FastProcess<'g> {
     /// [`FaultSession::filter`].  With a trivial plan the RNG stream is
     /// identical to the fault-free engine's.
     pub fn step_faulty<R: Rng + ?Sized>(&mut self, faults: &mut FaultSession, rng: &mut R) {
-        let _ = self.step_faulty_traced(faults, rng);
+        self.faulty().step(faults, rng);
     }
 
-    /// [`FastProcess::step_faulty`], additionally reporting the updating
-    /// vertex and its opinion delta (what observed runs need to maintain
-    /// the degree-weighted sum incrementally).
-    fn step_faulty_traced<R: Rng + ?Sized>(
-        &mut self,
-        faults: &mut FaultSession,
-        rng: &mut R,
-    ) -> (usize, i64) {
-        let (v, w) = self.sampler.pick(self.graph, rng);
-        self.steps += 1;
-        let base = self.base;
-        let opinions = &self.state.opinions;
-        let before = self.state.sum_off;
-        if let Some(x) = faults.filter(self.steps, v, w, |u| base + opinions[u] as i64, rng) {
-            let target = (x - base).clamp(0, self.state.counts.len() as i64 - 1) as u32;
-            self.state.apply_observed(v, target);
+    /// This process's trajectory as a [`FaultyRun`].
+    fn faulty(&mut self) -> FaultyRun<'_> {
+        FaultyRun {
+            graph: self.graph,
+            sampler: &self.sampler,
+            state: &mut self.state,
+            base: self.base,
+            steps: &mut self.steps,
         }
-        (v, self.state.sum_off - before)
     }
 
-    /// Runs under a fault model until consensus or budget exhaustion.
+    /// Runs under a fault model until consensus or budget exhaustion,
+    /// with exactly the trajectory, step count, RNG position and fault
+    /// counters of a loop of [`FastProcess::step_faulty`] calls that
+    /// stops at the first consensus.
     ///
-    /// Faulty runs cannot use the block engine: noise and stale reads can
-    /// re-expand the opinion range, so the stop predicates are no longer
-    /// monotone and block-endpoint checks could miss (or mis-time) the
-    /// first hit.  The per-step loop keeps a single width comparison in
-    /// the hot path instead.  As with the reference engine, pass a finite
+    /// Plans whose only faults are drop and stubborn keep the opinion
+    /// range non-expanding, so they run on the block engine: bare thinned
+    /// toward-steps, one width scan per block, and a rewind of the
+    /// hitting block (hence `R: Clone`) replayed step by step to the exact
+    /// first hit.  Noise and stale reads can re-expand the range (the
+    /// stop predicate is no longer monotone) and crash timers depend on
+    /// the step, so plans with them step one at a time, with one width
+    /// comparison per step.  As with the reference engine, pass a finite
     /// budget — fault plans can obstruct consensus entirely.
-    pub fn run_faulty_to_consensus<R: Rng + ?Sized>(
+    pub fn run_faulty_to_consensus<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
         faults: &mut FaultSession,
@@ -646,7 +924,7 @@ impl<'g> FastProcess<'g> {
 
     /// Runs under a fault model until at most two adjacent opinions
     /// remain, or until the budget is spent.
-    pub fn run_faulty_to_two_adjacent<R: Rng + ?Sized>(
+    pub fn run_faulty_to_two_adjacent<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
         faults: &mut FaultSession,
@@ -655,22 +933,21 @@ impl<'g> FastProcess<'g> {
         self.run_faulty_width(max_steps, faults, rng, 1)
     }
 
-    fn run_faulty_width<R: Rng + ?Sized>(
+    fn run_faulty_width<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
         faults: &mut FaultSession,
         rng: &mut R,
         stop_width: u32,
     ) -> RunStatus {
-        let mut remaining = max_steps;
-        while self.state.width() > stop_width {
-            if remaining == 0 {
-                return RunStatus::StepLimit { steps: self.steps };
-            }
-            remaining -= 1;
-            self.step_faulty(faults, rng);
+        if self
+            .faulty()
+            .run_to_width(max_steps, faults, rng, stop_width)
+        {
+            self.status()
+        } else {
+            RunStatus::StepLimit { steps: self.steps }
         }
-        self.status()
     }
 
     /// Runs to consensus with telemetry: stride-boundary samples plus
@@ -723,16 +1000,16 @@ impl<'g> FastProcess<'g> {
     /// counters (delivered to [`Observer::on_faults`] just before
     /// [`Observer::on_finish`]).
     ///
-    /// Faulty runs step one at a time (faults break the monotonicity the
-    /// block engine relies on), so phase events are exact here too — but
-    /// since noise and stale reads can re-expand the range, only the
-    /// *first* entry into each phase is reported.  With a disabled
-    /// observer this delegates to the plain faulty loop.
+    /// Observed faulty runs step one at a time, so phase events are
+    /// exact — but since noise and stale reads can re-expand the range,
+    /// only the *first* entry into each phase is reported.  With a
+    /// disabled observer this delegates to
+    /// [`FastProcess::run_faulty_to_consensus`].
     ///
     /// # Panics
     ///
     /// Panics if `stride == 0`.
-    pub fn run_faulty_observed<R: Rng + ?Sized, O: Observer>(
+    pub fn run_faulty_observed<R: Rng + Clone, O: Observer>(
         &mut self,
         max_steps: u64,
         faults: &mut FaultSession,
@@ -759,7 +1036,7 @@ impl<'g> FastProcess<'g> {
                 return RunStatus::StepLimit { steps: self.steps };
             }
             remaining -= 1;
-            let (v, delta) = self.step_faulty_traced(faults, rng);
+            let (v, delta) = self.faulty().step(faults, rng);
             dw_off += delta * self.graph.degree(v) as i64;
             let width = self.state.width();
             while next_phase < PHASES.len() && width <= PHASES[next_phase].0 {

@@ -32,6 +32,18 @@
 //!   steps: while crashed it neither updates nor answers reads (observing
 //!   a crashed vertex counts as a drop).
 //!
+//! # Which faults keep the range
+//!
+//! A delivered DIV step moves the updater one unit toward a *live*
+//! opinion, so the live range `[min, max]` can only shrink.  Drop and
+//! stubborn faults merely delete steps from the schedule: they keep that
+//! invariant, so "range width ≤ w" stays monotone and the fast engine
+//! runs such plans on its block engine (bare thinned toward-steps, one
+//! min/max scan per block, an exact rewind to the first hit).  Noise and
+//! stale reads deliver values that need not be live, so they can
+//! re-expand the range; crash–recover keeps it but its timers depend on
+//! the step.  Plans with any of those three step one at a time.
+//!
 //! # Determinism
 //!
 //! A session consumes randomness from the *caller's* RNG in a fixed,
@@ -132,6 +144,22 @@ impl FaultPlan {
             && self.stale.is_none()
             && self.stubborn == 0
             && self.crash.is_none()
+    }
+
+    /// Whether every fault in the plan only deletes steps (drop and
+    /// stubborn), so the live opinion range never re-expands and the
+    /// per-step work needs no step clock (see the module docs).
+    pub(crate) fn preserves_range(&self) -> bool {
+        self.noise.is_none() && self.stale.is_none() && self.crash.is_none()
+    }
+
+    /// The drop draw as an integer compare: for any word `x`,
+    /// `(x >> 11) < drop_threshold()` exactly when the `f64` that
+    /// [`FaultSession::filter`] draws from `x` (`(x >> 11)·2⁻⁵³`) is below
+    /// `drop`.  Scaling by `2⁵³` is exact, so the threshold is
+    /// `⌈drop·2⁵³⌉`, and it is 0 exactly when `drop` is 0.
+    pub(crate) fn drop_threshold(&self) -> u64 {
+        (self.drop * (1u64 << 53) as f64).ceil() as u64
     }
 
     /// Parses a comma-separated fault spec, e.g.
@@ -334,6 +362,15 @@ impl FaultSession {
         v < self.plan.stubborn
     }
 
+    /// Books `steps` interactions filtered outside [`FaultSession::filter`]
+    /// (the thinned block engine of a range-preserving plan), of which
+    /// `dropped` were lost and `suppressed` had a stubborn updater.
+    pub(crate) fn record_thinned(&mut self, steps: u64, dropped: u64, suppressed: u64) {
+        self.stats.dropped += dropped;
+        self.stats.suppressed += suppressed;
+        self.stats.delivered += steps - dropped - suppressed;
+    }
+
     /// Filters one interaction at clock `step` where `v` observes `w`:
     /// returns `Some(effective observed opinion)` when the interaction is
     /// delivered, `None` when the step must be a no-op.  `current(u)` must
@@ -419,7 +456,7 @@ mod tests {
     use crate::{init, DivProcess, EdgeScheduler};
     use div_graph::generators;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parse_full_spec() {
@@ -548,6 +585,42 @@ mod tests {
         let rate = session.stats().dropped as f64 / p.steps() as f64;
         assert!((rate - 0.4).abs() < 0.02, "process drop rate {rate}");
         p.state().check_invariants();
+    }
+
+    #[test]
+    fn drop_threshold_matches_the_float_draw() {
+        /// Hands out one fixed word, so `gen::<f64>()` sees exactly `x`.
+        struct Fixed(u64);
+        impl rand::RngCore for Fixed {
+            fn next_u32(&mut self) -> u32 {
+                (self.0 >> 32) as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        let mut qs = vec![2f64.powi(-53), 0.1, 0.5, 1.0 - 2f64.powi(-53)];
+        let mut rng = StdRng::seed_from_u64(7);
+        qs.extend((0..8).map(|_| rng.gen::<f64>()));
+        assert_eq!(FaultPlan::none().drop_threshold(), 0);
+        for q in qs {
+            let t = FaultPlan::drop_only(q).unwrap().drop_threshold();
+            assert!(t > 0, "q = {q} must draw");
+            for m in [t - 1, t, t + 1] {
+                // `x >> 11` ranges over [0, 2⁵³).
+                if m >= 1 << 53 {
+                    continue;
+                }
+                for low in [0, 0x7FF] {
+                    let x = m << 11 | low;
+                    assert_eq!(
+                        (x >> 11) < t,
+                        Fixed(x).gen::<f64>() < q,
+                        "q = {q}, word {x:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
