@@ -83,13 +83,13 @@ use div_baselines::{
 };
 use div_bench::spec::{demotion, Campaign, CampaignInputs, CampaignSpec, Front};
 use div_bench::trial::{
-    exceeds_lane_span, outcome_of, publish_faults, run_engine_campaign, Engine, Pending, TrialSetup,
+    outcome_of, publish_faults, run_engine_campaign, Engine, Pending, TrialSetup,
 };
 use div_core::{
-    hex_id, init, render_spans, span_id, theory, BatchProcess, CsvExporter, DivProcess,
-    EdgeScheduler, FastScheduler, FaultPlan, FaultStats, JsonlExporter, KernelTier, NullObserver,
-    Observer, OpinionState, Phase, PhaseEvent, RingRecorder, RunStatus, Scheduler, SpanClock,
-    SpanEvent, StageLog, TelemetrySample, VertexScheduler,
+    hex_id, init, render_spans, span_id, theory, CsvExporter, DivProcess, EdgeScheduler,
+    FastScheduler, FaultPlan, FaultStats, JsonlExporter, KernelTier, NullObserver, Observer,
+    OpinionState, Phase, PhaseEvent, RingRecorder, RunStatus, Scheduler, SpanClock, SpanEvent,
+    StageLog, TelemetrySample, VertexScheduler,
 };
 use div_sim::table::Table;
 use div_sim::{
@@ -594,17 +594,6 @@ fn single_run<O: Observer>(
     rng: &mut StdRng,
     obs: &mut O,
 ) -> (TrialOutcome, String) {
-    let wide = engine == Engine::Batch && exceeds_lane_span(setup.opinions);
-    if wide {
-        // Wider than the u16 lane columns: the scalar fast engine replays
-        // the lane's exact trajectory from the lane's own seed.
-        eprintln!(
-            "divlab: initial span exceeds the batch engine's {} lane limit; \
-             falling back to --engine {} (same seed, same outcome)",
-            BatchProcess::LANE_SPAN_LIMIT,
-            Engine::Fast
-        );
-    }
     let run = if engine == Engine::Reference {
         setup.reference(budget, rng, obs)
     } else {
@@ -627,7 +616,6 @@ fn single_run<O: Observer>(
             "{scheduler} scheduler, {engine} engine, {} shards",
             setup.shards
         ),
-        _ if wide => format!("{scheduler} scheduler, {engine} engine (scalar fallback)"),
         _ => format!("{scheduler} scheduler, {engine} engine"),
     };
     (run.outcome, label)
@@ -682,16 +670,6 @@ fn run_campaign_cmd(
         c.cfg.tag = spec.tag(Front::Run, c.engine);
     }
     let (engine, setup, cfg) = (c.engine, &c.setup, &c.cfg);
-    if engine == Engine::Batch && exceeds_lane_span(setup.opinions) {
-        // The lockstep groups cannot hold this span in their u16 lane
-        // columns; the executor runs every group per lane on the scalar
-        // engine (identical outcomes per seed) — warn once up front.
-        eprintln!(
-            "divlab: initial span exceeds the batch engine's {} lane limit; lane groups \
-             will run per-lane on the scalar fast engine (same seeds, same outcomes)",
-            BatchProcess::LANE_SPAN_LIMIT
-        );
-    }
 
     // Live scrapes can identify what is running before the first trial
     // finishes (`div_engine_info{engine,kernel_tier}`).

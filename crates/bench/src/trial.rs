@@ -105,13 +105,13 @@ pub fn parse_scheduler(name: &str) -> Result<FastScheduler, String> {
         .ok_or_else(|| format!("unknown scheduler {name:?} (use edge or vertex)"))
 }
 
-/// Whether an initial opinion vector is too wide for the batch engine's
-/// `u16` lane offsets ([`BatchProcess::LANE_SPAN_LIMIT`]).  Such
-/// campaigns demote to per-lane scalar execution instead of erroring —
-/// the scalar engine supports spans up to 2²⁴.
+/// Whether an initial opinion vector is wider than the engines' span
+/// limit of 2²⁴ values, which every engine (batch lanes included)
+/// shares.  The spec parsers reject such vectors, so a validated input
+/// never trips this.
 pub fn exceeds_lane_span(opinions: &[i64]) -> bool {
     match (opinions.iter().min(), opinions.iter().max()) {
-        (Some(&lo), Some(&hi)) => (hi - lo) as usize + 1 > BatchProcess::LANE_SPAN_LIMIT,
+        (Some(&lo), Some(&hi)) => hi.abs_diff(lo) >= 1 << 24,
         _ => false,
     }
 }
@@ -221,11 +221,10 @@ impl<'a> TrialSetup<'a> {
     ///
     /// The batch engine steps `ctxs` as one lockstep group, seeding lane
     /// `l` with `ctxs[l].seed` so each lane is bit-exact against the fast
-    /// engine's trial for the same context.  Groups whose initial span
-    /// exceeds [`BatchProcess::LANE_SPAN_LIMIT`], and observed groups
-    /// under a non-trivial fault plan (the batch engine has no faulty
-    /// observed path), run lane by lane on the fast engine instead — the
-    /// same per-seed outcomes.  The other engines run `ctxs` one trial at
+    /// engine's trial for the same context.  Observed groups under a
+    /// non-trivial fault plan (the batch engine has no faulty observed
+    /// path) run lane by lane on the fast engine instead — the same
+    /// per-seed outcomes.  The other engines run `ctxs` one trial at
     /// a time; the sharded engine draws shard `p`'s stream from
     /// `SeedSequence::seed_for(ctx.seed, p)`.
     ///
@@ -239,9 +238,7 @@ impl<'a> TrialSetup<'a> {
         observers: &mut [O],
     ) -> Vec<TrialRun> {
         assert_eq!(ctxs.len(), observers.len(), "one observer per trial");
-        let lockstep = engine == Engine::Batch
-            && !exceeds_lane_span(self.opinions)
-            && (self.faults.is_trivial() || !O::ENABLED);
+        let lockstep = engine == Engine::Batch && (self.faults.is_trivial() || !O::ENABLED);
         if lockstep {
             return self.batch(ctxs, observers);
         }

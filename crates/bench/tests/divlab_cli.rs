@@ -1107,72 +1107,77 @@ fn campaign_threads_flag_is_honoured_on_every_engine() {
 }
 
 #[test]
-fn wide_span_single_run_demotes_batch_to_scalar_fallback() {
-    // Regression: a span-70k init used to hard-error the batch engine
-    // with SpanTooLarge (exit 2); it must now demote to the per-lane
-    // scalar fallback with a warning and finish the run.
-    let out = divlab(&[
-        "run",
-        "--graph",
-        "complete:64",
-        "--init",
-        "blocks:0x32,70000x32",
-        "--engine",
-        "batch",
-        "--budget",
-        "50000",
-        "--seed",
-        "3",
-    ]);
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("lane limit"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    assert!(
-        stdout(&out).contains("scalar fallback"),
-        "stdout: {}",
-        stdout(&out)
+fn wide_span_single_run_runs_batch_natively_and_matches_fast() {
+    // Regression: a span-70k init (wider than 2¹⁶) used to hard-error the
+    // batch engine with SpanTooLarge (exit 2).  Lane columns now hold the
+    // fast engine's 2²⁴ span, so the batch lane runs it natively and
+    // replays the fast engine's run exactly.
+    let run = |engine: &'static str| {
+        divlab(&[
+            "run",
+            "--graph",
+            "complete:64",
+            "--init",
+            "blocks:0x32,70000x32",
+            "--engine",
+            engine,
+            "--budget",
+            "50000",
+            "--seed",
+            "3",
+        ])
+    };
+    let (batch, fast) = (run("batch"), run("fast"));
+    assert_eq!(batch.status.code(), Some(3), "stderr: {}", stderr(&batch));
+    assert_eq!(fast.status.code(), Some(3), "stderr: {}", stderr(&fast));
+    // The verdict lines differ only in the engine label.
+    assert_eq!(
+        stdout(&batch).replace("batch engine", "fast engine"),
+        stdout(&fast),
+        "wide-span batch and fast single runs diverged"
     );
 }
 
 #[test]
-fn wide_span_campaign_demotes_lane_groups_and_stays_well_formed() {
-    // Same regression, campaign path: groups fall back per lane, the
+fn wide_span_campaign_runs_batch_natively_and_matches_fast() {
+    // Same regression, campaign path: the lane groups hold the span, the
     // report renders (including the empty phase-step summary when no
-    // trial converges within the budget) and the exit code is the
-    // degraded 3, not a failure.
-    let out = divlab(&[
-        "campaign",
-        "--graph",
-        "complete:64",
-        "--init",
-        "blocks:0x32,70000x32",
-        "--engine",
-        "batch",
-        "--trials",
-        "3",
-        "--budget",
-        "20000",
-        "--seed",
-        "3",
-    ]);
-    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr(&out));
+    // trial converges within the budget), is byte-identical to the fast
+    // engine's, and the exit code is the degraded 3, not a failure.
+    let run = |engine: &'static str| {
+        divlab(&[
+            "campaign",
+            "--graph",
+            "complete:64",
+            "--init",
+            "blocks:0x32,70000x32",
+            "--engine",
+            engine,
+            "--trials",
+            "3",
+            "--budget",
+            "20000",
+            "--seed",
+            "3",
+        ])
+    };
+    let (batch, fast) = (run("batch"), run("fast"));
+    assert_eq!(batch.status.code(), Some(3), "stderr: {}", stderr(&batch));
+    assert_eq!(fast.status.code(), Some(3), "stderr: {}", stderr(&fast));
     assert!(
-        stderr(&out).contains("lane limit"),
-        "stderr: {}",
-        stderr(&out)
+        stdout(&batch).contains("steps-to-consensus none (no converged trials)"),
+        "stdout: {}",
+        stdout(&batch)
     );
     assert!(
-        stdout(&out).contains("steps-to-consensus none (no converged trials)"),
+        stdout(&batch).contains("outcomes converged=0 two-adjacent=0 timeout=3"),
         "stdout: {}",
-        stdout(&out)
+        stdout(&batch)
     );
-    assert!(
-        stdout(&out).contains("outcomes converged=0 two-adjacent=0 timeout=3"),
-        "stdout: {}",
-        stdout(&out)
+    assert_eq!(
+        stdout(&batch),
+        stdout(&fast),
+        "wide-span batch campaign report must be byte-identical to the fast engine's"
     );
 }
 

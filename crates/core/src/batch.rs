@@ -12,34 +12,38 @@
 //! and splits that per-step work into three rates:
 //!
 //! * **per lane-step** (the hot loop): one sampler draw from the lane's
-//!   own stream and one bare branchless toward-step — a `u16` load /
+//!   own stream and one bare branchless toward-step — a `u32` load /
 //!   compare / store against the lane's opinion column.  No counts, no
 //!   range bookkeeping, no stopping check.  The lane's RNG lives in
 //!   registers for the whole block instead of being re-loaded from the
 //!   lane array every step.
-//! * **per block** (every `B ≈ max(n, 1024)` lane-steps): a contiguous
-//!   min/max scan of the lane's column.  Fault-free DIV never widens the
-//!   live opinion range (a vertex moves *toward* a held opinion, so it
-//!   can never pass the current extremes), so a lane whose width is
-//!   above the stop target at a block boundary was above it for the
-//!   whole block — deferred checking loses nothing.
+//! * **per block** (every `B = max(4n, 8192)` lane-steps, the block
+//!   rule of the fast engine's lane loop): a contiguous min/max scan of
+//!   the lane's column.  Fault-free DIV never widens the live opinion range (a
+//!   vertex moves *toward* a held opinion, so it can never pass the
+//!   current extremes), so a lane whose width is above the stop target
+//!   at a block boundary was above it for the whole block — deferred
+//!   checking loses nothing.
 //! * **once per finishing lane**: a lane that crossed the stop width
 //!   inside a block is rewound to the block-start snapshot (its column
-//!   and its RNG) and replayed step-by-step with full bookkeeping to
-//!   its exact first hit — the same snapshot/rewind trick the scalar
-//!   engine's block stepping uses, applied per lane.
+//!   and its RNG) and finished step by step with full bookkeeping at its
+//!   exact first hit.
 //!
-//! Opinion state is structure-of-arrays: one contiguous `u16` column of
-//! offsets per lane (`opinions[l * n + v]`), half the bytes of the
-//! scalar engine's `u32` state, so `K` in-flight trials fit in cache
-//! together and column scans, snapshots and rewinds are straight-line
-//! `memcpy`/scan loops.  Cross-lane SIMD on the *opinion words* never
-//! aligns (each lane steps an independently drawn vertex), but the
-//! *draw* does: on the AVX2 [`crate::kernels`] tier the drive phase steps
-//! active lanes of the complete-pair and edge families in lockstep
-//! groups of four, generating four xoshiro words and four masked Lemire
-//! draws per vector operation while the toward-stores stay per-lane —
-//! see [`crate::KernelTier`] for the dispatch and the module docs of
+//! Opinion state is structure-of-arrays: one contiguous `u32` column of
+//! offsets per lane (`opinions[l * n + v]`), the fast engine's own
+//! representation and span limit (2²⁴ values).  So a lane needs no
+//! engine of its own: every lane outside an AVX2 lockstep group runs
+//! the fast engine's single-lane block loop (`crate::engine::Lane`) on
+//! its borrowed column, and the same code finishes every exact first
+//! hit.  `K` in-flight trials still fit in cache together, and column
+//! scans, snapshots and rewinds are straight-line `memcpy`/scan loops.
+//! Cross-lane SIMD on the *opinion words* never aligns (each lane steps
+//! an independently drawn vertex), but the *draw* does: on the AVX2
+//! [`crate::kernels`] tier the drive phase steps active lanes of the
+//! complete-pair and edge families in lockstep groups of four,
+//! generating four xoshiro words and four masked Lemire draws per
+//! vector operation while the toward-stores stay per-lane — see
+//! [`crate::KernelTier`] for the dispatch and the module docs of
 //! [`crate::kernels`] for why every tier is bit-exact.  The per-lane stat
 //! registers (`S(t)`, `Z(t)`, min/max, distinct, `N_i(t)`) are derived
 //! from the columns by contiguous scans when read; they never burden
@@ -68,10 +72,10 @@
 //!   scalar engine;
 //! * a lane's steps, final state and RNG position freeze at its exact
 //!   first hit of the stop width (block overshoot is rewound and
-//!   replayed, exactly like the scalar engine's `run_blocks`);
-//! * faulty lanes run the scalar engine's faulty code itself, one lane
-//!   at a time on the lane's column: drop/stubborn plans on its thinned
-//!   block engine, every other plan step by step through
+//!   finished by the fast engine's own lane code);
+//! * faulty lanes run the fast engine's faulty code itself, one lane
+//!   at a time on the lane's column: drop/stubborn plans on its block
+//!   engine, every other plan step by step through
 //!   [`FaultSession::filter`] (noise and stale reads can widen the range,
 //!   so the monotonicity argument above does not apply to them);
 //! * the analytic finish ([`FinishPolicy::AnalyticTwoAdjacent`]) makes
@@ -108,7 +112,7 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::SeedableRng;
 
-use crate::engine::{bounded_u64, CompiledSampler, Drive, FastState, FaultyRun, Pick};
+use crate::engine::{block_len, bounded_u64, CompiledSampler, FastState, Lane};
 use crate::error::DivError;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::kernels::{self, KernelTier};
@@ -134,7 +138,7 @@ pub struct BatchProcess<'g> {
     initial: Vec<i64>,
     /// Structure-of-arrays offsets: lane `l`'s column is
     /// `opinions[l * n .. (l + 1) * n]`, indexed by vertex.
-    opinions: Vec<u16>,
+    opinions: Vec<u32>,
     steps: Vec<u64>,
     rngs: Vec<FastRng>,
     /// Which kernel tier drives the hot loop (see [`crate::kernels`]).
@@ -144,13 +148,6 @@ pub struct BatchProcess<'g> {
 }
 
 impl<'g> BatchProcess<'g> {
-    /// Widest opinion span the `u16` lane offsets can hold.  Narrower
-    /// than the scalar engine's limit (2²⁴), but still far above the
-    /// paper's `k = o(n / log n)` regime.  Callers that cannot tolerate
-    /// [`DivError::SpanTooLarge`] can pre-check an initial vector against
-    /// this bound and demote to per-lane scalar runs instead.
-    pub const LANE_SPAN_LIMIT: usize = 1 << 16;
-
     /// Compiles a batch: one lane per seed, all lanes starting from the
     /// same `opinions` vector.  Lane `l` draws from
     /// `FastRng::seed_from_u64(seeds[l])`, so pairing lane `l` with trial
@@ -159,9 +156,9 @@ impl<'g> BatchProcess<'g> {
     ///
     /// # Errors
     ///
-    /// Everything [`OpinionState::new`] rejects, plus
-    /// [`DivError::SpanTooLarge`] when the span exceeds the `u16` lane
-    /// limit (65 536 distinct opinions).
+    /// Exactly the validation errors of [`OpinionState::new`], the same
+    /// contract as [`FastProcess::new`](crate::FastProcess::new): lanes
+    /// hold every span up to 2²⁴.
     ///
     /// # Panics
     ///
@@ -176,21 +173,9 @@ impl<'g> BatchProcess<'g> {
         let reference = OpinionState::new(graph, opinions)?;
         let base = reference.min_opinion();
         let span = (reference.max_opinion() - base) as usize + 1;
-        if span > Self::LANE_SPAN_LIMIT {
-            return Err(DivError::SpanTooLarge {
-                min: base,
-                max: reference.max_opinion(),
-                limit: Self::LANE_SPAN_LIMIT,
-            });
-        }
         let lanes = seeds.len();
-        let n = reference.num_vertices();
         let initial = reference.opinions().to_vec();
-        let column: Vec<u16> = initial.iter().map(|&x| (x - base) as u16).collect();
-        let mut soa = Vec::with_capacity(n * lanes);
-        for _ in 0..lanes {
-            soa.extend_from_slice(&column);
-        }
+        let column: Vec<u32> = initial.iter().map(|&x| (x - base) as u32).collect();
         Ok(BatchProcess {
             graph,
             kind: scheduler,
@@ -199,7 +184,7 @@ impl<'g> BatchProcess<'g> {
             span,
             base,
             initial,
-            opinions: soa,
+            opinions: column.repeat(lanes),
             steps: vec![0u64; lanes],
             rngs: seeds.iter().map(|&s| FastRng::seed_from_u64(s)).collect(),
             tier: KernelTier::active(),
@@ -245,19 +230,19 @@ impl<'g> BatchProcess<'g> {
         self.kind
     }
 
-    /// Lane `l`'s column of `u16` offsets, indexed by vertex.
-    fn column(&self, l: usize) -> &[u16] {
+    /// Lane `l`'s column of offsets, indexed by vertex.
+    fn column(&self, l: usize) -> &[u32] {
         let n = self.initial.len();
         &self.opinions[l * n..(l + 1) * n]
     }
 
     /// Smallest and largest offset currently held in lane `l` (one
     /// contiguous `O(n)` scan, vectorised per the active kernel tier).
-    fn column_min_max(&self, l: usize) -> (u16, u16) {
-        kernels::min_max_u16(self.column(l), self.tier)
+    fn column_min_max(&self, l: usize) -> (u32, u32) {
+        kernels::min_max_u32(self.column(l), self.tier)
     }
 
-    fn width(&self, l: usize) -> u16 {
+    fn width(&self, l: usize) -> u32 {
         let (mn, mx) = self.column_min_max(l);
         mx - mn
     }
@@ -290,7 +275,7 @@ impl<'g> BatchProcess<'g> {
         if !(0..self.span as i64).contains(&off) {
             return 0;
         }
-        let off = off as u16;
+        let off = off as u32;
         self.column(l).iter().filter(|&&x| x == off).count()
     }
 
@@ -353,7 +338,7 @@ impl<'g> BatchProcess<'g> {
     /// scalar `status()` when the lane got there, `StepLimit` when the
     /// budget ran out first (matching `run_blocks`, which only classifies
     /// on a hit).
-    fn result_for(&self, l: usize, stop_width: u16) -> RunStatus {
+    fn result_for(&self, l: usize, stop_width: u32) -> RunStatus {
         let (mn, mx) = self.column_min_max(l);
         let w = mx - mn;
         if w > stop_width {
@@ -374,151 +359,105 @@ impl<'g> BatchProcess<'g> {
         }
     }
 
-    /// Replays lane `l` step-by-step with full bookkeeping until its
-    /// width first reaches `stop_width`, returning the number of steps
-    /// taken.  Called after a rewind, so the hit is guaranteed within
-    /// `limit` steps.
-    fn replay_lane_to_width(
-        &mut self,
-        l: usize,
-        limit: u64,
-        stop_width: u16,
-        counts: &mut Vec<u32>,
-    ) -> u64 {
-        let n = self.initial.len();
-        let BatchProcess {
-            graph,
-            sampler,
-            span,
-            opinions,
-            rngs,
-            ..
-        } = self;
-        let col = &mut opinions[l * n..(l + 1) * n];
-        replay_col_to_width(
-            sampler,
-            graph,
-            col,
-            &mut rngs[l],
-            *span,
-            limit,
-            stop_width,
-            counts,
-        )
-    }
-
     /// The hot loop: every lane above `stop_width` takes at most
-    /// `max_steps` additional steps, in blocks of `B = max(n, 1024)`
-    /// bare toward-steps per lane (see the module docs for the
+    /// `max_steps` additional steps, in blocks of [`block_len`] bare
+    /// toward-steps per lane (see the module docs for the
     /// block/scan/rewind scheme).  When [`kernels::accelerates`] the
     /// tier/sampler pair, active lanes are driven in lockstep groups of
     /// [`kernels::GROUP`] through [`kernels::drive_group`] (breaking the
     /// per-lane RNG dependency chain); leftover lanes — and every lane of
-    /// an unaccelerated batch — take the lane-at-a-time path.
-    /// Lanes never interact, so group order, per-lane order and
-    /// round-lockstep order are all observationally identical.  The
-    /// sampler variant of the scalar path is matched **once** out here so
-    /// each lane's block loop is monomorphic.
-    fn run_width(&mut self, max_steps: u64, stop_width: u16) -> Vec<RunStatus> {
+    /// an unaccelerated batch — run the fast engine's single-lane block
+    /// loop ([`Lane::run_blocks`]) one block at a time, and a grouped lane
+    /// whose block holds its first hit is rewound and finished by
+    /// [`Lane::finish`].  Lanes never interact, so group order, per-lane
+    /// order and round-lockstep order are all observationally identical.
+    fn run_width(&mut self, max_steps: u64, stop_width: u32) -> Vec<RunStatus> {
         let k = self.lanes;
         let n = self.initial.len();
         let mut active: Vec<u32> = (0..k as u32)
             .filter(|&l| self.width(l as usize) > stop_width)
             .collect();
-        // Big blocks amortise the snapshot + scan (~2n ops) to noise;
-        // overshoot is paid once per lane (the block it finishes in), at
-        // scalar replay speed, so large blocks cost almost nothing.
-        let block = (4 * n as u64).max(8192);
+        let block = block_len(n);
         let grouped = kernels::accelerates(self.tier, &self.sampler);
+        let mut group_snap: Vec<u32> = vec![0; if grouped { kernels::GROUP * n } else { 0 }];
+        let mut counts = vec![0u32; self.span];
         let mut remaining = max_steps;
-        let mut col_snap: Vec<u16> = vec![0u16; n];
-        let mut group_snap: Vec<u16> = vec![0u16; if grouped { kernels::GROUP * n } else { 0 }];
-        let mut counts_scratch: Vec<u32> = Vec::new();
+        let BatchProcess {
+            graph,
+            sampler,
+            base,
+            opinions,
+            steps,
+            rngs,
+            tier,
+            ..
+        } = self;
+        let (graph, base, tier) = (*graph, *base, *tier);
         while remaining > 0 && !active.is_empty() {
             let b = block.min(remaining);
             remaining -= b;
-
-            // Drive phase: each active lane takes b bare toward-steps.
-            // `finished` collects lanes whose end-of-block width is at or
-            // below the stop target; they are rewound and replayed below.
+            // Lanes whose first hit fell in this block: each is already
+            // at its exact first hit and retires below.
             let mut finished: Vec<u32> = Vec::new();
-            {
-                let graph = self.graph;
-                let tier = self.tier;
-                let BatchProcess {
-                    sampler,
-                    opinions,
-                    rngs,
-                    ..
-                } = self;
-
-                // Kernel-driven lockstep groups; the remainder falls
-                // through to the lane-at-a-time drive below.
-                let mut chunks = active.chunks_exact(kernels::GROUP);
-                let rest = if grouped {
-                    for chunk in chunks.by_ref() {
-                        let ranges: [core::ops::Range<usize>; kernels::GROUP] =
-                            core::array::from_fn(|j| {
-                                let l = chunk[j] as usize;
-                                l * n..(l + 1) * n
-                            });
-                        let mut cols = opinions
-                            .get_disjoint_mut(ranges)
-                            .expect("lane columns are disjoint");
-                        for (j, col) in cols.iter().enumerate() {
-                            group_snap[j * n..(j + 1) * n].copy_from_slice(col);
-                        }
-                        let mut group_rngs: [FastRng; kernels::GROUP] =
-                            core::array::from_fn(|j| rngs[chunk[j] as usize]);
-                        kernels::drive_group(tier, sampler, &mut cols, &mut group_rngs, b);
-                        for (j, col) in cols.iter_mut().enumerate() {
-                            let (mn, mx) = kernels::min_max_u16(col, tier);
-                            if mx - mn <= stop_width {
-                                // Crossed inside the block: rewind the
-                                // column (the RNG was left at the
-                                // snapshot) to the block start; the
-                                // settle phase replays to the exact first
-                                // hit.
-                                col.copy_from_slice(&group_snap[j * n..(j + 1) * n]);
-                                finished.push(chunk[j]);
-                            } else {
-                                rngs[chunk[j] as usize] = group_rngs[j];
-                            }
-                        }
+            let mut chunks = active.chunks_exact(kernels::GROUP);
+            let rest = if grouped {
+                for chunk in chunks.by_ref() {
+                    let ranges: [core::ops::Range<usize>; kernels::GROUP] =
+                        core::array::from_fn(|j| {
+                            let l = chunk[j] as usize;
+                            l * n..(l + 1) * n
+                        });
+                    let mut cols = opinions
+                        .get_disjoint_mut(ranges)
+                        .expect("lane columns are disjoint");
+                    for (j, col) in cols.iter().enumerate() {
+                        group_snap[j * n..(j + 1) * n].copy_from_slice(col);
                     }
-                    chunks.remainder()
-                } else {
-                    &active[..]
-                };
-
-                sampler.drive(
-                    graph,
-                    BareLanes {
-                        lanes: rest,
-                        opinions,
-                        rngs,
-                        col_snap: &mut col_snap,
-                        n,
-                        steps: b,
-                        stop_width,
-                        tier,
-                        finished: &mut finished,
-                    },
-                );
-            }
-
-            // Settle phase: survivors took every round; finishers replay
-            // from the block-start snapshot to their exact first hit and
-            // retire from the active set.
-            for &lane in &active {
-                if !finished.contains(&lane) {
-                    self.steps[lane as usize] += b;
+                    let mut group_rngs: [FastRng; kernels::GROUP] =
+                        core::array::from_fn(|j| rngs[chunk[j] as usize]);
+                    kernels::drive_group(tier, sampler, &mut cols, &mut group_rngs, b);
+                    for (j, col) in cols.into_iter().enumerate() {
+                        let l = chunk[j] as usize;
+                        let (mn, mx) = kernels::min_max_u32(col, tier);
+                        if mx - mn > stop_width {
+                            rngs[l] = group_rngs[j];
+                            steps[l] += b;
+                            continue;
+                        }
+                        // Crossed inside the block: rewind the column (the
+                        // RNG was left at the snapshot) and finish the
+                        // lane at its exact first hit.
+                        col.copy_from_slice(&group_snap[j * n..(j + 1) * n]);
+                        Lane {
+                            graph,
+                            sampler,
+                            state: &mut FastState::lane(col, &mut counts),
+                            base,
+                            steps: &mut steps[l],
+                            tier,
+                        }
+                        .finish(None, &mut rngs[l], stop_width, b);
+                        finished.push(chunk[j]);
+                    }
                 }
-            }
-            for &lane in &finished {
+                chunks.remainder()
+            } else {
+                &active[..]
+            };
+            for &lane in rest {
                 let l = lane as usize;
-                let r = self.replay_lane_to_width(l, b, stop_width, &mut counts_scratch);
-                self.steps[l] += r;
+                let hit = Lane {
+                    graph,
+                    sampler,
+                    state: &mut FastState::lane(&mut opinions[l * n..(l + 1) * n], &mut counts),
+                    base,
+                    steps: &mut steps[l],
+                    tier,
+                }
+                .run_blocks(b, None, &mut rngs[l], stop_width);
+                if hit {
+                    finished.push(lane);
+                }
             }
             active.retain(|lane| !finished.contains(lane));
         }
@@ -560,11 +499,11 @@ impl<'g> BatchProcess<'g> {
     ///
     /// Phase events are **exact**, matching the scalar engine's
     /// contract: consensus steps come from the engine's own
-    /// rewind-and-replay bookkeeping, and the `τ` (two-adjacent) step is
-    /// located by replaying the crossing chunk from a per-lane
-    /// column+RNG snapshot on scratch buffers — the live lane state is
-    /// never touched.  Phases already satisfied at run start emit no
-    /// event, exactly like `FastProcess::run_observed`.
+    /// rewind-and-finish bookkeeping, and the `τ` (two-adjacent) step is
+    /// located by the same finishing code run on a per-lane column+RNG
+    /// snapshot of the crossing chunk's start, in scratch buffers — the
+    /// live lane state is never touched.  Phases already satisfied at run start
+    /// emit no event, exactly like `FastProcess::run_observed`.
     ///
     /// `sample_every` asks for at most one sample per that many
     /// lane-steps, rounded up to whole blocks
@@ -592,7 +531,7 @@ impl<'g> BatchProcess<'g> {
         }
         let n = self.initial.len();
         let k = self.lanes;
-        let block = (4 * n as u64).max(8192);
+        let block = block_len(n);
         let chunk = if sample_every == 0 {
             Self::DEFAULT_SAMPLE_BLOCKS * block
         } else {
@@ -608,10 +547,10 @@ impl<'g> BatchProcess<'g> {
         // located: the τ replay runs on these scratch buffers with the
         // lane's frozen RNG copy, leaving the live columns and streams
         // untouched.
-        let mut snap_cols: Vec<u16> = vec![0u16; k * n];
+        let mut snap_cols: Vec<u32> = vec![0; k * n];
         let mut snap_rngs: Vec<FastRng> = self.rngs.clone();
         let mut snap_steps: Vec<u64> = vec![0u64; k];
-        let mut counts_scratch: Vec<u32> = Vec::new();
+        let mut counts = vec![0u32; self.span];
         let mut remaining = max_steps;
         while remaining > 0 && done.iter().any(|&d| !d) {
             let c = chunk.min(remaining);
@@ -631,21 +570,22 @@ impl<'g> BatchProcess<'g> {
                 let consensus = matches!(statuses[l], RunStatus::Consensus { .. });
                 if !seen_tau[l] && (consensus || self.width(l) <= 1) {
                     seen_tau[l] = true;
-                    let col = &mut snap_cols[l * n..(l + 1) * n];
-                    let mut rng = snap_rngs[l];
-                    let r = replay_col_to_width(
-                        &self.sampler,
-                        self.graph,
-                        col,
-                        &mut rng,
-                        self.span,
-                        c,
-                        1,
-                        &mut counts_scratch,
-                    );
+                    let mut step = snap_steps[l];
+                    Lane {
+                        graph: self.graph,
+                        sampler: &self.sampler,
+                        state: &mut FastState::lane(
+                            &mut snap_cols[l * n..(l + 1) * n],
+                            &mut counts,
+                        ),
+                        base: self.base,
+                        steps: &mut step,
+                        tier: self.tier,
+                    }
+                    .finish(None, &mut snap_rngs[l], 1, c);
                     observers[l].on_phase(&PhaseEvent {
                         phase: Phase::TwoAdjacent,
-                        step: snap_steps[l] + r,
+                        step,
                     });
                 }
                 if consensus {
@@ -710,7 +650,7 @@ impl<'g> BatchProcess<'g> {
     /// `d(A_i)` for `opinion` in lane `l` (`O(n)` column scan, only
     /// needed once per lane, at `τ`).
     fn degree_mass_of(&self, l: usize, opinion: i64) -> u64 {
-        let off = (opinion - self.base) as u16;
+        let off = (opinion - self.base) as u32;
         self.column(l)
             .iter()
             .enumerate()
@@ -726,8 +666,8 @@ impl<'g> BatchProcess<'g> {
     /// after another, the very code of
     /// [`FastProcess::run_faulty_to_consensus`](crate::FastProcess::run_faulty_to_consensus)
     /// on its column, from its step count and with its RNG, on the
-    /// batch's compiled sampler: drop/stubborn plans on the thinned block
-    /// engine, every other plan step by step.
+    /// batch's compiled sampler: drop/stubborn plans on the block engine,
+    /// every other plan step by step.
     ///
     /// Like the scalar engine's faulty runners, each call builds fresh
     /// sessions — crash/stale timers restart, so chunking a faulty run is
@@ -763,141 +703,30 @@ impl<'g> BatchProcess<'g> {
         &mut self,
         max_steps: u64,
         plan: &FaultPlan,
-        stop_width: u16,
+        stop_width: u32,
     ) -> Result<(Vec<RunStatus>, Vec<FaultStats>), DivError> {
         let n = self.initial.len();
         let mut statuses = Vec::with_capacity(self.lanes);
         let mut stats = Vec::with_capacity(self.lanes);
-        let mut state = FastState::from_offsets(vec![0; n], self.span);
+        let mut counts = vec![0u32; self.span];
         for l in 0..self.lanes {
             let mut session = plan.session(&self.initial)?;
-            let col = &mut self.opinions[l * n..(l + 1) * n];
-            state.load_column(col);
-            FaultyRun {
+            let mut state = FastState::lane(&mut self.opinions[l * n..(l + 1) * n], &mut counts);
+            state.recount();
+            Lane {
                 graph: self.graph,
                 sampler: &self.sampler,
                 state: &mut state,
                 base: self.base,
                 steps: &mut self.steps[l],
+                tier: self.tier,
             }
-            .run_to_width(
-                max_steps,
-                &mut session,
-                &mut self.rngs[l],
-                stop_width as u32,
-            );
-            state.store_column(col);
+            .run_faulty(max_steps, &mut session, &mut self.rngs[l], stop_width);
             statuses.push(self.result_for(l, stop_width));
             stats.push(*session.stats());
         }
         Ok((statuses, stats))
     }
-}
-
-/// The scalar drive of [`BatchProcess::run_width`] for
-/// [`CompiledSampler::drive`]: each lane in `lanes` takes `steps` bare
-/// toward-steps on its column with its RNG held in registers; a lane
-/// whose end-of-block width is at most `stop_width` is rewound to the
-/// block start (column and RNG) and pushed to `finished` for the settle
-/// phase's exact replay.
-struct BareLanes<'a> {
-    lanes: &'a [u32],
-    opinions: &'a mut [u16],
-    rngs: &'a mut [FastRng],
-    col_snap: &'a mut [u16],
-    n: usize,
-    steps: u64,
-    stop_width: u16,
-    tier: KernelTier,
-    finished: &'a mut Vec<u32>,
-}
-
-impl Drive for BareLanes<'_> {
-    type Out = ();
-
-    #[inline(always)]
-    fn drive<P: Pick>(self, pick: P) {
-        let n = self.n;
-        for &lane in self.lanes {
-            let l = lane as usize;
-            let col = &mut self.opinions[l * n..(l + 1) * n];
-            self.col_snap.copy_from_slice(col);
-            let mut rng = self.rngs[l];
-            for _ in 0..self.steps {
-                let (v, w) = pick.pick(&mut rng);
-                let xv = col[v as usize];
-                let xw = col[w as usize];
-                let delta = (xw > xv) as i32 - ((xw < xv) as i32);
-                col[v as usize] = (xv as i32 + delta) as u16;
-            }
-            let (mn, mx) = kernels::min_max_u16(col, self.tier);
-            if mx - mn <= self.stop_width {
-                // Crossed inside the block: rewind the column (the RNG
-                // was left at the snapshot); the settle phase replays to
-                // the exact first hit.
-                col.copy_from_slice(self.col_snap);
-                self.finished.push(lane);
-            } else {
-                self.rngs[l] = rng;
-            }
-        }
-    }
-}
-
-/// Replays one lane column step-by-step with full bookkeeping until its
-/// width first reaches `stop_width`, returning the number of steps
-/// taken.  The column and RNG are advanced in place; callers pass either
-/// the live lane state (the settle-phase rewind) or scratch copies (the
-/// observed run's exact-τ location, which must not disturb the lane).
-/// Called after a block/chunk scan saw the hit, so it is guaranteed
-/// within `limit` steps.
-#[allow(clippy::too_many_arguments)]
-fn replay_col_to_width(
-    sampler: &CompiledSampler,
-    graph: &Graph,
-    col: &mut [u16],
-    rng: &mut FastRng,
-    span: usize,
-    limit: u64,
-    stop_width: u16,
-    counts: &mut Vec<u32>,
-) -> u64 {
-    counts.clear();
-    counts.resize(span, 0);
-    for &x in col.iter() {
-        counts[x as usize] += 1;
-    }
-    let mut lo = counts.iter().position(|&c| c > 0).expect("non-empty") as u16;
-    let mut hi = counts.iter().rposition(|&c| c > 0).expect("non-empty") as u16;
-    debug_assert!(hi - lo > stop_width, "replay starts above the stop width");
-    for r in 1..=limit {
-        let (v, w) = sampler.pick(graph, rng);
-        let xv = col[v];
-        let xw = col[w];
-        let delta = (xw > xv) as i32 - ((xw < xv) as i32);
-        if delta != 0 {
-            let new = (xv as i32 + delta) as u16;
-            col[v] = new;
-            counts[xv as usize] -= 1;
-            counts[new as usize] += 1;
-            if counts[xv as usize] == 0 {
-                if xv == lo {
-                    while counts[lo as usize] == 0 {
-                        lo += 1;
-                    }
-                }
-                if xv == hi {
-                    while counts[hi as usize] == 0 {
-                        hi -= 1;
-                    }
-                }
-                if hi - lo <= stop_width {
-                    return r;
-                }
-            }
-        }
-    }
-    unreachable!("block scan found a hit that the replay did not");
 }
 
 #[cfg(test)]
@@ -1193,8 +1022,10 @@ mod tests {
 
     #[test]
     fn span_too_large_is_rejected() {
+        // Lanes hold the fast engine's span limit, 2²⁴ values: one more is
+        // rejected, exactly as `FastProcess::new` rejects it.
         let g = generators::complete(4).unwrap();
-        let opinions = vec![0, 1, 2, 1 << 20];
+        let opinions = vec![0, 1, 2, 1 << 24];
         let err = BatchProcess::new(&g, opinions, FastScheduler::Edge, &[1]).unwrap_err();
         assert!(matches!(err, DivError::SpanTooLarge { .. }));
     }

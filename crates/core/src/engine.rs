@@ -24,14 +24,16 @@
 //!   endpoint satisfies the predicate contains the first hit; the engine
 //!   rewinds to the block's start snapshot and replays stepwise to report
 //!   the exact first-hit step count — block size never changes results.
-//! * **Thinned faulty blocks**: drop and stubborn faults only delete
-//!   steps, so the range still never expands and such fault plans keep
-//!   block stepping.  A step is one pick, the stubborn check (no draw)
-//!   and, when the drop rate is positive, one drop draw compared as an
-//!   integer ([`FaultSession::filter`]'s exact draw order); fault
-//!   counters and per-opinion counts are booked once per block.  Noise,
-//!   stale and crash faults step one at a time through
-//!   [`FaultSession::filter`].
+//! * **One lane loop**: [`Lane`] runs bare blocks — one pick and one
+//!   [`toward`] step, no per-opinion counts, one min/max scan per block —
+//!   with an exact rewind to the first hit.  Every batch lane outside an
+//!   AVX2 lockstep group runs it fault-free (a check-free loop), and so
+//!   do drop and stubborn plans: those faults only delete steps, so the
+//!   range still never expands.  There a step adds the stubborn check (no
+//!   draw) and, when the drop rate is positive, one drop draw compared
+//!   as an integer ([`FaultSession::filter`]'s exact draw order); fault
+//!   counters are booked once per block.  Noise, stale and crash faults
+//!   step one at a time through [`FaultSession::filter`].
 //! * **Branchless updates**: the signum and the aggregate increments
 //!   compile to arithmetic, not branches; the only data-dependent branch
 //!   left is the (rare) range-boundary shrink.
@@ -44,6 +46,7 @@
 //!
 //! [`FastRng`]: crate::FastRng
 
+use std::ops::DerefMut;
 use std::time::Instant;
 
 use div_graph::Graph;
@@ -106,6 +109,25 @@ pub enum FinishPolicy {
     /// step count at `τ`, not the absorption time, and the internal state
     /// is left at `τ`.
     AnalyticTwoAdjacent,
+}
+
+/// Steps per block of the bare block loops ([`Lane`] and the batch
+/// engine's lockstep groups).  A block pays one `O(n)` snapshot and one
+/// `O(n)` scan, and the block that holds a run's first hit is replayed
+/// once at replay speed, so long blocks cost almost nothing.
+pub(crate) fn block_len(n: usize) -> u64 {
+    (4 * n as u64).max(8192)
+}
+
+/// The bare DIV step on a column of offsets: `v` moves one unit toward
+/// `w`'s opinion (branchless signum, no bookkeeping).  Every bare block
+/// loop, scalar and AVX2, steps through this one function.
+#[inline(always)]
+pub(crate) fn toward(col: &mut [u32], v: usize, w: usize) {
+    let xv = col[v];
+    let xw = col[w];
+    let delta = (xw > xv) as i32 - (xw < xv) as i32;
+    col[v] = (xv as i32 + delta) as u32;
 }
 
 /// 64-bit Lemire bounded draw with exact rejection: uniform in `[0, range)`.
@@ -216,8 +238,7 @@ impl CompiledSampler {
 
     /// Matches the sampler family **once** and hands `d` the family's
     /// [`Pick`], so a loop inside [`Drive::drive`] is monomorphic: no
-    /// per-step dispatch.  The batch engine's lane drive and the fast
-    /// engine's thinned faulty blocks both run through here.
+    /// per-step dispatch.  [`Lane`]'s bare blocks run through here.
     #[inline(always)]
     pub(crate) fn drive<D: Drive>(&self, g: &Graph, d: D) -> D::Out {
         match *self {
@@ -398,11 +419,14 @@ pub(crate) fn packed_alias_slots(weights: &[u64]) -> Vec<u64> {
 }
 
 /// Compact opinion state: opinions as offsets into the initial span.
+/// [`FastProcess`] owns its vectors (`S = Vec<u32>`); a batch lane
+/// borrows its column and a shared counts table (`S = &mut [u32]`).
 #[derive(Debug, Clone)]
-pub(crate) struct FastState {
+pub(crate) struct FastState<S = Vec<u32>> {
     /// `opinions[v] = X_v − base`, always within `[0, span)`.
-    opinions: Vec<u32>,
-    counts: Vec<u32>,
+    opinions: S,
+    /// One cell per offset of the span.
+    counts: S,
     /// Smallest/largest offset currently held.
     lo: u32,
     hi: u32,
@@ -423,27 +447,30 @@ impl FastState {
         state.recount();
         state
     }
+}
 
-    /// Loads a batch lane's `u16` column (same offsets, same span).
-    pub(crate) fn load_column(&mut self, col: &[u16]) {
-        self.opinions.clear();
-        self.opinions.extend(col.iter().map(|&x| x as u32));
-        self.recount();
-    }
-
-    /// Writes the opinions back into a batch lane's `u16` column.
-    pub(crate) fn store_column(&self, col: &mut [u16]) {
-        for (slot, &x) in col.iter_mut().zip(&self.opinions) {
-            *slot = x as u16;
+impl<'a> FastState<&'a mut [u32]> {
+    /// A batch lane's state: its column, with `counts` (one cell per
+    /// offset of the span) as scratch.  Uncounted: `counts`, `lo`, `hi`
+    /// and `sum_off` mean nothing until [`FastState::recount`].
+    pub(crate) fn lane(opinions: &'a mut [u32], counts: &'a mut [u32]) -> Self {
+        FastState {
+            opinions,
+            counts,
+            lo: 0,
+            hi: 0,
+            sum_off: 0,
         }
     }
+}
 
+impl<S: DerefMut<Target = [u32]>> FastState<S> {
     /// Rebuilds `counts`, `sum_off` and `lo/hi` from `opinions`, in
-    /// `O(n + span)`: what the bare thinned blocks skip per step.
-    fn recount(&mut self) {
+    /// `O(n + span)`: what the bare blocks skip per step.
+    pub(crate) fn recount(&mut self) {
         self.counts.fill(0);
         let mut sum_off = 0i64;
-        for &x in &self.opinions {
+        for &x in self.opinions.iter() {
             self.counts[x as usize] += 1;
             sum_off += x as i64;
         }
@@ -530,19 +557,22 @@ impl FastState {
     }
 }
 
-/// One trajectory under a fault plan: the compiled law and the state it
-/// steps.  [`FastProcess`] lends its own fields and a batch lane lends
-/// its column (widened into `state`) and step counter, so the fast and
-/// batch engines share this one faulty loop.
-pub(crate) struct FaultyRun<'a> {
+/// One trajectory on the block engine: the compiled law, the state it
+/// steps and its step counter.  [`FastProcess`] lends its own fields and
+/// a batch lane lends its column, so the fast and batch engines share
+/// this one lane loop: clean batch lanes, every faulty run and every
+/// exact first hit.
+pub(crate) struct Lane<'a, S> {
     pub(crate) graph: &'a Graph,
     pub(crate) sampler: &'a CompiledSampler,
-    pub(crate) state: &'a mut FastState,
+    pub(crate) state: &'a mut FastState<S>,
     pub(crate) base: i64,
     pub(crate) steps: &'a mut u64,
+    /// The tier of the end-of-block min/max scans.
+    pub(crate) tier: KernelTier,
 }
 
-impl FaultyRun<'_> {
+impl<S: DerefMut<Target = [u32]>> Lane<'_, S> {
     /// One step through [`FaultSession::filter`], reporting the updating
     /// vertex and its opinion delta (what observed runs need to maintain
     /// the degree-weighted sum incrementally).
@@ -559,20 +589,28 @@ impl FaultyRun<'_> {
         (v, self.state.sum_off - before)
     }
 
-    /// Steps until the range width is at most `stop_width` (`true`) or
-    /// `max_steps` steps are spent (`false`), with the per-step semantics
-    /// of [`FaultyRun::step`]: width check, then budget, then one step.
-    /// Range-preserving plans take the thinned block engine, every other
-    /// plan the per-step loop.
-    pub(crate) fn run_to_width<R: Rng + Clone>(
+    /// Steps under a fault plan until the range width is at most
+    /// `stop_width` (`true`) or `max_steps` steps are spent (`false`),
+    /// with the per-step semantics of [`Lane::step`]: width check, then
+    /// budget, then one step.  Range-preserving plans take the block
+    /// engine, every other plan the per-step loop.  The state must be
+    /// counted on entry, and is on return.
+    pub(crate) fn run_faulty<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
         faults: &mut FaultSession,
         rng: &mut R,
         stop_width: u32,
     ) -> bool {
+        if self.state.width() <= stop_width {
+            return true;
+        }
         if faults.plan().preserves_range() {
-            return self.run_thinned(max_steps, faults, rng, stop_width);
+            let hit = self.run_blocks(max_steps, Some(faults), rng, stop_width);
+            if !hit {
+                self.state.recount();
+            }
+            return hit;
         }
         let mut remaining = max_steps;
         while self.state.width() > stop_width {
@@ -585,37 +623,35 @@ impl FaultyRun<'_> {
         true
     }
 
-    /// The block engine for drop/stubborn plans.  Each block takes bare
-    /// thinned toward-steps (no counts, no `sum_off`, no width check),
-    /// then one min/max scan.  Those faults only delete steps, so the
-    /// width stays monotone: a block whose end is above `stop_width` was
-    /// above it throughout, and one whose end is not is rewound (opinions
-    /// and RNG) and replayed through [`FaultyRun::step`] to the exact
-    /// first hit.
-    fn run_thinned<R: Rng + Clone>(
+    /// The block engine, for clean lanes (`faults = None`) and
+    /// drop/stubborn plans: steps until the range width is at most
+    /// `stop_width` (`true`) or `max_steps` steps are spent (`false`).
+    /// Each block takes bare toward-steps (no counts, no `sum_off`, no
+    /// width check), then one min/max scan.  The width stays monotone,
+    /// so a block whose end is above `stop_width` was above it
+    /// throughout, and one whose end is not is rewound (opinions and RNG)
+    /// and finished by [`Lane::finish`].  The width must start above
+    /// `stop_width`; the state may start uncounted ([`FastState::lane`])
+    /// and is counted only after a hit.
+    pub(crate) fn run_blocks<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
-        faults: &mut FaultSession,
+        mut faults: Option<&mut FaultSession>,
         rng: &mut R,
         stop_width: u32,
     ) -> bool {
-        if self.state.width() <= stop_width {
-            return true;
-        }
-        let tier = KernelTier::active();
-        let stubborn = faults.plan().stubborn as u32;
-        let drop_below = faults.plan().drop_threshold();
-        let n = self.state.opinions.len();
-        let block = (n as u64).max(1024);
-        let mut snap = vec![0u32; n];
+        let (stubborn, drop_below) = faults.as_deref().map_or((0, 0), |f| {
+            (f.plan().stubborn as u32, f.plan().drop_threshold())
+        });
+        let block = block_len(self.state.opinions.len());
         let mut remaining = max_steps;
         while remaining > 0 {
             let b = block.min(remaining);
-            snap.copy_from_slice(&self.state.opinions);
+            let snap = self.state.opinions.to_vec();
             let snap_rng = rng.clone();
             let (dropped, suppressed) = self.sampler.drive(
                 self.graph,
-                Thinned {
+                BareBlock {
                     col: &mut self.state.opinions,
                     rng,
                     steps: b,
@@ -623,35 +659,67 @@ impl FaultyRun<'_> {
                     drop_below,
                 },
             );
-            let (lo, hi) = kernels::min_max_u32(&self.state.opinions, tier);
+            let (lo, hi) = kernels::min_max_u32(&self.state.opinions, self.tier);
             if hi - lo <= stop_width {
                 self.state.opinions.copy_from_slice(&snap);
                 *rng = snap_rng;
-                self.state.recount();
-                for _ in 0..b {
-                    self.step(faults, rng);
-                    if self.state.width() <= stop_width {
-                        return true;
-                    }
-                }
-                unreachable!("stop held at block end but not in replay");
+                self.finish(faults, rng, stop_width, b);
+                return true;
             }
-            faults.record_thinned(b, dropped, suppressed);
+            if let Some(f) = faults.as_deref_mut() {
+                f.record_thinned(b, dropped, suppressed);
+            }
             *self.steps += b;
             remaining -= b;
         }
-        self.state.recount();
         false
+    }
+
+    /// Counts the state, then steps one at a time with full bookkeeping
+    /// (through [`Lane::step`] under a plan) to the first step at which
+    /// the width is at most `stop_width`.  Starts from a block start —
+    /// a rewound lane or a scratch copy of one — whose block of `limit`
+    /// steps ended at or below `stop_width`, so the hit is within
+    /// `limit` steps.
+    pub(crate) fn finish<R: Rng>(
+        &mut self,
+        mut faults: Option<&mut FaultSession>,
+        rng: &mut R,
+        stop_width: u32,
+        limit: u64,
+    ) {
+        self.state.recount();
+        debug_assert!(
+            self.state.width() > stop_width,
+            "replay starts above the stop width"
+        );
+        for _ in 0..limit {
+            match faults.as_deref_mut() {
+                Some(f) => {
+                    self.step(f, rng);
+                }
+                None => {
+                    let (v, w) = self.sampler.pick(self.graph, rng);
+                    self.state.apply(v, w);
+                    *self.steps += 1;
+                }
+            }
+            if self.state.width() <= stop_width {
+                return;
+            }
+        }
+        unreachable!("stop held at block end but not in replay");
     }
 }
 
-/// One bare thinned block for [`CompiledSampler::drive`]: `steps` draws,
-/// each filtered exactly as [`FaultSession::filter`] filters a
-/// drop/stubborn plan — a stubborn updater (`v < stubborn`) is suppressed
-/// without a draw, then one word is drawn iff `drop_below > 0` and the
-/// interaction is lost when `word >> 11 < drop_below` — and otherwise
-/// a branchless toward-step.  Reports `(dropped, suppressed)`.
-struct Thinned<'a, R> {
+/// One bare block for [`CompiledSampler::drive`]: `steps` draws, each a
+/// [`toward`] step unless filtered exactly as [`FaultSession::filter`]
+/// filters a drop/stubborn plan — a stubborn updater (`v < stubborn`)
+/// is suppressed without a draw, then one word is drawn iff
+/// `drop_below > 0` and the interaction is lost when
+/// `word >> 11 < drop_below`.  With neither fault the loop carries no
+/// check at all.  Reports `(dropped, suppressed)`.
+struct BareBlock<'a, R> {
     col: &'a mut [u32],
     rng: &'a mut R,
     steps: u64,
@@ -659,7 +727,7 @@ struct Thinned<'a, R> {
     drop_below: u64,
 }
 
-impl<R: RngCore + Clone> Drive for Thinned<'_, R> {
+impl<R: RngCore + Clone> Drive for BareBlock<'_, R> {
     type Out = (u64, u64);
 
     #[inline(always)]
@@ -668,18 +736,25 @@ impl<R: RngCore + Clone> Drive for Thinned<'_, R> {
         // A register-resident copy of the stream, written back at the end.
         let mut rng = self.rng.clone();
         let (mut dropped, mut suppressed) = (0u64, 0u64);
-        for _ in 0..self.steps {
-            let (v, w) = pick.pick(&mut rng);
-            if v < self.stubborn {
-                suppressed += 1;
-                continue;
+        if self.stubborn == 0 && self.drop_below == 0 {
+            for _ in 0..self.steps {
+                let (v, w) = pick.pick(&mut rng);
+                toward(col, v as usize, w as usize);
             }
-            let lost = self.drop_below > 0 && (rng.next_u64() >> 11) < self.drop_below;
-            dropped += lost as u64;
-            let xv = col[v as usize];
-            let xw = col[w as usize];
-            let delta = ((xw > xv) as i32 - (xw < xv) as i32) * !lost as i32;
-            col[v as usize] = (xv as i32 + delta) as u32;
+        } else {
+            for _ in 0..self.steps {
+                let (v, w) = pick.pick(&mut rng);
+                if v < self.stubborn {
+                    suppressed += 1;
+                    continue;
+                }
+                let lost = self.drop_below > 0 && (rng.next_u64() >> 11) < self.drop_below;
+                dropped += lost as u64;
+                let xv = col[v as usize];
+                let xw = col[w as usize];
+                let delta = ((xw > xv) as i32 - (xw < xv) as i32) * !lost as i32;
+                col[v as usize] = (xv as i32 + delta) as u32;
+            }
         }
         *self.rng = rng;
         (dropped, suppressed)
@@ -715,6 +790,9 @@ pub struct FastProcess<'g> {
     state: FastState,
     base: i64,
     steps: u64,
+    /// The tier of the faulty block engine's width scans (a pure speed
+    /// knob, see [`crate::kernels`]).
+    tier: KernelTier,
 }
 
 impl<'g> FastProcess<'g> {
@@ -745,6 +823,7 @@ impl<'g> FastProcess<'g> {
             state: FastState::from_offsets(opinions_off, span),
             base,
             steps: 0,
+            tier: KernelTier::active(),
         })
     }
 
@@ -885,17 +964,18 @@ impl<'g> FastProcess<'g> {
     /// [`FaultSession::filter`].  With a trivial plan the RNG stream is
     /// identical to the fault-free engine's.
     pub fn step_faulty<R: Rng + ?Sized>(&mut self, faults: &mut FaultSession, rng: &mut R) {
-        self.faulty().step(faults, rng);
+        self.lane().step(faults, rng);
     }
 
-    /// This process's trajectory as a [`FaultyRun`].
-    fn faulty(&mut self) -> FaultyRun<'_> {
-        FaultyRun {
+    /// This process's trajectory as a [`Lane`].
+    fn lane(&mut self) -> Lane<'_, Vec<u32>> {
+        Lane {
             graph: self.graph,
             sampler: &self.sampler,
             state: &mut self.state,
             base: self.base,
             steps: &mut self.steps,
+            tier: self.tier,
         }
     }
 
@@ -940,10 +1020,7 @@ impl<'g> FastProcess<'g> {
         rng: &mut R,
         stop_width: u32,
     ) -> RunStatus {
-        if self
-            .faulty()
-            .run_to_width(max_steps, faults, rng, stop_width)
-        {
+        if self.lane().run_faulty(max_steps, faults, rng, stop_width) {
             self.status()
         } else {
             RunStatus::StepLimit { steps: self.steps }
@@ -1036,7 +1113,7 @@ impl<'g> FastProcess<'g> {
                 return RunStatus::StepLimit { steps: self.steps };
             }
             remaining -= 1;
-            let (v, delta) = self.faulty().step(faults, rng);
+            let (v, delta) = self.lane().step(faults, rng);
             dw_off += delta * self.graph.degree(v) as i64;
             let width = self.state.width();
             while next_phase < PHASES.len() && width <= PHASES[next_phase].0 {

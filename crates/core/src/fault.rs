@@ -195,9 +195,15 @@ impl FaultPlan {
             match (kind, parts.len()) {
                 ("drop", 2) => plan.drop = prob(parts[1])?,
                 ("noise", 3) => {
+                    let magnitude = int(parts[2])?;
                     plan.noise = Some(NoiseFault {
                         prob: prob(parts[1])?,
-                        magnitude: int(parts[2])? as i64,
+                        magnitude: i64::try_from(magnitude).map_err(|_| {
+                            bad(format!(
+                                "noise magnitude must be at most {}, got {magnitude}",
+                                i64::MAX
+                            ))
+                        })?,
                     })
                 }
                 ("stale", 3) => {
@@ -419,7 +425,7 @@ impl FaultSession {
         // 5. The updater may crash mid-read, losing this interaction too.
         if let Some(c) = self.plan.crash {
             if c.prob > 0.0 && rng.gen::<f64>() < c.prob {
-                self.crash_until[v] = step + c.outage;
+                self.crash_until[v] = step.saturating_add(c.outage);
                 self.stats.crash_events += 1;
                 return None;
             }
@@ -441,7 +447,11 @@ impl FaultSession {
         if let Some(n) = self.plan.noise {
             if n.prob > 0.0 && rng.gen::<f64>() < n.prob {
                 let sign = if rng.gen_range(0..2u32) == 0 { 1 } else { -1 };
-                x = (x + sign * n.magnitude).clamp(self.clamp_lo, self.clamp_hi);
+                // Saturating: a magnitude near `i64::MAX` lands on the
+                // clamp on the side of its sign instead of wrapping.
+                x = x
+                    .saturating_add(sign * n.magnitude)
+                    .clamp(self.clamp_lo, self.clamp_hi);
                 self.stats.noisy += 1;
             }
         }
@@ -665,6 +675,60 @@ mod tests {
             assert!(y == 6 || y == 10, "clamped read {y}");
         }
         assert!(seen_up && seen_down, "both signs must occur");
+    }
+
+    #[test]
+    fn extreme_noise_magnitude_saturates_to_the_span() {
+        // `x + D` overflows for D near `i64::MAX`: it must land on the
+        // clamp of its sign's side, both signs, never wrap.
+        let plan = FaultPlan::parse("noise:1:9223372036854775807").unwrap();
+        assert_eq!(plan.noise.unwrap().magnitude, i64::MAX);
+        let mut session = plan.session(&[1, 5, 9]).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        let (mut up, mut down) = (0, 0);
+        for step in 1..200u64 {
+            match session.filter(step, 0, 1, |_| 5, &mut rng) {
+                Some(9) => up += 1,
+                Some(1) => down += 1,
+                other => panic!("noisy read {other:?} off the clamp"),
+            }
+        }
+        assert!(up > 0 && down > 0, "both signs: {up} up, {down} down");
+        // The same from a negative opinion at the bottom of the span.
+        let mut session = plan.session(&[-7, 0, 3]).unwrap();
+        for step in 1..50u64 {
+            let x = session.filter(step, 0, 1, |_| -7, &mut rng).unwrap();
+            assert!(x == -7 || x == 3, "noisy read {x}");
+        }
+    }
+
+    #[test]
+    fn noise_magnitude_above_i64_max_is_a_range_error() {
+        let err = FaultPlan::parse("noise:0.5:9223372036854775808").unwrap_err();
+        assert!(
+            err.contains("at most 9223372036854775807"),
+            "unexpected message: {err}"
+        );
+        assert!(!err.contains("-1"), "wrapped magnitude in: {err}");
+        let err = FaultPlan::parse("noise:0.5:18446744073709551615").unwrap_err();
+        assert!(err.contains("at most"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn extreme_crash_outage_saturates() {
+        // `step + OUTAGE` overflows for OUTAGE near `u64::MAX`: the vertex
+        // must simply stay down for the rest of the run.
+        let plan = FaultPlan::parse("crash:1:18446744073709551615").unwrap();
+        let mut session = plan.session(&[0; 4]).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        assert_eq!(session.filter(7, 0, 1, |_| 3, &mut rng), None);
+        assert_eq!(session.stats().crash_events, 1);
+        for step in [8, 1 << 40, u64::MAX - 1] {
+            assert_eq!(session.filter(step, 0, 1, |_| 3, &mut rng), None);
+            assert_eq!(session.filter(step, 1, 0, |_| 3, &mut rng), None);
+        }
+        assert_eq!(session.stats().suppressed, 3);
+        assert_eq!(session.stats().dropped, 3);
     }
 
     #[test]

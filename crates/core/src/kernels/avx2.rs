@@ -1,6 +1,6 @@
 //! AVX2 kernel tier: the four lane RNGs live in four `__m256i` registers
 //! (xoshiro state word `i` of all lanes side by side), Lemire bounded
-//! sampling rides `vpmuludq`, and column scans use `vpminuw`/`vpmaxuw`.
+//! sampling rides `vpmuludq`, and column scans use `vpminud`/`vpmaxud`.
 //! Each drive replays `CompiledSampler::pick` lane by lane: a masked
 //! redraw advances only the lanes whose draw rejected, so every lane
 //! consumes exactly its scalar word sequence (see the bit-exactness
@@ -20,6 +20,7 @@
 
 use core::arch::x86_64::*;
 
+use crate::engine::toward;
 use crate::rng::FastRng;
 
 /// `x <<< 23` on each 64-bit element.
@@ -127,16 +128,6 @@ impl Rng4x {
     }
 }
 
-/// The branchless toward-step on one lane column: `v` moves one unit
-/// toward `w`'s opinion (sign arithmetic, no data-dependent branch).
-#[inline(always)]
-fn toward(col: &mut [u16], v: usize, w: usize) {
-    let xv = col[v];
-    let xw = col[w];
-    let delta = (xw > xv) as i32 - ((xw < xv) as i32);
-    col[v] = (xv as i32 + delta) as u16;
-}
-
 /// Constants of the complete-pair draw.
 #[derive(Clone, Copy)]
 struct PairConsts {
@@ -197,7 +188,7 @@ fn pair_draw(rng4: &mut Rng4x, c: PairConsts) -> __m256i {
 /// Applies four packed `v | (w << 32)` draws to four lane columns.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn toward4(cols: &mut [&mut [u16]; 4], vw: __m256i) {
+fn toward4(cols: &mut [&mut [u32]; 4], vw: __m256i) {
     let a = lanes_of(vw);
     for j in 0..4 {
         toward(cols[j], a[j] as u32 as usize, (a[j] >> 32) as usize);
@@ -210,7 +201,7 @@ fn toward4(cols: &mut [&mut [u16]; 4], vw: __m256i) {
 /// redraws the whole word, per lane, exactly as the scalar pick does.
 #[target_feature(enable = "avx2")]
 pub(super) fn drive_complete_pair(
-    cols: &mut [&mut [u16]; 4],
+    cols: &mut [&mut [u32]; 4],
     rngs: &mut [FastRng; 4],
     n: u32,
     steps: u64,
@@ -260,7 +251,7 @@ fn bounded_masked(rng4: &mut Rng4x, words: &mut __m256i, range: u64, t: u64) -> 
 /// columns through the endpoint table.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn edge_step(rng4: &mut Rng4x, cols: &mut [&mut [u16]; 4], endpoints: &[u32], two_m: u64, t: u64) {
+fn edge_step(rng4: &mut Rng4x, cols: &mut [&mut [u32]; 4], endpoints: &[u32], two_m: u64, t: u64) {
     let mut words = rng4.next_words();
     let idx = lanes_of(bounded_masked(rng4, &mut words, two_m, t));
     for j in 0..4 {
@@ -276,7 +267,7 @@ fn edge_step(rng4: &mut Rng4x, cols: &mut [&mut [u16]; 4], endpoints: &[u32], tw
 /// `super::accelerates`.
 #[target_feature(enable = "avx2")]
 pub(super) fn drive_edge(
-    cols: &mut [&mut [u16]; 4],
+    cols: &mut [&mut [u32]; 4],
     rngs: &mut [FastRng; 4],
     endpoints: &[u32],
     two_m: u64,
@@ -303,42 +294,17 @@ pub(super) fn bounded_u64_x4(rngs: &mut [FastRng; 4], range: u64) -> [u64; 4] {
     out
 }
 
-/// AVX2 min/max over a `u16` slice: 16 values per `vpminuw`/`vpmaxuw`,
+/// AVX2 min/max over a `u32` slice: 8 values per `vpminud`/`vpmaxud`,
 /// horizontal reduction at the end, scalar tail.  Returns
-/// `(u16::MAX, 0)` for an empty slice, like the scalar fold.
-#[target_feature(enable = "avx2")]
-pub(super) fn min_max_u16(xs: &[u16]) -> (u16, u16) {
-    let mut chunks = xs.chunks_exact(16);
-    let mut vmn = _mm256_set1_epi16(-1);
-    let mut vmx = _mm256_setzero_si256();
-    for c in chunks.by_ref() {
-        // SAFETY: `c` holds exactly 16 u16s — 32 readable bytes; loadu
-        // has no alignment requirement.
-        let v = unsafe { _mm256_loadu_si256(c.as_ptr() as *const __m256i) };
-        vmn = _mm256_min_epu16(vmn, v);
-        vmx = _mm256_max_epu16(vmx, v);
-    }
-    // SAFETY: __m256i and [u16; 16] are both 32 plain bytes.
-    let amn: [u16; 16] = unsafe { core::mem::transmute(vmn) };
-    let amx: [u16; 16] = unsafe { core::mem::transmute(vmx) };
-    let mut mn = amn.iter().copied().fold(u16::MAX, u16::min);
-    let mut mx = amx.iter().copied().fold(0u16, u16::max);
-    for &x in chunks.remainder() {
-        mn = mn.min(x);
-        mx = mx.max(x);
-    }
-    (mn, mx)
-}
-
-/// AVX2 min/max over a `u32` slice (8 values per vector op); the `u32`
-/// twin of [`min_max_u16`].
+/// `(u32::MAX, 0)` for an empty slice, like the scalar fold.
 #[target_feature(enable = "avx2")]
 pub(super) fn min_max_u32(xs: &[u32]) -> (u32, u32) {
     let mut chunks = xs.chunks_exact(8);
     let mut vmn = _mm256_set1_epi32(-1);
     let mut vmx = _mm256_setzero_si256();
     for c in chunks.by_ref() {
-        // SAFETY: `c` holds exactly 8 u32s — 32 readable bytes.
+        // SAFETY: `c` holds exactly 8 u32s — 32 readable bytes; loadu
+        // has no alignment requirement.
         let v = unsafe { _mm256_loadu_si256(c.as_ptr() as *const __m256i) };
         vmn = _mm256_min_epu32(vmn, v);
         vmx = _mm256_max_epu32(vmx, v);

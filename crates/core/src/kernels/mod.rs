@@ -2,19 +2,19 @@
 //!
 //! The batch engine's hot loop is four independent per-lane operations —
 //! xoshiro256++ word generation, Lemire bounded rejection sampling, the
-//! branchless toward-step against a `u16` opinion column, and the
+//! branchless toward-step against a `u32` opinion column, and the
 //! end-of-block min/max column scan.  None of them vectorise under the
 //! default `x86-64` codegen because each lane's RNG stream is a serial
 //! dependency chain; stepping **four lanes in lockstep** breaks the chain
 //! and maps every operation onto 4×64-bit vector arithmetic.  This module
 //! provides that lockstep drive at two tiers:
 //!
-//! * [`KernelTier::Scalar`] — the lane-at-a-time loops in `crate::batch`,
-//!   byte-for-byte the engine as shipped before this module existed.
+//! * [`KernelTier::Scalar`] — every lane runs the fast engine's
+//!   single-lane block loop (`crate::engine::Lane`) one at a time.
 //! * [`KernelTier::Avx2`] — `core::arch::x86_64` intrinsics: the four
 //!   lane RNGs live in four `__m256i` registers (state word `i` of all
 //!   lanes side by side), Lemire multiplies ride `vpmuludq`, and column
-//!   scans use `vpminuw`/`vpmaxuw`.  Selected only when
+//!   scans use `vpminud`/`vpmaxud`.  Selected only when
 //!   `is_x86_feature_detected!("avx2")` holds.
 //!
 //! [`KernelTier`] stays an enum so another tier can be added, but only
@@ -37,7 +37,7 @@
 //! Only the complete-pair and edge families are driven in groups.  The
 //! vertex family (degree lookup, then neighbour lookup) and the
 //! alias-table family (slot load, threshold compare, degree draw) are
-//! load-bound, not ALU-bound, and keep the scalar drive on every tier:
+//! load-bound, not ALU-bound, and keep the single-lane loop on every tier:
 //! an interleaved four-lane vertex drive measured slower than the scalar
 //! one (DESIGN.md §3.4).  `accelerates` decides per batch, never per
 //! lane.
@@ -169,7 +169,7 @@ fn warn_once(msg: &str) {
 pub(crate) const GROUP: usize = 4;
 
 /// Whether `tier` drives this sampler family in lockstep groups of
-/// [`GROUP`] lanes.  `false` keeps the whole batch on the scalar drive
+/// [`GROUP`] lanes.  `false` keeps the whole batch on the single-lane loop
 /// (identical results either way): the scalar tier, the load-bound
 /// vertex and alias families, and an edge table with `2m ≥ 2³²` (an
 /// endpoint list over 32 GiB would overflow the AVX2 32×32→64 Lemire
@@ -185,20 +185,20 @@ pub(crate) fn accelerates(tier: KernelTier, sampler: &CompiledSampler) -> bool {
 
 /// Drives a group of [`GROUP`] lanes in lockstep for exactly `steps`
 /// bare toward-steps each, advancing each lane's RNG exactly as the
-/// scalar drive would.  `cols` are the lanes' (disjoint) opinion
+/// single-lane loop would.  `cols` are the lanes' (disjoint) opinion
 /// columns.
 ///
 /// # Panics
 ///
 /// Panics unless [`accelerates`] holds for `tier` and `sampler` and
 /// this CPU supports `tier` (the batch engine routes every other batch
-/// to the scalar drive, and holds only supported tiers).
+/// to the single-lane loop, and holds only supported tiers).
 #[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn drive_group(
     tier: KernelTier,
     sampler: &CompiledSampler,
-    cols: &mut [&mut [u16]; GROUP],
+    cols: &mut [&mut [u32]; GROUP],
     rngs: &mut [FastRng; GROUP],
     steps: u64,
 ) {
@@ -220,29 +220,11 @@ pub(crate) fn drive_group(
 }
 
 /// Min and max of `xs` under `tier`, with the scalar fold's conventions
-/// (`(u16::MAX, 0)` on an empty slice).  All tiers return identical
-/// results — the tier is a pure throughput knob, and a tier this CPU
-/// does not support runs the scalar fold.
-#[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
-pub fn min_max_u16(xs: &[u16], tier: KernelTier) -> (u16, u16) {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard checked that this CPU supports AVX2.
-        KernelTier::Avx2 if tier.is_supported() => unsafe { avx2::min_max_u16(xs) },
-        _ => {
-            let (mut mn, mut mx) = (u16::MAX, 0u16);
-            for &x in xs {
-                mn = mn.min(x);
-                mx = mx.max(x);
-            }
-            (mn, mx)
-        }
-    }
-}
-
-/// Min and max of `xs` under `tier` (`(u32::MAX, 0)` on an empty slice).
-/// The `u32` twin of [`min_max_u16`], used by the sharded engine's
-/// end-of-round extreme scans.
+/// (`(u32::MAX, 0)` on an empty slice): the end-of-block width scans of
+/// the fast and batch engines and the sharded engine's end-of-round
+/// extreme scans.  All tiers return identical results — the tier is a
+/// pure throughput knob, and a tier this CPU does not support runs the
+/// scalar fold.
 #[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
 pub fn min_max_u32(xs: &[u32], tier: KernelTier) -> (u32, u32) {
     match tier {
@@ -310,13 +292,10 @@ mod tests {
     fn min_max_matches_scalar_fold_on_all_tiers() {
         let mut rng = FastRng::seed_from_u64(0x51CA);
         for len in [0usize, 1, 3, 4, 7, 8, 15, 16, 17, 63, 64, 100, 1013] {
-            let xs: Vec<u16> = (0..len).map(|_| rng.next_word() as u16).collect();
-            let want = min_max_u16(&xs, KernelTier::Scalar);
-            let xs32: Vec<u32> = xs.iter().map(|&x| x as u32 * 7919).collect();
-            let want32 = min_max_u32(&xs32, KernelTier::Scalar);
+            let xs: Vec<u32> = (0..len).map(|_| rng.next_word() as u32).collect();
+            let want = min_max_u32(&xs, KernelTier::Scalar);
             for tier in tiers() {
-                assert_eq!(min_max_u16(&xs, tier), want, "u16 len {len} {tier:?}");
-                assert_eq!(min_max_u32(&xs32, tier), want32, "u32 len {len} {tier:?}");
+                assert_eq!(min_max_u32(&xs, tier), want, "len {len} {tier:?}");
             }
         }
     }
@@ -325,10 +304,6 @@ mod tests {
     fn min_max_handles_high_bit_values() {
         // The vector compares are unsigned: values across the per-field
         // sign bit must still order correctly.
-        let xs: Vec<u16> = vec![0x7FFF, 0x8000, 0xFFFF, 0, 1, 0x8001, 0x7FFE];
-        for tier in tiers() {
-            assert_eq!(min_max_u16(&xs, tier), (0, 0xFFFF), "{tier:?}");
-        }
         let xs32: Vec<u32> = vec![0x7FFF_FFFF, 0x8000_0000, u32::MAX, 3, 0x8000_0001];
         for tier in tiers() {
             assert_eq!(min_max_u32(&xs32, tier), (3, u32::MAX), "{tier:?}");

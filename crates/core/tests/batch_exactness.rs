@@ -223,3 +223,37 @@ fn two_adjacent_stop_matches_scalar_on_a_regular_graph() {
         assert_eq!(batch.opinions_of(l), p.opinions(), "lane {l}");
     }
 }
+
+/// Spans above 2¹⁶ run natively: lane columns hold `u32` offsets under
+/// the fast engine's 2²⁴ span limit, so a span-70 001 batch must replay
+/// the fast engine lane for lane on every tier and both processes —
+/// through a budget that ends mid-range and through consensus.  Six
+/// lanes give the AVX2 tier one lockstep group plus two single lanes.
+#[test]
+fn span_above_u16_lanes_match_scalar_replay() {
+    let g = generators::complete(16).unwrap();
+    let opinions: Vec<i64> = (0..16).map(|i| i * 70_000 / 15).collect();
+    assert_eq!(opinions[15] - opinions[0] + 1, 70_001);
+    let seeds = lane_seeds(6, 0x7_0000);
+    for kind in [FastScheduler::Edge, FastScheduler::Vertex] {
+        for budget in [50_000u64, u64::MAX] {
+            for tier in KernelTier::supported() {
+                let mut batch = BatchProcess::new(&g, opinions.clone(), kind, &seeds).unwrap();
+                batch.set_kernel_tier(tier);
+                let statuses = batch.run_to_consensus(budget);
+                for (l, &s) in seeds.iter().enumerate() {
+                    let mut p = FastProcess::new(&g, opinions.clone(), kind).unwrap();
+                    let mut rng = FastRng::seed_from_u64(s);
+                    let status = p.run_to_consensus(budget, &mut rng);
+                    let at = format!("lane {l}, {kind:?}, budget {budget}, {}", tier.name());
+                    assert_eq!(statuses[l], status, "{at}");
+                    assert_eq!(batch.steps(l), p.steps(), "{at}");
+                    assert_eq!(batch.opinions_of(l), p.opinions(), "{at}");
+                }
+                if budget == u64::MAX {
+                    assert!(statuses.iter().all(|s| s.consensus_opinion().is_some()));
+                }
+            }
+        }
+    }
+}
