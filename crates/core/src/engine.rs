@@ -13,6 +13,10 @@
 //!   *directed* edges, folding the endpoint flip into the same draw; the
 //!   vertex process splits one 64-bit word into two 32-bit halves (vertex,
 //!   neighbour slot).
+//! * **One neighbour load on constant-degree graphs.**  There the vertex
+//!   process reads `neighbors[v·d + slot]` straight from the graph's CSR
+//!   table instead of chasing `offsets[v]`, `offsets[v+1]` and then
+//!   `neighbors` — the same draw, so the same trajectory.
 //! * **Lemire bounded sampling** (multiply-shift with exact rejection)
 //!   instead of the generic `gen_range` plumbing.
 //! * **[`FastRng`] (xoshiro256++)** instead of `StdRng` — a handful of ALU
@@ -165,10 +169,23 @@ pub(crate) fn bounded_u32_half(half: u32, range: u32) -> Option<u32> {
 /// The precompiled interaction sampler.  Shared with the batch engine
 /// (`crate::batch`): the tables depend only on the graph and the
 /// scheduler, so one compilation serves every lane of a batch.
+///
+/// [`CompiledSampler::compile`] picks the family from the graph: a
+/// complete graph takes `CompletePair` under either law, another
+/// constant-degree graph takes `RegularVertex` under the vertex law, and
+/// every other vertex-law graph `Vertex`.  The two vertex families draw
+/// identical streams; they differ only in how the neighbour is found.
 #[derive(Debug, Clone)]
 pub(crate) enum CompiledSampler {
-    /// One word: high half picks the vertex, low half the neighbour slot.
+    /// One word: high half picks the vertex, low half the neighbour slot,
+    /// read through the graph's CSR offsets (any degree sequence).
     Vertex { n: u32 },
+    /// The vertex process on a constant-degree graph: [`Vertex`]'s word
+    /// discipline, but the neighbour is `neighbors[v·d + slot]` of the
+    /// graph's own CSR table — one load, no offsets.
+    ///
+    /// [`Vertex`]: CompiledSampler::Vertex
+    RegularVertex { n: u32, d: u32 },
     /// Closed-form sampler for complete graphs: a uniform ordered pair of
     /// distinct vertices from one word, no tables.  `K_n` is regular, so
     /// the edge and vertex processes draw the *same* law and both compile
@@ -198,6 +215,10 @@ impl CompiledSampler {
             FastScheduler::Vertex | FastScheduler::Edge if complete => {
                 CompiledSampler::CompletePair { n: n as u32 }
             }
+            FastScheduler::Vertex if g.is_regular() => CompiledSampler::RegularVertex {
+                n: n as u32,
+                d: g.max_degree() as u32,
+            },
             FastScheduler::Vertex => CompiledSampler::Vertex {
                 n: g.num_vertices() as u32,
             },
@@ -226,6 +247,7 @@ impl CompiledSampler {
     pub(crate) fn pick<R: RngCore + ?Sized>(&self, g: &Graph, rng: &mut R) -> (usize, usize) {
         let (v, w) = match *self {
             CompiledSampler::Vertex { n } => VertexPick { g, n }.pick(rng),
+            CompiledSampler::RegularVertex { n, d } => RegularVertexPick::of(g, n, d).pick(rng),
             CompiledSampler::CompletePair { n } => CompletePairPick { n }.pick(rng),
             CompiledSampler::Edge {
                 ref endpoints,
@@ -243,6 +265,9 @@ impl CompiledSampler {
     pub(crate) fn drive<D: Drive>(&self, g: &Graph, d: D) -> D::Out {
         match *self {
             CompiledSampler::Vertex { n } => d.drive(VertexPick { g, n }),
+            CompiledSampler::RegularVertex { n, d: deg } => {
+                d.drive(RegularVertexPick::of(g, n, deg))
+            }
             CompiledSampler::CompletePair { n } => d.drive(CompletePairPick { n }),
             CompiledSampler::Edge {
                 ref endpoints,
@@ -254,7 +279,7 @@ impl CompiledSampler {
 }
 
 /// One sampler family's draw of an ordered `(updater, observed)` pair.
-/// The four implementations below are the only scalar implementation of
+/// The five implementations below are the only scalar implementation of
 /// the interaction law.
 pub(crate) trait Pick {
     /// Draws one pair from `rng`.
@@ -289,6 +314,49 @@ impl Pick for VertexPick<'_> {
                 continue;
             };
             return (v, self.g.neighbor(v as usize, slot as usize) as u32);
+        }
+    }
+}
+
+/// [`VertexPick`]'s draw on a constant-degree adjacency table: `n`
+/// vertices of degree `d`, the neighbours of vertex `v` at
+/// `neighbors[v·d .. v·d + d]`.  The same word and the same rejections
+/// as [`VertexPick`], so on a regular graph the two draw identical
+/// streams.  The sharded engine draws its constant-degree domains
+/// through it too, over the domain's block of the table.
+pub(crate) struct RegularVertexPick<'a> {
+    pub(crate) neighbors: &'a [u32],
+    pub(crate) n: u32,
+    pub(crate) d: u32,
+}
+
+impl<'a> RegularVertexPick<'a> {
+    /// The picker over all of `g`'s table (`g` must be `d`-regular).
+    #[inline(always)]
+    fn of(g: &'a Graph, n: u32, d: u32) -> Self {
+        RegularVertexPick {
+            neighbors: g.csr().1,
+            n,
+            d,
+        }
+    }
+}
+
+impl Pick for RegularVertexPick<'_> {
+    #[inline(always)]
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (u32, u32) {
+        loop {
+            let word = rng.next_u64();
+            let Some(v) = bounded_u32_half((word >> 32) as u32, self.n) else {
+                continue;
+            };
+            let Some(slot) = bounded_u32_half(word as u32, self.d) else {
+                continue;
+            };
+            return (
+                v,
+                self.neighbors[v as usize * self.d as usize + slot as usize],
+            );
         }
     }
 }
@@ -1166,11 +1234,12 @@ impl<'g> FastProcess<'g> {
         }
         let mut next_phase = self.first_pending_phase();
         let block = (self.state.opinions.len() as u64).max(1024);
+        let mut snap = Vec::new();
         let mut remaining = max_steps;
         let mut last_sampled = self.steps;
         while remaining > 0 {
             let b = block.min(remaining);
-            let snap_state = self.state.clone();
+            snap.clone_from(&self.state.opinions);
             let snap_rng = rng.clone();
             let snap_dw = dw_off;
             let mut done = 0u64;
@@ -1190,7 +1259,8 @@ impl<'g> FastProcess<'g> {
                     // The crossing is inside the block: rewind to the
                     // block snapshot and replay the identical RNG stream
                     // stepwise to locate its exact step.
-                    self.state = snap_state.clone();
+                    self.state.opinions.copy_from_slice(&snap);
+                    self.state.recount();
                     *rng = snap_rng.clone();
                     dw_off = snap_dw;
                     let base_steps = self.steps;
@@ -1306,13 +1376,15 @@ impl<'g> FastProcess<'g> {
         if self.state.width() <= stop_width {
             return self.status();
         }
-        // Clone cost per block is O(n + span); amortised O(1) per step
-        // once the block is at least that long.
+        // The snapshot is the opinions alone (O(n) per block, amortised
+        // O(1) per step); `counts` is span-sized, so a rewind rebuilds it
+        // once instead of every block copying it.
         let block = (self.state.opinions.len() as u64).max(1024);
+        let mut snap = Vec::new();
         let mut remaining = max_steps;
         while remaining > 0 {
             let b = block.min(remaining);
-            let snap_state = self.state.clone();
+            snap.clone_from(&self.state.opinions);
             let snap_rng = rng.clone();
             for _ in 0..b {
                 let (v, w) = self.sampler.pick(self.graph, rng);
@@ -1321,7 +1393,8 @@ impl<'g> FastProcess<'g> {
             if self.state.width() <= stop_width {
                 // The first hit is inside this block: rewind and replay
                 // the identical RNG stream with per-step checks.
-                self.state = snap_state;
+                self.state.opinions.copy_from_slice(&snap);
+                self.state.recount();
                 *rng = snap_rng;
                 for _ in 0..b {
                     let (v, w) = self.sampler.pick(self.graph, rng);
@@ -1548,6 +1621,129 @@ mod tests {
             let p = FastProcess::new(&g, vec![0; 7], kind).unwrap();
             assert!(matches!(p.sampler, CompiledSampler::CompletePair { .. }));
             check_sampler(&p, 13, |v, w| if v == w { 0.0 } else { uniform });
+        }
+    }
+
+    #[test]
+    fn vertex_family_follows_the_degree_sequence() {
+        let family = |g: &Graph, kind| CompiledSampler::compile(g, kind);
+        // Irregular graphs keep the CSR-offset family.
+        for g in [
+            generators::star(6).unwrap(),
+            generators::wheel(9).unwrap(),
+            generators::path(7).unwrap(),
+        ] {
+            assert!(matches!(
+                family(&g, FastScheduler::Vertex),
+                CompiledSampler::Vertex { .. }
+            ));
+        }
+        // Constant degree compiles to the one-load family, except K_n,
+        // whose closed-form pair sampler takes precedence.
+        let g = generators::circulant(12, &[1, 4]).unwrap();
+        assert!(matches!(
+            family(&g, FastScheduler::Vertex),
+            CompiledSampler::RegularVertex { n: 12, d: 4 }
+        ));
+        assert!(matches!(
+            family(&g, FastScheduler::Edge),
+            CompiledSampler::Edge { .. }
+        ));
+        for n in [2, 3, 7] {
+            let g = generators::complete(n).unwrap();
+            assert!(matches!(
+                family(&g, FastScheduler::Vertex),
+                CompiledSampler::CompletePair { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn regular_vertex_sampler_distribution() {
+        let g = generators::circulant(11, &[1, 3]).unwrap();
+        let p = FastProcess::new(&g, vec![0; 11], FastScheduler::Vertex).unwrap();
+        assert!(matches!(p.sampler, CompiledSampler::RegularVertex { .. }));
+        check_sampler(&p, 14, |v, w| {
+            if g.has_edge(v, w) {
+                1.0 / (11.0 * 4.0)
+            } else {
+                0.0
+            }
+        });
+    }
+
+    /// A constant-degree graph chosen by an index: random regular,
+    /// cycle, circulant, hypercube or torus (never complete).
+    fn constant_degree_graph(pick: u8, size: usize, seed: u64) -> Graph {
+        let n = size.max(10);
+        match pick % 5 {
+            0 => {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let d = 3 + (seed % 5) as usize;
+                let n = if (n * d).is_multiple_of(2) { n } else { n + 1 };
+                generators::random_regular(n, d, &mut rng).unwrap()
+            }
+            1 => generators::cycle(n).unwrap(),
+            2 => generators::circulant(n, &[1, 2, 3][..1 + (seed % 3) as usize]).unwrap(),
+            3 => generators::hypercube(2 + (seed % 6) as u32).unwrap(),
+            _ => generators::torus2d(3 + size % 5, 3 + (seed % 7) as usize).unwrap(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// The constant-degree family draws exactly the pair stream of a
+        /// naive `degree`/`neighbor` vertex sampler with the same word
+        /// discipline, and leaves the RNG at the same position.
+        #[test]
+        fn regular_vertex_pick_matches_naive_csr_draws(
+            pick in proptest::prelude::any::<u8>(),
+            size in 8usize..120,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = constant_degree_graph(pick, size, seed);
+            let n = g.num_vertices() as u32;
+            let p = FastProcess::new(&g, vec![0; n as usize], FastScheduler::Vertex).unwrap();
+            proptest::prop_assert!(matches!(p.sampler, CompiledSampler::RegularVertex { .. }));
+            let mut fast = FastRng::seed_from_u64(seed);
+            let mut naive = FastRng::seed_from_u64(seed);
+            for _ in 0..100_000 {
+                let expect = loop {
+                    let word = naive.next_u64();
+                    let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
+                        continue;
+                    };
+                    let v = v as usize;
+                    let Some(slot) = bounded_u32_half(word as u32, g.degree(v) as u32) else {
+                        continue;
+                    };
+                    break (v, g.neighbor(v, slot as usize));
+                };
+                proptest::prop_assert_eq!(p.sample_pair(&mut fast), expect);
+            }
+            proptest::prop_assert_eq!(fast, naive);
+        }
+    }
+
+    #[test]
+    fn wide_span_block_runs_match_the_batch_engine() {
+        // A span of 16 000 001 on K_16: the block engine's snapshot must
+        // not scale with the span (it once copied `counts` every block),
+        // and the fast engine must still agree with the batch engine.
+        let g = generators::complete(16).unwrap();
+        let opinions = init::blocks(&[(0, 8), (16_000_000, 8)]).unwrap();
+        let seeds = [3, 4];
+        let mut batch =
+            crate::BatchProcess::new(&g, opinions.clone(), FastScheduler::Vertex, &seeds).unwrap();
+        let statuses = batch.run_to_consensus(200_000);
+        for (l, &seed) in seeds.iter().enumerate() {
+            let mut p = FastProcess::new(&g, opinions.clone(), FastScheduler::Vertex).unwrap();
+            let mut rng = FastRng::seed_from_u64(seed);
+            let status = p.run_to_consensus(200_000, &mut rng);
+            assert_eq!(status, RunStatus::StepLimit { steps: 200_000 });
+            assert_eq!(statuses[l], status);
+            assert_eq!(batch.opinions_of(l), p.opinions());
         }
     }
 

@@ -35,7 +35,8 @@
 //! trajectories under every tier.
 //!
 //! Only the complete-pair and edge families are driven in groups.  The
-//! vertex family (degree lookup, then neighbour lookup) and the
+//! vertex families (degree lookup, then neighbour lookup, or the one
+//! neighbour load on a constant-degree graph) and the
 //! alias-table family (slot load, threshold compare, degree draw) are
 //! load-bound, not ALU-bound, and keep the single-lane loop on every tier:
 //! an interleaved four-lane vertex drive measured slower than the scalar
@@ -179,7 +180,9 @@ pub(crate) fn accelerates(tier: KernelTier, sampler: &CompiledSampler) -> bool {
         && match sampler {
             CompiledSampler::CompletePair { .. } => true,
             CompiledSampler::Edge { two_m, .. } => *two_m < (1u64 << 32),
-            CompiledSampler::Vertex { .. } | CompiledSampler::Alias { .. } => false,
+            CompiledSampler::Vertex { .. }
+            | CompiledSampler::RegularVertex { .. }
+            | CompiledSampler::Alias { .. } => false,
         }
 }
 

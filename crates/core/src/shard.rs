@@ -25,7 +25,8 @@
 //!   edge process — and a uniform neighbour `w` is observed.  A domain of
 //!   constant degree `d` draws uniformly under either law and reads
 //!   neighbour `slot` of its `i`-th vertex straight from the domain's
-//!   adjacency block at `i·d + slot`;
+//!   adjacency block at `i·d + slot`, through the fast engine's
+//!   constant-degree picker;
 //! * if `w` lies in the same domain the read is **live**; otherwise it
 //!   comes from the **round-start snapshot**.  The step itself is a bare
 //!   branchless toward-step on the shard's own domain slice, so shards
@@ -88,7 +89,7 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::SeedableRng;
 
-use crate::engine::{bounded_u32_half, bounded_u64, packed_alias_slots};
+use crate::engine::{bounded_u32_half, bounded_u64, packed_alias_slots, Pick, RegularVertexPick};
 use crate::kernels::{self, KernelTier};
 use crate::rng::FastRng;
 use crate::telemetry::{Observer, Phase, PhaseEvent, TelemetrySample};
@@ -167,24 +168,17 @@ impl Shard {
         };
         match self.sampler {
             ShardSampler::Regular { degree } => {
+                // The scalar engine's constant-degree vertex picker over
+                // the domain's block of the adjacency table.
                 let (offsets, adjacency) = graph.csr();
-                let block = &adjacency[offsets[start]..offsets[start + len]];
+                let pick = RegularVertexPick {
+                    neighbors: &adjacency[offsets[start]..offsets[start + len]],
+                    n: len as u32,
+                    d: degree,
+                };
                 for _ in 0..steps {
-                    // One word: high half draws the domain vertex, low
-                    // half the neighbour slot (the scalar engine's
-                    // vertex-sampler word discipline).
-                    let (i, w) = loop {
-                        let word = rng.next_word();
-                        let Some(i) = bounded_u32_half((word >> 32) as u32, len as u32) else {
-                            continue;
-                        };
-                        let Some(slot) = bounded_u32_half(word as u32, degree) else {
-                            continue;
-                        };
-                        let i = i as usize;
-                        break (i, block[i * degree as usize + slot as usize] as usize);
-                    };
-                    toward(local, i, observe(local, w));
+                    let (i, w) = pick.pick(rng);
+                    toward(local, i as usize, observe(local, w as usize));
                 }
             }
             ShardSampler::Uniform => {
