@@ -67,14 +67,24 @@
 //! never gated), and `scaling_t4`, the T=4 : T=1 throughput ratio gated in CI
 //! at ≥ 2.5× on 4-core-or-larger machines; `--check-overhead` runs the
 //! gate live and skips it with a note on smaller machines.
+//!
+//! A sixth section records the graph-build layer, a trial's first set-up
+//! cost: each spec in [`GRAPH_BUILD_SPECS`] is built [`GRAPH_BUILDS`]
+//! times through [`div_bench::spec::parse_graph`] (the path every
+//! `divlab` and `divd` trial takes to its graph), and the JSON gains a
+//! `graph_build` block with `n`, `m` and the median and interquartile
+//! range of the milliseconds per build.  The section is recorded, never
+//! gated.
 
 use std::time::Instant;
 
+use div_bench::spec::parse_graph;
 use div_core::{
     init, BatchProcess, DivProcess, EdgeScheduler, FastProcess, FastRng, FastScheduler, KernelTier,
     NullObserver, Observer, RunStatus, Scheduler, ShardedProcess, TelemetrySample, VertexScheduler,
 };
 use div_graph::{generators, Graph};
+use div_sim::stats::quantile;
 use div_sim::{run_lane_groups, CampaignMonitor, SeedSequence, TrialOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,6 +126,14 @@ const SHARD_SCALING_GATE: f64 = 2.5;
 /// hosts without AVX2 cannot run the vector drives and skip the gate
 /// with a recorded reason instead of failing.
 const SIMD_SPEEDUP_GATE: f64 = 2.8;
+
+/// The graph-build section's specs: the benchmark's `sharded_100k`
+/// circulant, its largest graph, and the random regular expander of its
+/// campaign workloads.
+const GRAPH_BUILD_SPECS: [&str; 2] = ["circulant:100000:1,2,3,4", "regular:2000:8"];
+
+/// Timed builds per spec in the graph-build section.
+const GRAPH_BUILDS: usize = 15;
 
 fn usage() -> ! {
     eprintln!(
@@ -777,6 +795,45 @@ fn measure_shard(steps: u64) -> ShardSection {
     }
 }
 
+/// One spec of the graph-build section: quartiles of ms per build.
+struct BuildRow {
+    spec: &'static str,
+    n: usize,
+    m: usize,
+    p25_ms: f64,
+    median_ms: f64,
+    p75_ms: f64,
+}
+
+/// Times [`GRAPH_BUILDS`] builds of each graph-build spec, each from the
+/// same seed (so every build makes the same graph); the previous graph
+/// is dropped outside the timed region.
+fn measure_graph_build() -> Vec<BuildRow> {
+    GRAPH_BUILD_SPECS
+        .into_iter()
+        .map(|spec| {
+            let mut ms = Vec::with_capacity(GRAPH_BUILDS);
+            let mut g = None;
+            for _ in 0..GRAPH_BUILDS {
+                let mut rng = StdRng::seed_from_u64(1);
+                let start = Instant::now();
+                let built = parse_graph(spec, &mut rng).expect("graph-build specs are valid");
+                ms.push(start.elapsed().as_secs_f64() * 1e3);
+                g = Some(built);
+            }
+            let g = g.expect("at least one build");
+            BuildRow {
+                spec,
+                n: g.num_vertices(),
+                m: g.num_edges(),
+                p25_ms: quantile(&ms, 0.25),
+                median_ms: quantile(&ms, 0.5),
+                p75_ms: quantile(&ms, 0.75),
+            }
+        })
+        .collect()
+}
+
 fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |t| t.get())
 }
@@ -1054,6 +1111,7 @@ fn main() {
     let batch_rows = measure_batch(steps);
     let simd = measure_simd(steps);
     let shard = measure_shard(steps);
+    let builds = measure_graph_build();
 
     // Hand-rolled JSON: the workspace deliberately has no serializer
     // dependency.
@@ -1134,6 +1192,23 @@ fn main() {
             r.ns_per_step,
             r.steps_per_sec,
             if i + 1 < shard.rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]},\n");
+    json.push_str(&format!(
+        "  \"graph_build\": {{\"builds\": {GRAPH_BUILDS}, \"unit\": \"ms_per_build\", \"rows\": [\n"
+    ));
+    for (i, b) in builds.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"spec\": \"{}\", \"n\": {}, \"m\": {}, \"median_ms\": {:.3}, \
+             \"p25_ms\": {:.3}, \"p75_ms\": {:.3}}}{}\n",
+            b.spec,
+            b.n,
+            b.m,
+            b.median_ms,
+            b.p25_ms,
+            b.p75_ms,
+            if i + 1 < builds.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]},\n");
@@ -1229,6 +1304,12 @@ fn main() {
         "shard T=4 scaling: {:.2}x on {} core(s) (gate >= {SHARD_SCALING_GATE}x applies at 4+ cores)",
         shard.scaling_t4, shard.cores
     );
+    for b in &builds {
+        println!(
+            "{:>24}/build n={} m={}  median {:.3} ms [IQR {:.3}–{:.3}] over {GRAPH_BUILDS} builds",
+            b.spec, b.n, b.m, b.median_ms, b.p25_ms, b.p75_ms
+        );
+    }
     let worst = rows
         .iter()
         .map(|r| r.reference_ns / r.fast_ns)

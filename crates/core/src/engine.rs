@@ -1337,10 +1337,20 @@ impl<'g> FastProcess<'g> {
         let two_m = self.graph.total_degree() as i64;
         // Σ_v d(v)·X_v = base·2m + dw_off; matches OpinionState::z_weight.
         let dws = self.base * two_m + dw_off;
-        let distinct = self.state.counts[self.state.lo as usize..=self.state.hi as usize]
-            .iter()
-            .filter(|&&c| c > 0)
-            .count();
+        // Scanning the live count cells costs O(span); on a span wider
+        // than n, counting the n opinions themselves is cheaper.
+        let (lo, hi) = (self.state.lo as usize, self.state.hi as usize);
+        let distinct = if hi - lo < n {
+            self.state.counts[lo..=hi]
+                .iter()
+                .filter(|&&c| c > 0)
+                .count()
+        } else {
+            let mut held = self.state.opinions.clone();
+            held.sort_unstable();
+            held.dedup();
+            held.len()
+        };
         TelemetrySample {
             step,
             sum: self.sum(),
@@ -1437,6 +1447,7 @@ mod tests {
     use crate::{init, FastRng};
     use div_graph::generators;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn bounded_u64_is_in_range_and_covers() {
@@ -2052,6 +2063,39 @@ mod tests {
         assert_eq!(last.sum, state.sum());
         assert!((last.z_weight - state.z_weight()).abs() < 1e-9);
         assert_eq!(last.distinct, state.distinct_count());
+    }
+
+    #[test]
+    fn sampled_distinct_matches_a_naive_count() {
+        use crate::RingRecorder;
+        // A narrow span, where the live count cells are scanned, and a
+        // span of 16 000 001 on 16 vertices, where the opinions are
+        // counted instead (a scan of the count cells per sample once
+        // made observed wide-span runs crawl).
+        let g = generators::complete(16).unwrap();
+        let narrow = init::spread(16, 5).unwrap();
+        let wide = init::blocks(&[(0, 8), (16_000_000, 8)]).unwrap();
+        for opinions in [narrow, wide] {
+            let mut observed =
+                FastProcess::new(&g, opinions.clone(), FastScheduler::Vertex).unwrap();
+            let mut rec = RingRecorder::new(1 << 16);
+            observed.run_observed(5_000, &mut FastRng::seed_from_u64(6), 1, &mut rec);
+
+            let distinct = |ops: Vec<i64>| ops.into_iter().collect::<HashSet<_>>().len();
+            let mut naive = FastProcess::new(&g, opinions, FastScheduler::Vertex).unwrap();
+            let mut rng = FastRng::seed_from_u64(6);
+            let mut want = vec![distinct(naive.opinions())];
+            for _ in 0..5_000 {
+                let (v, w) = naive.sample_pair(&mut rng);
+                naive.state.apply(v, w);
+                want.push(distinct(naive.opinions()));
+            }
+            let samples: Vec<_> = rec.samples().iter().chain(rec.final_sample()).collect();
+            assert!(samples.len() > 100);
+            for s in samples {
+                assert_eq!(s.distinct, want[s.step as usize], "step {}", s.step);
+            }
+        }
     }
 
     #[test]

@@ -99,53 +99,65 @@ impl GraphBuilder {
     }
 
     /// Finishes construction, validating simplicity and assembling the CSR
-    /// arrays in `O(n + m log m)`.
+    /// arrays in `O(n + m + Σ_v d(v)·log d(v))` — linear in the graph for
+    /// bounded degrees, with no global sort of the edges.
+    ///
+    /// The degrees are counted and prefix-summed into the CSR offsets; one
+    /// pass then writes both endpoints of every edge into `neighbors`, and
+    /// each adjacency list is sorted on its own.  A repeated edge `{u, v}`
+    /// shows up as two equal entries `v` in `u`'s sorted list, so scanning
+    /// the lists in vertex order for the first repeated entry above the
+    /// list's own vertex finds the lexicographically smallest duplicate.
+    /// The canonical edge list (`u < v`, sorted) is read back from the
+    /// lists into the builder's own buffer.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::DuplicateEdge`] if any edge was added twice
-    /// (in either orientation).
+    /// Returns [`GraphError::DuplicateEdge`] naming the lexicographically
+    /// smallest edge that was added more than once (in either orientation).
     pub fn build(self) -> Result<Graph, GraphError> {
         let GraphBuilder {
             num_vertices,
             mut edges,
         } = self;
-        edges.sort_unstable();
-        if let Some(w) = edges.windows(2).find(|w| w[0] == w[1]) {
-            return Err(GraphError::DuplicateEdge {
-                u: w[0].0 as usize,
-                v: w[0].1 as usize,
-            });
-        }
-
         let mut offsets = vec![0usize; num_vertices + 1];
         for &(u, v) in &edges {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
+            offsets[u as usize] += 1;
+            offsets[v as usize] += 1;
         }
-        for i in 0..num_vertices {
-            offsets[i + 1] += offsets[i];
+        // Exclusive prefix sums: `offsets[w]` is where `w`'s list starts.
+        let mut start = 0;
+        for slot in &mut offsets[..num_vertices] {
+            let degree = *slot;
+            *slot = start;
+            start += degree;
         }
-        let mut cursor = offsets.clone();
+        offsets[num_vertices] = start;
+        // Fill each list using `offsets[w]` as its cursor; afterwards
+        // `offsets[w]` holds the end of `w`'s list, i.e. the start of
+        // `w + 1`'s, so one shift restores the offsets.
         let mut neighbors = vec![0u32; 2 * edges.len()];
-        // Edges are sorted, so filling in order keeps each adjacency list
-        // sorted: for a fixed u the v's arrive ascending, and for a fixed v
-        // the u's arrive ascending (u < v always).
         for &(u, v) in &edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
+            neighbors[offsets[u as usize]] = v;
+            offsets[u as usize] += 1;
+            neighbors[offsets[v as usize]] = u;
+            offsets[v as usize] += 1;
         }
-        for &(u, v) in &edges {
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // The two passes above each append ascending sequences, but vertex
-        // w's list receives first its larger neighbours (as u) then its
-        // smaller ones (as v) interleaved per pass; merge-sort each list to
-        // restore global order. Lists are short; a per-list sort is cheap
-        // and keeps the code obviously correct.
-        for v in 0..num_vertices {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
+        offsets.copy_within(..num_vertices, 1);
+        offsets[0] = 0;
+
+        edges.clear();
+        for u in 0..num_vertices {
+            let list = &mut neighbors[offsets[u]..offsets[u + 1]];
+            list.sort_unstable();
+            let above = list.partition_point(|&w| (w as usize) < u);
+            if let Some(pair) = list[above..].windows(2).find(|p| p[0] == p[1]) {
+                return Err(GraphError::DuplicateEdge {
+                    u,
+                    v: pair[0] as usize,
+                });
+            }
+            edges.extend(list[above..].iter().map(|&w| (u as u32, w)));
         }
         Ok(Graph::from_parts(offsets, neighbors, edges))
     }

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use div_graph::{algo, generators, Graph, GraphError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a vertex count and a list of candidate (possibly invalid)
 /// edges over it.
@@ -24,6 +24,102 @@ fn canonicalize(n: usize, edges: &[(usize, usize)]) -> HashSet<(usize, usize)> {
         .filter(|&&(u, v)| u != v && u < n && v < n)
         .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
         .collect()
+}
+
+/// The CSR arrays and canonical edge list of a built graph.
+type Csr = (Vec<usize>, Vec<u32>, Vec<(usize, usize)>);
+
+/// A sort-based reference for [`Graph::from_edges`]: each edge is checked
+/// as `GraphBuilder::add_edge` checks it, the canonical edges are sorted
+/// globally, the first repeat in sorted order is the reported duplicate,
+/// and the adjacency lists are filled from the sorted edges.
+fn reference_build(n: usize, edges: &[(usize, usize)]) -> Result<Csr, GraphError> {
+    let mut canon = Vec::with_capacity(edges.len());
+    for &(u, v) in edges {
+        if u == v {
+            return Err(GraphError::SelfLoop { vertex: u });
+        }
+        for w in [u, v] {
+            if w >= n {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex: w,
+                    num_vertices: n,
+                });
+            }
+        }
+        canon.push((u.min(v), u.max(v)));
+    }
+    canon.sort_unstable();
+    if let Some(w) = canon.windows(2).find(|w| w[0] == w[1]) {
+        let (u, v) = w[0];
+        return Err(GraphError::DuplicateEdge { u, v });
+    }
+    let mut lists = vec![Vec::new(); n];
+    for &(u, v) in &canon {
+        lists[u].push(v as u32);
+        lists[v].push(u as u32);
+    }
+    let mut offsets = vec![0];
+    let mut neighbors = Vec::new();
+    for mut list in lists {
+        list.sort_unstable();
+        neighbors.extend(list);
+        offsets.push(neighbors.len());
+    }
+    Ok((offsets, neighbors, canon))
+}
+
+/// Strategy: a vertex count and a builder input made from a simple edge
+/// set by re-adding up to three of its edges, putting every edge in a
+/// random orientation and the list in a random order, and inserting at
+/// most one self loop or out-of-range endpoint at a random position.
+fn scrambled_input() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (edge_list(), 0usize..4, any::<u64>(), 0u8..4).prop_map(|((n, raw), dups, seed, fault)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges: Vec<(usize, usize)> = canonicalize(n, &raw).into_iter().collect();
+        edges.sort_unstable();
+        if !edges.is_empty() {
+            for _ in 0..dups {
+                edges.push(edges[rng.gen_range(0..edges.len())]);
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        for e in &mut edges {
+            if rng.gen::<bool>() {
+                *e = (e.1, e.0);
+            }
+        }
+        // A quarter of the inputs get a self loop, a quarter an
+        // out-of-range endpoint.
+        let bad = match fault {
+            0 => Some((n / 2, n / 2)),
+            1 => Some((rng.gen_range(0..n), n + rng.gen_range(0..3))),
+            _ => None,
+        };
+        if let Some(e) = bad {
+            edges.insert(rng.gen_range(0..=edges.len()), e);
+        }
+        (n, edges)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The counting-sort builder agrees with the sort-based reference on
+    /// scrambled input with injected duplicates, self loops and
+    /// out-of-range endpoints: the same CSR arrays and edge list, or the
+    /// same error — for duplicates, the lexicographically smallest one.
+    #[test]
+    fn build_matches_sort_based_reference((n, edges) in scrambled_input()) {
+        let built = Graph::from_edges(n, edges.iter().copied()).map(|g| {
+            let (offsets, neighbors) = g.csr();
+            (offsets.to_vec(), neighbors.to_vec(), g.edges().collect::<Vec<_>>())
+        });
+        prop_assert_eq!(built, reference_build(n, &edges));
+    }
 }
 
 proptest! {
