@@ -43,7 +43,8 @@
 //! exactly (byte-identical report).  `divlab campaign` is the same
 //! command with campaign mode forced on.  Every engine runs through the
 //! shared executors and campaign dispatch of [`div_bench::trial`], the
-//! same code `divd` runs; batch lanes are bit-exact against the fast
+//! same code `divd` runs; batch campaigns share one pool of `--lanes K`
+//! lanes per worker, and batch lanes are bit-exact against the fast
 //! engine, so batch and fast campaigns print byte-identical reports.
 //!
 //! `--telemetry PATH` streams the single run's trajectory through the
@@ -59,8 +60,10 @@
 //!
 //! `--spans PATH` (campaign mode) records wall-clock lifecycle spans —
 //! one per trial execution plus a campaign root — as a Perfetto-loadable
-//! Chrome-trace JSON array; span ids are a deterministic hash of (master
-//! seed, trial seed, attempt).  `--trace` needs the reference engine's
+//! Chrome-trace JSON array; a trial's span runs from its start (for the
+//! batch engine, its lane's load into the campaign's lane pool) to its
+//! finish, and span ids are a deterministic hash of (master seed, trial
+//! seed, attempt).  `--trace` needs the reference engine's
 //! stage log, so every entry point demotes other engines with a warning.
 //!
 //! `--serve ADDR` (on `run`, campaigns and `compare`) publishes live
@@ -83,7 +86,7 @@ use div_baselines::{
 };
 use div_bench::spec::{demotion, Campaign, CampaignInputs, CampaignSpec, Front};
 use div_bench::trial::{
-    outcome_of, publish_faults, run_engine_campaign, Engine, Pending, TrialSetup,
+    outcome_of, publish_faults, run_engine_campaign, Engine, TrialSetup, Watch,
 };
 use div_core::{
     hex_id, init, render_spans, span_id, theory, CsvExporter, DivProcess, EdgeScheduler,
@@ -134,7 +137,7 @@ fn main() {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage:\n  divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N] [--trace]\n                  [--telemetry PATH] [--sample-every K] [--spans PATH] [--faults SPEC] [--trials N] [--budget N] [--lanes K] [--shards P] [--threads T]\n                  [--checkpoint PATH] [--resume] [--stop-after N] [--serve ADDR] [--serve-linger SECS]\n  divlab campaign ...same flags as run (campaign mode forced, even at --trials 1)\n  divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N]\n                  [--faults SPEC] [--budget N] [--sample-every K] [--shards P] [--threads T]\n  divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded] [--seed N] [--trials N] [--faults SPEC] [--budget N]\n                  [--lanes K] [--shards P] [--threads T] [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]\n  divlab spectral --graph SPEC [--seed N]\n  divlab graph6   --graph SPEC [--seed N]\n  divlab analyze  --traces PATH [--out DIR]\n  divlab submit   --server HOST:PORT --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine fast|batch|reference|sharded]\n                  [--seed N] [--trials N] [--budget N] [--faults SPEC] [--lanes K] [--shards P] [--threads T] [--checkpoint-every K]\n                  [--client NAME] [--timeout SECS] [--detach] [--watch]   (client mode for a divd daemon)\n\ngraph specs:  complete:N path:N cycle:N star:N wheel:N grid:RxC torus:RxC\n              hypercube:D binary-tree:N barbell:H:B lollipop:H:T double-star:L:R\n              circulant:N:s1,s2 multipartite:a,b regular:N:D gnp:N:P ws:N:K:B ba:N:M\ninit specs:   uniform:K spread:K blocks:VxC,VxC,...\nfault specs:  drop:Q noise:P:D stale:P:AGE stubborn:K crash:P:OUTAGE (comma-separated), or none\nengines:      reference (observable baseline), fast (compiled scalar), batch (lockstep lanes;\n              campaigns step --lanes K trials together across --threads T workers, bit-exact vs fast),\n              sharded (--shards P concurrent vertex domains per trial on --threads T std threads;\n              deterministic for fixed seed+P, built for million-vertex single trials)\ntelemetry:    --telemetry out.jsonl streams W(t) samples + phase events (CSV when PATH ends in .csv);\n              in campaign mode PATH is a directory receiving one trial-<seed>.jsonl per trial;\n              batch/sharded engines observe natively (block/round sampling lattice);\n              --spans PATH (campaign) writes Chrome-trace lifecycle spans (load in Perfetto)\nmonitoring:   --serve 127.0.0.1:9100 exposes /metrics (Prometheus), /progress (JSON), /healthz\nanalyze:      divlab analyze --traces DIR re-derives Lemma 3 / eq. (5) / eq. (4) checks offline"
+        "usage:\n  divlab run      --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N] [--trace]\n                  [--telemetry PATH] [--sample-every K] [--spans PATH] [--faults SPEC] [--trials N] [--budget N] [--lanes K] [--shards P] [--threads T]\n                  [--checkpoint PATH] [--resume] [--stop-after N] [--serve ADDR] [--serve-linger SECS]\n  divlab campaign ...same flags as run (campaign mode forced, even at --trials 1)\n  divlab stats    --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine reference|fast|batch|sharded] [--seed N]\n                  [--faults SPEC] [--budget N] [--sample-every K] [--shards P] [--threads T]\n  divlab compare  --graph SPEC [--init SPEC] [--engine reference|fast|batch|sharded] [--seed N] [--trials N] [--faults SPEC] [--budget N]\n                  [--lanes K] [--shards P] [--threads T] [--checkpoint PATH] [--resume] [--serve ADDR] [--serve-linger SECS]\n  divlab spectral --graph SPEC [--seed N]\n  divlab graph6   --graph SPEC [--seed N]\n  divlab analyze  --traces PATH [--out DIR]\n  divlab submit   --server HOST:PORT --graph SPEC [--init SPEC] [--scheduler edge|vertex] [--engine fast|batch|reference|sharded]\n                  [--seed N] [--trials N] [--budget N] [--faults SPEC] [--lanes K] [--shards P] [--threads T] [--checkpoint-every K]\n                  [--client NAME] [--timeout SECS] [--detach] [--watch]   (client mode for a divd daemon)\n\ngraph specs:  complete:N path:N cycle:N star:N wheel:N grid:RxC torus:RxC\n              hypercube:D binary-tree:N barbell:H:B lollipop:H:T double-star:L:R\n              circulant:N:s1,s2 multipartite:a,b regular:N:D gnp:N:P ws:N:K:B ba:N:M\ninit specs:   uniform:K spread:K blocks:VxC,VxC,...\nfault specs:  drop:Q noise:P:D stale:P:AGE stubborn:K crash:P:OUTAGE (comma-separated), or none\nengines:      reference (observable baseline), fast (compiled scalar), batch (lockstep lanes;\n              campaigns share a pool of --lanes K lanes per worker across --threads T workers,\n              refilled from the pending trials as lanes finish; bit-exact vs fast),\n              sharded (--shards P concurrent vertex domains per trial on --threads T std threads;\n              deterministic for fixed seed+P, built for million-vertex single trials)\ntelemetry:    --telemetry out.jsonl streams W(t) samples + phase events (CSV when PATH ends in .csv);\n              in campaign mode PATH is a directory receiving one trial-<seed>.jsonl per trial;\n              batch/sharded engines observe natively (block/round sampling lattice);\n              --spans PATH (campaign) writes Chrome-trace lifecycle spans (load in Perfetto), one per\n              trial from its start (a batch lane's load) to its finish\nmonitoring:   --serve 127.0.0.1:9100 exposes /metrics (Prometheus), /progress (JSON), /healthz\nanalyze:      divlab analyze --traces DIR re-derives Lemma 3 / eq. (5) / eq. (4) checks offline"
     );
     exit(0);
 }
@@ -375,7 +378,8 @@ impl SpanSink {
     }
 
     /// Stamps one trial-execution span; `start_us` was read from this
-    /// sink's clock just before the trial (or its lockstep group) ran.
+    /// sink's clock when the trial started (its lane was loaded, or its
+    /// scalar execution began).
     fn record_trial(
         &self,
         ctx: &div_sim::TrialCtx,
@@ -603,9 +607,7 @@ fn single_run<O: Observer>(
             attempt: 0,
             step_budget: budget,
         };
-        setup
-            .run(engine, &[ctx], std::slice::from_mut(obs))
-            .remove(0)
+        setup.run(engine, &ctx, obs)
     };
     if let Some(stats) = &run.faults {
         print_fault_stats(stats);
@@ -677,7 +679,7 @@ fn run_campaign_cmd(
     if let Some(m) = monitor {
         m.set_engine_info(engine.name(), KernelTier::active().name());
     }
-    let spans = opts
+    let span_sink = opts
         .get("spans")
         .map(|p| SpanSink::new(PathBuf::from(p), cfg.master_seed));
 
@@ -685,36 +687,29 @@ fn run_campaign_cmd(
     // not kill the campaign — the trial result is still sound — but they
     // are data loss and surface as exit code 4 at the end.
     let telemetry_errors = AtomicU64::new(0);
-    let around = |p: Pending<'_>| {
-        let start_us = spans.as_ref().map(|s| s.clock.now_us());
-        let outcomes = match telemetry_dir {
-            Some(dir) => run_traced(&p, dir, monitor, &telemetry_errors),
-            // Sharded trials relay their round-boundary samples to a live
-            // monitor even without a trace directory: one O(P) combine
-            // per round is cheap next to the round itself.
-            None if monitor.is_some() && p.engine == Engine::Sharded => {
-                p.run(&mut [PhaseToMonitor(monitor)])
-            }
-            None => p.run_plain(),
-        };
-        if let (Some(sink), Some(t0)) = (&spans, start_us) {
-            // Lanes of a lockstep group share its execution interval
-            // (they really did run together).
-            for (ctx, outcome) in p.ctxs.iter().zip(&outcomes) {
-                sink.record_trial(ctx, p.engine.name(), outcome, t0);
-            }
-        }
-        outcomes
-    };
     let hooks = CampaignHooks {
         monitor,
         ..CampaignHooks::default()
     };
-    let report = run_engine_campaign(engine, setup, cfg, c.lanes, hooks, Some(&around))
-        .map_err(|e| e.to_string())?;
+    let spans = Spans(span_sink.as_ref());
+    // Sharded trials relay their round-boundary samples to a live monitor
+    // even without a trace directory: one O(P) combine per round is cheap
+    // next to the round itself.
+    let report = if telemetry_dir.is_some() || (monitor.is_some() && engine == Engine::Sharded) {
+        let watch = Traced {
+            spans,
+            dir: telemetry_dir,
+            monitor,
+            errors: &telemetry_errors,
+        };
+        run_engine_campaign(engine, setup, cfg, c.lanes, hooks, &watch)
+    } else {
+        run_engine_campaign(engine, setup, cfg, c.lanes, hooks, &spans)
+    }
+    .map_err(|e| e.to_string())?;
 
     let mut span_lost = false;
-    if let Some(sink) = spans {
+    if let Some(sink) = span_sink {
         let path = sink.path.clone();
         match sink.finish(engine.name(), cfg.trials) {
             Ok(()) => eprintln!("divlab: lifecycle spans written to {}", path.display()),
@@ -769,60 +764,101 @@ fn run_campaign_cmd(
     }
 }
 
-/// Runs a campaign execution with its trajectories streamed to one
-/// `DIR/trial-<seed>.jsonl` file per trial (plus the live-monitor relay).
-/// Seeds are per-attempt, so a retried trial writes a fresh file instead
-/// of clobbering the panicked attempt's.
-///
-/// If any trial's file cannot be created the whole execution runs
-/// unobserved instead: lockstep lane observers must be homogeneous, and
-/// half-observed groups would be worse than an honest data-loss exit
-/// code.  The files already created are removed so the trace corpus
-/// holds only complete trajectories.
-fn run_traced(
-    p: &Pending<'_>,
-    dir: &Path,
-    monitor: Option<&CampaignMonitor>,
-    errors: &AtomicU64,
-) -> Vec<TrialOutcome> {
-    let mut observers = Vec::with_capacity(p.ctxs.len());
-    let mut paths = Vec::with_capacity(p.ctxs.len());
-    for ctx in p.ctxs {
-        // Zero-padded decimal seeds sort lexicographically == numerically,
-        // so directory listings and analyze reports come out in a stable
-        // order.
-        let path = dir.join(format!("trial-{:020}.jsonl", ctx.seed));
-        match std::fs::File::create(&path) {
-            Ok(f) => {
-                observers.push((
-                    JsonlExporter::new(BufWriter::new(f)),
-                    PhaseToMonitor(monitor),
-                ));
-                paths.push(path);
-            }
-            Err(e) => {
-                errors.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "divlab: cannot create telemetry file {}: {e}; running {} unobserved",
-                    path.display(),
-                    if p.ctxs.len() > 1 { "group" } else { "trial" }
-                );
-                drop(observers);
-                for created in &paths {
-                    let _ = std::fs::remove_file(created);
-                }
-                return p.run_plain();
-            }
+/// `divlab campaign`'s plain watch: a lifecycle span from each trial's
+/// start to its finish (with `--spans`); the trials run unobserved.
+#[derive(Clone, Copy)]
+struct Spans<'a>(Option<&'a SpanSink>);
+
+/// A trial's span start; receives no events of its own.
+struct SpanStart(Option<u64>);
+
+impl Observer for SpanStart {
+    const ENABLED: bool = false;
+}
+
+impl Watch for Spans<'_> {
+    type Obs = SpanStart;
+
+    fn start(&self, _: Engine, _: &TrialCtx) -> SpanStart {
+        SpanStart(self.0.map(|s| s.clock.now_us()))
+    }
+
+    fn finish(&self, engine: Engine, ctx: &TrialCtx, obs: SpanStart, outcome: &TrialOutcome) {
+        if let (Some(sink), Some(t0)) = (self.0, obs.0) {
+            sink.record_trial(ctx, engine.name(), outcome, t0);
         }
     }
-    let outcomes = p.run(&mut observers);
-    for (obs, path) in observers.into_iter().zip(paths) {
-        if let Err(e) = obs.0.finish() {
+}
+
+/// `divlab campaign`'s observing watch: the spans of [`Spans`], each
+/// trial's telemetry file under `dir` (when given), and the relay of its
+/// phase crossings and samples into the live monitor.
+struct Traced<'a> {
+    spans: Spans<'a>,
+    dir: Option<&'a Path>,
+    monitor: Option<&'a CampaignMonitor>,
+    errors: &'a AtomicU64,
+}
+
+impl<'a> Watch for Traced<'a> {
+    type Obs = ((Option<TelemetryFile>, PhaseToMonitor<'a>), SpanStart);
+
+    fn start(&self, engine: Engine, ctx: &TrialCtx) -> Self::Obs {
+        let file = self
+            .dir
+            .and_then(|dir| telemetry_file(dir, ctx, self.errors));
+        (
+            (file, PhaseToMonitor(self.monitor)),
+            self.spans.start(engine, ctx),
+        )
+    }
+
+    fn finish(&self, engine: Engine, ctx: &TrialCtx, obs: Self::Obs, outcome: &TrialOutcome) {
+        let ((file, _), span) = obs;
+        if let Some(dir) = self.dir {
+            close_telemetry(dir, ctx, file, self.errors);
+        }
+        self.spans.finish(engine, ctx, span, outcome);
+    }
+}
+
+/// One trial's telemetry exporter.
+type TelemetryFile = JsonlExporter<BufWriter<std::fs::File>>;
+
+/// Trial `ctx`'s telemetry file, `DIR/trial-<seed>.jsonl`.  Seeds are
+/// per-attempt, so a retried trial writes a fresh file instead of
+/// clobbering the panicked attempt's; zero-padded decimal seeds sort
+/// lexicographically == numerically, so directory listings and analyze
+/// reports come out in a stable order.
+fn telemetry_path(dir: &Path, ctx: &TrialCtx) -> PathBuf {
+    dir.join(format!("trial-{:020}.jsonl", ctx.seed))
+}
+
+/// Opens trial `ctx`'s telemetry file.  A file that cannot be created is
+/// data loss (counted in `errors`); the trial then runs unobserved.
+fn telemetry_file(dir: &Path, ctx: &TrialCtx, errors: &AtomicU64) -> Option<TelemetryFile> {
+    let path = telemetry_path(dir, ctx);
+    match std::fs::File::create(&path) {
+        Ok(f) => Some(JsonlExporter::new(BufWriter::new(f))),
+        Err(e) => {
             errors.fetch_add(1, Ordering::SeqCst);
-            eprintln!("divlab: telemetry write to {} failed: {e}", path.display());
+            eprintln!(
+                "divlab: cannot create telemetry file {}: {e}; running trial unobserved",
+                path.display()
+            );
+            None
         }
     }
-    outcomes
+}
+
+/// Flushes a finished trial's telemetry file, counting a latched write
+/// error as data loss.
+fn close_telemetry(dir: &Path, ctx: &TrialCtx, file: Option<TelemetryFile>, errors: &AtomicU64) {
+    if let Some(Err(e)) = file.map(JsonlExporter::finish) {
+        errors.fetch_add(1, Ordering::SeqCst);
+        let path = telemetry_path(dir, ctx);
+        eprintln!("divlab: telemetry write to {} failed: {e}", path.display());
+    }
 }
 
 /// The `--telemetry PATH` mode of `divlab run`: streams the observed
@@ -976,8 +1012,15 @@ fn cmd_compare(
         monitor,
         ..CampaignHooks::default()
     };
-    let report = run_engine_campaign(div.engine, &div.setup, &div.cfg, div.lanes, hooks, None)
-        .map_err(|e| e.to_string())?;
+    let report = run_engine_campaign(
+        div.engine,
+        &div.setup,
+        &div.cfg,
+        div.lanes,
+        hooks,
+        &Spans(None),
+    )
+    .map_err(|e| e.to_string())?;
     let mut rendered: Vec<String> = report
         .winner_histogram()
         .iter()

@@ -75,17 +75,35 @@
 //! `graph_build` block with `n`, `m` and the median and interquartile
 //! range of the milliseconds per build.  The section is recorded, never
 //! gated.
+//!
+//! A seventh section records the batch campaign end to end through its
+//! shared lane pool ([`div_bench::trial::BatchPool`] in the driver loop,
+//! the path of `divlab campaign --engine batch`): the converging
+//! [`POOL_CAMPAIGN_INIT`] campaign on `regular:2000:8` with `K = 8` lanes
+//! per block, on one and two workers, repeated [`POOL_REPEATS`] times
+//! with the arms interleaved.  The JSON gains a `batch_campaign` block
+//! with the median and quartiles of `steps_per_sec` and of the pool's
+//! lane occupancy: the lanes each block stepped times the block's
+//! seconds, summed over blocks, over the `K × workers` lane slots times
+//! the campaign's wall seconds.  A block cut short of `K` lanes and a
+//! worker waiting for lanes both lower it.  The section is recorded,
+//! never gated.
 
 use std::time::Instant;
 
-use div_bench::spec::parse_graph;
+use div_bench::spec::{parse_graph, parse_opinions};
+use div_bench::trial::{BatchPool, Engine, TrialSetup, Unwatched};
 use div_core::{
-    init, BatchProcess, DivProcess, EdgeScheduler, FastProcess, FastRng, FastScheduler, KernelTier,
-    NullObserver, Observer, RunStatus, Scheduler, ShardedProcess, TelemetrySample, VertexScheduler,
+    init, BatchProcess, DivProcess, EdgeScheduler, FastProcess, FastRng, FastScheduler, FaultPlan,
+    KernelTier, NullObserver, Observer, RunStatus, Scheduler, ShardedProcess, TelemetrySample,
+    VertexScheduler,
 };
 use div_graph::{generators, Graph};
 use div_sim::stats::quantile;
-use div_sim::{run_lane_groups, CampaignMonitor, SeedSequence, TrialOutcome};
+use div_sim::{
+    run_campaign_pooled, run_lane_groups, CampaignConfig, CampaignHooks, CampaignMonitor,
+    LaneEngine, SeedSequence, TrialCtx, TrialOutcome,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,6 +152,19 @@ const GRAPH_BUILD_SPECS: [&str; 2] = ["circulant:100000:1,2,3,4", "regular:2000:
 
 /// Timed builds per spec in the graph-build section.
 const GRAPH_BUILDS: usize = 15;
+
+/// The batch-campaign section's graph and opinions: the benchmark's
+/// `campaign_batch_expander` job, whose consensus times are heavy-tailed.
+const POOL_CAMPAIGN_GRAPH: &str = "regular:2000:8";
+
+/// Opinion spec of the batch-campaign section (average `c ≈ 5`).
+const POOL_CAMPAIGN_INIT: &str = "blocks:1x222,2x222,3x222,4x222,5x222,6x222,7x222,8x222,9x224";
+
+/// Trials per batch campaign in the batch-campaign section.
+const POOL_TRIALS: usize = 64;
+
+/// Interleaved repeats of each arm of the batch-campaign section.
+const POOL_REPEATS: usize = 7;
 
 fn usage() -> ! {
     eprintln!(
@@ -834,6 +865,88 @@ fn measure_graph_build() -> Vec<BuildRow> {
         .collect()
 }
 
+/// One worker count of the batch-campaign section: quartiles of campaign
+/// steps per second and of pool lane occupancy.
+struct PoolRow {
+    threads: usize,
+    steps_per_sec: [f64; 3],
+    occupancy: [f64; 3],
+}
+
+/// A lane engine that adds up, per block, the lanes it stepped times the
+/// block's seconds: the lane-slot time spent stepping trials.
+struct Metered<E> {
+    inner: E,
+    lane_secs: std::sync::Mutex<f64>,
+}
+
+impl<E: LaneEngine> LaneEngine for Metered<E> {
+    type Lane = E::Lane;
+
+    fn group(&self) -> usize {
+        self.inner.group()
+    }
+
+    fn load(&self, ctx: &TrialCtx, recycled: Option<E::Lane>) -> E::Lane {
+        self.inner.load(ctx, recycled)
+    }
+
+    fn step(&self, lanes: &mut [E::Lane]) -> Vec<Option<TrialOutcome>> {
+        let start = Instant::now();
+        let results = self.inner.step(lanes);
+        let secs = lanes.len() as f64 * start.elapsed().as_secs_f64();
+        *self.lane_secs.lock().expect("no block time update panics") += secs;
+        results
+    }
+}
+
+/// Runs the batch-campaign section: [`POOL_REPEATS`] interleaved rounds
+/// of the converging campaign at one and two workers.
+fn measure_batch_campaign() -> Vec<PoolRow> {
+    let mut rng = StdRng::seed_from_u64(SeedSequence::seed_for(1, 0));
+    let g = parse_graph(POOL_CAMPAIGN_GRAPH, &mut rng).expect("valid graph spec");
+    let ops =
+        parse_opinions(POOL_CAMPAIGN_INIT, g.num_vertices(), &mut rng).expect("valid opinion spec");
+    let faults = FaultPlan::none();
+    let setup = TrialSetup::new(&g, &ops, FastScheduler::Edge, &faults);
+    let threads = [1, 2];
+    let mut samples: Vec<(Vec<f64>, Vec<f64>)> = vec![Default::default(); threads.len()];
+    for _ in 0..POOL_REPEATS {
+        for (arm, &t) in threads.iter().enumerate() {
+            let mut cfg = CampaignConfig::new(POOL_TRIALS, 0x9001);
+            cfg.threads = t;
+            let pool = Metered {
+                inner: BatchPool::new(&setup, &Unwatched, DEFAULT_LANES),
+                lane_secs: std::sync::Mutex::new(0.0),
+            };
+            // What `run_engine_campaign` runs for a batch campaign.
+            let demoted = |ctx: &TrialCtx| setup.run(Engine::Fast, ctx, &mut NullObserver).outcome;
+            let start = Instant::now();
+            let report = run_campaign_pooled(&cfg, CampaignHooks::default(), &pool, demoted)
+                .expect("campaign without checkpoints cannot fail");
+            let wall = start.elapsed().as_secs_f64();
+            let steps: u64 = report.outcomes.values().map(TrialOutcome::steps).sum();
+            let slots = (DEFAULT_LANES * t) as f64;
+            let lane_secs = pool
+                .lane_secs
+                .into_inner()
+                .expect("no block time update panics");
+            samples[arm].0.push(steps as f64 / wall);
+            samples[arm].1.push(lane_secs / (slots * wall));
+        }
+    }
+    let quartiles = |xs: &[f64]| [0.25, 0.5, 0.75].map(|q| quantile(xs, q));
+    threads
+        .iter()
+        .zip(&samples)
+        .map(|(&threads, (rate, occ))| PoolRow {
+            threads,
+            steps_per_sec: quartiles(rate),
+            occupancy: quartiles(occ),
+        })
+        .collect()
+}
+
 fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |t| t.get())
 }
@@ -1112,6 +1225,7 @@ fn main() {
     let simd = measure_simd(steps);
     let shard = measure_shard(steps);
     let builds = measure_graph_build();
+    let pool = measure_batch_campaign();
 
     // Hand-rolled JSON: the workspace deliberately has no serializer
     // dependency.
@@ -1212,6 +1326,27 @@ fn main() {
         ));
     }
     json.push_str("  ]},\n");
+    json.push_str(&format!(
+        "  \"batch_campaign\": {{\"graph\": \"{POOL_CAMPAIGN_GRAPH}\", \"init\": \"{POOL_CAMPAIGN_INIT}\", \
+         \"process\": \"div_edge\", \"trials\": {POOL_TRIALS}, \"lanes\": {DEFAULT_LANES}, \
+         \"repeats\": {POOL_REPEATS}, \"rows\": [\n"
+    ));
+    for (i, r) in pool.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"threads\": {}, \"steps_per_sec_median\": {:.0}, \"steps_per_sec_p25\": {:.0}, \
+             \"steps_per_sec_p75\": {:.0}, \"occupancy_median\": {:.3}, \"occupancy_p25\": {:.3}, \
+             \"occupancy_p75\": {:.3}}}{}\n",
+            r.threads,
+            r.steps_per_sec[1],
+            r.steps_per_sec[0],
+            r.steps_per_sec[2],
+            r.occupancy[1],
+            r.occupancy[0],
+            r.occupancy[2],
+            if i + 1 < pool.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]},\n");
     let telemetry: Vec<&Overhead> = overheads.iter().filter(|o| o.arm != "monitor").collect();
     json.push_str("  \"telemetry_overhead\": [\n");
     for (i, o) in telemetry.iter().enumerate() {
@@ -1308,6 +1443,19 @@ fn main() {
         println!(
             "{:>24}/build n={} m={}  median {:.3} ms [IQR {:.3}–{:.3}] over {GRAPH_BUILDS} builds",
             b.spec, b.n, b.m, b.median_ms, b.p25_ms, b.p75_ms
+        );
+    }
+    for r in &pool {
+        println!(
+            "{POOL_CAMPAIGN_GRAPH}/batch campaign K={DEFAULT_LANES} T={}  median {:.0} steps/s \
+             [IQR {:.0}–{:.0}]   lane occupancy {:.3} [IQR {:.3}–{:.3}] over {POOL_REPEATS} runs",
+            r.threads,
+            r.steps_per_sec[1],
+            r.steps_per_sec[0],
+            r.steps_per_sec[2],
+            r.occupancy[1],
+            r.occupancy[0],
+            r.occupancy[2]
         );
     }
     let worst = rows

@@ -36,7 +36,7 @@
 //! trials 10
 //! budget 1000000000        # per-trial step budget
 //! faults none              # div_core::FaultPlan grammar
-//! lanes 8                  # batch engine lane-group width
+//! lanes 8                  # batch engine lanes per worker
 //! shards 4                 # sharded engine vertex domains per trial
 //! threads 0                # campaign workers, or in-trial workers when sharded (0 = auto)
 //! checkpoint-every 32      # trials between checkpoint flushes
@@ -174,7 +174,7 @@ pub struct CampaignSpec {
     pub budget: u64,
     /// Fault plan spec (`none` for the empty plan).
     pub faults: String,
-    /// Batch engine lane-group width.
+    /// Batch engine lanes per worker (the most one block steps).
     pub lanes: usize,
     /// Sharded engine vertex domains per trial.
     pub shards: usize,
@@ -226,7 +226,7 @@ pub struct Campaign<'a> {
     pub setup: TrialSetup<'a>,
     /// The driver config, tagged for checkpoint manifests.
     pub cfg: CampaignConfig,
-    /// Batch engine lane-group width.
+    /// Batch engine lanes per worker (the most one block steps).
     pub lanes: usize,
 }
 

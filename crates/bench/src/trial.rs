@@ -2,7 +2,7 @@
 //! daemon.
 //!
 //! Both front-ends run campaigns through [`run_engine_campaign`], which
-//! hands [`div_sim::run_campaign_hooked`] the same per-engine executors,
+//! hands [`div_sim::run_campaign_pooled`] the same per-engine executors,
 //! so a campaign submitted to the daemon renders **byte-identically** to
 //! the same campaign run locally.  There is exactly one implementation of
 //! "run one trial" per [`Engine`], reached through [`TrialSetup::run`]:
@@ -10,8 +10,9 @@
 //! * [`Engine::Reference`] — the observable [`DivProcess`] baseline under
 //!   the reference scheduler matching the compiled one;
 //! * [`Engine::Fast`] — the compiled scalar [`FastProcess`];
-//! * [`Engine::Batch`] — one lockstep [`BatchProcess`] stepping a whole
-//!   lane group, bit-exact against the fast engine per lane;
+//! * [`Engine::Batch`] — [`BatchProcess`] lanes, bit-exact against the
+//!   fast engine per lane; a campaign's lanes form one pool its workers
+//!   share, refilled from the pending trials as lanes finish;
 //! * [`Engine::Sharded`] — one [`ShardedProcess`] trial whose vertex
 //!   domains step concurrently on std threads.
 //!
@@ -24,15 +25,19 @@
 //! [`outcome_of`].
 
 use std::fmt;
+use std::sync::Mutex;
+use std::time::Instant;
 
 use div_core::{
-    BatchProcess, DivProcess, EdgeScheduler, FastProcess, FastRng, FastScheduler, FaultPlan,
-    FaultStats, NullObserver, Observer, RunStatus, Scheduler, ShardedProcess, VertexScheduler,
+    BatchLane, BatchProcess, DivProcess, EdgeScheduler, FastProcess, FastRng, FastScheduler,
+    FaultPlan, FaultStats, NullObserver, Observer, RunStatus, Scheduler, ShardedProcess,
+    VertexScheduler,
 };
 use div_graph::Graph;
 use div_sim::{
-    run_campaign_hooked, CampaignConfig, CampaignError, CampaignHooks, CampaignMonitor,
-    CampaignReport, FaultTotals, LaneGroups, SeedSequence, ShardHealth, TrialCtx, TrialOutcome,
+    run_campaign_hooked, run_campaign_pooled, CampaignConfig, CampaignError, CampaignHooks,
+    CampaignMonitor, CampaignReport, FaultTotals, LaneEngine, SeedSequence, ShardHealth, TrialCtx,
+    TrialOutcome,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -216,43 +221,26 @@ impl<'a> TrialSetup<'a> {
         }
     }
 
-    /// Runs the trials `ctxs` on `engine`, observer `l` watching trial
-    /// `l`; pass [`NullObserver`]s to run unobserved.
+    /// Runs trial `ctx` on `engine`, watched by `obs`; pass
+    /// [`NullObserver`] to run it unobserved.
     ///
-    /// The batch engine steps `ctxs` as one lockstep group, seeding lane
-    /// `l` with `ctxs[l].seed` so each lane is bit-exact against the fast
-    /// engine's trial for the same context.  Observed groups under a
-    /// non-trivial fault plan (the batch engine has no faulty observed
-    /// path) run lane by lane on the fast engine instead — the same
-    /// per-seed outcomes.  The other engines run `ctxs` one trial at
-    /// a time; the sharded engine draws shard `p`'s stream from
+    /// The batch engine runs the trial as a one-lane batch seeded with
+    /// `ctx.seed`, bit-exact against the fast engine's trial for the same
+    /// context.  Under a non-trivial fault plan a batch lane runs the
+    /// fast engine's own faulty lane code, so a lone faulty trial runs on
+    /// the fast engine — the same outcome and fault counters.  The
+    /// sharded engine draws shard `p`'s stream from
     /// `SeedSequence::seed_for(ctx.seed, p)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is exactly one observer per context.
-    pub fn run<O: Observer>(
-        &self,
-        engine: Engine,
-        ctxs: &[TrialCtx],
-        observers: &mut [O],
-    ) -> Vec<TrialRun> {
-        assert_eq!(ctxs.len(), observers.len(), "one observer per trial");
-        let lockstep = engine == Engine::Batch && (self.faults.is_trivial() || !O::ENABLED);
-        if lockstep {
-            return self.batch(ctxs, observers);
+    pub fn run<O: Observer>(&self, engine: Engine, ctx: &TrialCtx, obs: &mut O) -> TrialRun {
+        match engine {
+            Engine::Reference => {
+                let mut rng = StdRng::seed_from_u64(ctx.seed);
+                self.reference(ctx.step_budget, &mut rng, obs)
+            }
+            Engine::Batch if self.faults.is_trivial() => self.batch(ctx, obs),
+            Engine::Sharded if self.faults.is_trivial() => self.sharded(ctx, obs),
+            _ => self.fast(ctx, obs),
         }
-        ctxs.iter()
-            .zip(observers)
-            .map(|(ctx, obs)| match engine {
-                Engine::Reference => {
-                    let mut rng = StdRng::seed_from_u64(ctx.seed);
-                    self.reference(ctx.step_budget, &mut rng, obs)
-                }
-                Engine::Sharded if self.faults.is_trivial() => self.sharded(ctx, obs),
-                _ => self.fast(ctx, obs),
-            })
-            .collect()
     }
 
     /// One reference-engine trial drawing from `rng` — public so single
@@ -307,37 +295,21 @@ impl<'a> TrialSetup<'a> {
         self.finish(outcome, stats)
     }
 
-    fn batch<O: Observer>(&self, ctxs: &[TrialCtx], observers: &mut [O]) -> Vec<TrialRun> {
-        let seeds: Vec<u64> = ctxs.iter().map(|c| c.seed).collect();
-        let mut batch = BatchProcess::new(self.graph, self.opinions.to_vec(), self.kind, &seeds)
-            .expect("validated setup");
-        let budget = ctxs[0].step_budget;
-        let (statuses, stats) = if self.faults.is_trivial() {
-            let statuses = batch.run_observed(budget, self.engine_stride, observers);
-            (statuses, None)
-        } else {
-            let (statuses, stats) = batch
-                .run_faulty_to_consensus(budget, self.faults)
+    fn batch<O: Observer>(&self, ctx: &TrialCtx, obs: &mut O) -> TrialRun {
+        let mut batch =
+            BatchProcess::new(self.graph, self.opinions.to_vec(), self.kind, &[ctx.seed])
                 .expect("validated setup");
-            (statuses, Some(stats))
-        };
-        let runs: Vec<TrialRun> = statuses
-            .into_iter()
-            .enumerate()
-            .map(|(l, status)| {
-                let outcome = outcome_of(
-                    status,
-                    batch.is_two_adjacent(l),
-                    batch.min_opinion(l),
-                    batch.max_opinion(l),
-                );
-                self.finish(outcome, stats.as_ref().map(|s| s[l]))
-            })
-            .collect();
+        let status = batch.run_observed(ctx.step_budget, self.engine_stride, &mut [obs])[0];
+        let outcome = outcome_of(
+            status,
+            batch.is_two_adjacent(0),
+            batch.min_opinion(0),
+            batch.max_opinion(0),
+        );
         if let Some(m) = self.monitor {
-            m.set_lane_steps(runs.iter().map(|r| r.outcome.steps()).collect());
+            m.set_lane_steps(vec![outcome.steps()]);
         }
-        runs
+        self.finish(outcome, None)
     }
 
     fn sharded<O: Observer>(&self, ctx: &TrialCtx, obs: &mut O) -> TrialRun {
@@ -382,57 +354,70 @@ impl<'a> TrialSetup<'a> {
     }
 }
 
-/// A trial, or a lockstep group of trials, about to execute inside
-/// [`run_engine_campaign`]; a campaign's `around` wrapper decides how to
-/// run it (plain or observed) and may time it.
-pub struct Pending<'a> {
-    /// The engine the trials run on.
-    pub engine: Engine,
-    /// The trials: one for scalar engines, a lane group for batch.
-    pub ctxs: &'a [TrialCtx],
-    setup: &'a TrialSetup<'a>,
+/// How a campaign run by [`run_engine_campaign`] watches each trial.
+///
+/// A trial starts when a batch lane is loaded with it, or when a scalar
+/// execution of it begins (a demoted lane's retry chain reads
+/// [`Engine::Fast`]), and finishes when its outcome is known — so
+/// per-trial intervals run from lane load to lane finish.  Every trial
+/// runs under its own `Obs`; with [`NullObserver`] the engines run their
+/// plain loops.
+pub trait Watch: Sync {
+    /// The observer each trial runs under.
+    type Obs: Observer + Send;
+
+    /// Trial `ctx` starts on `engine`; returns its observer.
+    fn start(&self, engine: Engine, ctx: &TrialCtx) -> Self::Obs;
+
+    /// Trial `ctx` finished on `engine` with `outcome`; `obs` has seen its
+    /// last event.
+    fn finish(&self, engine: Engine, ctx: &TrialCtx, obs: Self::Obs, outcome: &TrialOutcome);
 }
 
-impl Pending<'_> {
-    /// Runs the trials with one observer per trial.
-    ///
-    /// # Panics
-    ///
-    /// As [`TrialSetup::run`].
-    pub fn run<O: Observer>(&self, observers: &mut [O]) -> Vec<TrialOutcome> {
-        self.setup
-            .run(self.engine, self.ctxs, observers)
-            .into_iter()
-            .map(|r| r.outcome)
-            .collect()
+/// The watch that runs every trial unobserved.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unwatched;
+
+impl Watch for Unwatched {
+    type Obs = NullObserver;
+
+    fn start(&self, _engine: Engine, _ctx: &TrialCtx) -> NullObserver {
+        NullObserver
     }
 
-    /// Runs the trials unobserved.
-    pub fn run_plain(&self) -> Vec<TrialOutcome> {
-        self.run(&mut vec![NullObserver; self.ctxs.len()])
-    }
+    fn finish(&self, _: Engine, _: &TrialCtx, _: NullObserver, _: &TrialOutcome) {}
 }
 
-/// Wraps every execution of a campaign run by [`run_engine_campaign`].
-pub type Around<'a> = &'a (dyn Fn(Pending<'_>) -> Vec<TrialOutcome> + Sync);
+impl TrialSetup<'_> {
+    /// One trial on `engine`, watched by `watch`.
+    fn watched<W: Watch>(&self, engine: Engine, ctx: &TrialCtx, watch: &W) -> TrialOutcome {
+        let mut obs = watch.start(engine, ctx);
+        let run = self.run(engine, ctx, &mut obs);
+        watch.finish(engine, ctx, obs, &run.outcome);
+        run.outcome
+    }
+}
 
 /// Runs a campaign of `engine` trials on `setup` through the one
-/// [`div_sim::run_campaign_hooked`] driver — the single engine-to-driver
+/// [`div_sim::run_campaign_pooled`] driver — the single engine-to-driver
 /// dispatch behind `divlab campaign`, the `divlab compare` div row and
 /// the `divd` daemon.
 ///
-/// * The batch engine runs lane groups of `lanes` trials; a group that
-///   panics retries trial by trial on the fast engine its lanes are
-///   bit-exact against, so its report equals a fast campaign's.
+/// * Batch campaigns share one lane pool ([`BatchPool`]): each worker
+///   steps up to `lanes` lanes per block, a finished lane reports at
+///   once and takes the next pending trial, and workers claim lanes one
+///   block at a time, so no lane idles behind a slow one.  A block that
+///   panics demotes its trials to the fast engine's retry chain, which
+///   the lanes are bit-exact against, so the report equals a fast
+///   campaign's.  Observed under a non-trivial fault plan (the batch
+///   engine has no faulty observed path) the trials run on the fast
+///   engine instead.
 /// * A sharded trial is parallel inside (`setup.shard_threads`
 ///   workers), so sharded trials run one at a time whatever
 ///   `cfg.threads` says.
 /// * `lanes` is ignored by the other engines.
 ///
-/// `around`, when given, receives every execution (a trial, a lockstep
-/// group, or a demoted group's fallback trial, whose engine reads
-/// [`Engine::Fast`]) and returns its outcomes; without it every
-/// execution runs unobserved.
+/// `watch` sees every trial start and finish (see [`Watch`]).
 ///
 /// # Errors
 ///
@@ -441,34 +426,18 @@ pub type Around<'a> = &'a (dyn Fn(Pending<'_>) -> Vec<TrialOutcome> + Sync);
 /// # Panics
 ///
 /// Panics if `engine` is [`Engine::Batch`] and `lanes == 0`.
-pub fn run_engine_campaign(
+pub fn run_engine_campaign<W: Watch>(
     engine: Engine,
     setup: &TrialSetup<'_>,
     cfg: &CampaignConfig,
     lanes: usize,
     hooks: CampaignHooks<'_>,
-    around: Option<Around<'_>>,
+    watch: &W,
 ) -> Result<CampaignReport, CampaignError> {
-    let exec = |engine: Engine, ctxs: &[TrialCtx]| {
-        let pending = Pending {
-            engine,
-            ctxs,
-            setup,
-        };
-        match around {
-            Some(f) => f(pending),
-            None => pending.run_plain(),
-        }
-    };
-    let batched = engine == Engine::Batch;
-    let group = |ctxs: &[TrialCtx]| exec(Engine::Batch, ctxs);
-    let groups = batched.then_some(LaneGroups { lanes, run: &group });
-    let trial_engine = if batched { Engine::Fast } else { engine };
-    let trial = |ctx: &TrialCtx| {
-        exec(trial_engine, std::slice::from_ref(ctx))
-            .pop()
-            .expect("one outcome per trial")
-    };
+    assert!(
+        engine != Engine::Batch || lanes > 0,
+        "need at least one lane per group"
+    );
     let cfg = CampaignConfig {
         threads: if engine == Engine::Sharded {
             1
@@ -477,7 +446,217 @@ pub fn run_engine_campaign(
         },
         ..cfg.clone()
     };
-    run_campaign_hooked(&cfg, hooks, groups, trial)
+    let trial_on = |engine: Engine| move |ctx: &TrialCtx| setup.watched(engine, ctx, watch);
+    if engine == Engine::Batch && (setup.faults.is_trivial() || !W::Obs::ENABLED) {
+        let pool = BatchPool::new(setup, watch, lanes);
+        return run_campaign_pooled(&cfg, hooks, &pool, trial_on(Engine::Fast));
+    }
+    run_campaign_hooked(&cfg, hooks, trial_on(engine))
+}
+
+/// The batch engine as a campaign's shared lane pool (see
+/// [`LaneEngine`]): pool lanes are [`BatchLane`]s, and a block swaps the
+/// claimed lanes into a worker batch, steps them and swaps them back out.
+///
+/// Fault-free lanes step one block at a time with
+/// [`BatchProcess::step_block`], up to `lanes` of them together (in AVX2
+/// groups of four where the kernel tier accelerates the sampler).  A
+/// faulty lane runs the fast engine's faulty lane code to its end in one
+/// block, one lane at a time, on the worker batch's compiled sampler.
+/// Its observer sees only its start and finish samples: the batch engine
+/// has no faulty observed path, so [`run_engine_campaign`] runs observed
+/// faulty trials on the fast engine.
+pub struct BatchPool<'a, W: Watch> {
+    setup: &'a TrialSetup<'a>,
+    watch: &'a W,
+    /// Lanes one block steps: `lanes`, or one under a fault plan.
+    group: usize,
+    /// Worker batches between blocks, each with `group` lanes.
+    idle: Mutex<Vec<BatchProcess<'a>>>,
+}
+
+/// One trial in a [`BatchPool`].
+pub struct PoolLane<O> {
+    ctx: TrialCtx,
+    lane: BatchLane,
+    /// Loaded but not yet reloaded into a batch: its first block starts
+    /// it.
+    fresh: bool,
+    /// Taken when the trial finishes.
+    obs: Option<O>,
+    loaded: Instant,
+}
+
+impl<'a, W: Watch> BatchPool<'a, W> {
+    /// The pool of a batch campaign on `setup`, stepping up to `lanes`
+    /// lanes per block, whose trials `watch` sees start and finish.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes == 0`.
+    pub fn new(setup: &'a TrialSetup<'a>, watch: &'a W, lanes: usize) -> Self {
+        assert!(lanes > 0, "need at least one lane per group");
+        BatchPool {
+            setup,
+            watch,
+            group: if setup.faults.is_trivial() { lanes } else { 1 },
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Lane `j` of `batch` finished: its outcome, after the observer's
+    /// finish sample, the fault counters' publication and the watch's
+    /// `finish`.
+    fn finish(
+        &self,
+        batch: &BatchProcess<'_>,
+        j: usize,
+        lane: &mut PoolLane<W::Obs>,
+        faults: Option<FaultStats>,
+    ) -> TrialOutcome {
+        let outcome = outcome_of(
+            batch.status(j),
+            batch.is_two_adjacent(j),
+            batch.min_opinion(j),
+            batch.max_opinion(j),
+        );
+        let outcome = self.setup.finish(outcome, faults).outcome;
+        let mut obs = lane.obs.take().expect("a running lane has its observer");
+        if W::Obs::ENABLED {
+            obs.on_finish(&batch.telemetry_sample(j), lane.loaded.elapsed());
+        }
+        self.watch.finish(Engine::Batch, &lane.ctx, obs, &outcome);
+        outcome
+    }
+
+    /// One block over the lanes swapped into `batch` (lane `j` of the
+    /// batch is `lanes[j]`).
+    fn step_clean(
+        &self,
+        batch: &mut BatchProcess<'_>,
+        lanes: &mut [PoolLane<W::Obs>],
+    ) -> Vec<Option<TrialOutcome>> {
+        let lattice = batch.sample_lattice(self.setup.engine_stride);
+        let mut results: Vec<Option<TrialOutcome>> = vec![None; lanes.len()];
+        let mut active = Vec::with_capacity(lanes.len());
+        for (j, p) in lanes.iter_mut().enumerate() {
+            if p.fresh {
+                p.fresh = false;
+                batch.reload(j, p.ctx.seed);
+                if W::Obs::ENABLED {
+                    p.obs.on_start(&batch.telemetry_sample(j));
+                }
+                if batch.is_consensus(j) || p.ctx.step_budget == 0 {
+                    results[j] = Some(self.finish(batch, j, p, None));
+                    continue;
+                }
+            }
+            active.push(j);
+        }
+        // One block, cut short for a lane whose budget or next sample
+        // falls inside it.
+        let b = (active.iter())
+            .map(|&j| {
+                let (steps, p) = (batch.steps(j), &lanes[j]);
+                let room = p.ctx.step_budget - steps;
+                if W::Obs::ENABLED {
+                    room.min(lattice - steps % lattice)
+                } else {
+                    room
+                }
+            })
+            .fold(batch.block_steps(), u64::min);
+        // Unobserved pools share the plain run's block step.
+        let stopped = if W::Obs::ENABLED {
+            let mut observers: Vec<&mut Option<W::Obs>> =
+                lanes.iter_mut().map(|p| &mut p.obs).collect();
+            batch.step_block(&active, b, 0, &mut observers)
+        } else {
+            batch.step_block(&active, b, 0, &mut [NullObserver; 0])
+        };
+        for &j in &active {
+            let p = &mut lanes[j];
+            if !stopped.contains(&j) {
+                let steps = batch.steps(j);
+                if W::Obs::ENABLED && steps.is_multiple_of(lattice) {
+                    p.obs.on_sample(&batch.telemetry_sample(j));
+                }
+                if steps < p.ctx.step_budget {
+                    continue;
+                }
+            }
+            results[j] = Some(self.finish(batch, j, p, None));
+        }
+        results
+    }
+
+    /// Runs each lane swapped into `batch` to its end under the fault
+    /// plan.
+    fn run_faulty(
+        &self,
+        batch: &mut BatchProcess<'_>,
+        lanes: &mut [PoolLane<W::Obs>],
+    ) -> Vec<Option<TrialOutcome>> {
+        (lanes.iter_mut().enumerate())
+            .map(|(j, p)| {
+                p.fresh = false;
+                batch.reload(j, p.ctx.seed);
+                if W::Obs::ENABLED {
+                    p.obs.on_start(&batch.telemetry_sample(j));
+                }
+                let (_, stats) = batch
+                    .run_faulty_lane_to_consensus(j, p.ctx.step_budget, self.setup.faults)
+                    .expect("validated setup");
+                Some(self.finish(batch, j, p, Some(stats)))
+            })
+            .collect()
+    }
+}
+
+impl<W: Watch> LaneEngine for BatchPool<'_, W> {
+    type Lane = PoolLane<W::Obs>;
+
+    fn group(&self) -> usize {
+        self.group
+    }
+
+    fn load(&self, ctx: &TrialCtx, recycled: Option<Self::Lane>) -> Self::Lane {
+        PoolLane {
+            ctx: *ctx,
+            lane: recycled.map(|p| p.lane).unwrap_or_default(),
+            fresh: true,
+            obs: Some(self.watch.start(Engine::Batch, ctx)),
+            loaded: Instant::now(),
+        }
+    }
+
+    fn step(&self, lanes: &mut [Self::Lane]) -> Vec<Option<TrialOutcome>> {
+        let idle = self.idle.lock().expect("pool batches").pop();
+        let setup = self.setup;
+        let mut batch = idle.unwrap_or_else(|| {
+            let seeds = vec![0; self.group];
+            BatchProcess::new(setup.graph, setup.opinions.to_vec(), setup.kind, &seeds)
+                .expect("validated setup")
+        });
+        for (j, p) in lanes.iter_mut().enumerate() {
+            batch.swap_lane(j, &mut p.lane);
+        }
+        let results = if setup.faults.is_trivial() {
+            self.step_clean(&mut batch, lanes)
+        } else {
+            self.run_faulty(&mut batch, lanes)
+        };
+        if let Some(m) = setup.monitor {
+            if results.iter().any(Option::is_some) {
+                m.set_lane_steps((0..lanes.len()).map(|j| batch.steps(j)).collect());
+            }
+        }
+        for (j, p) in lanes.iter_mut().enumerate() {
+            batch.swap_lane(j, &mut p.lane);
+        }
+        self.idle.lock().expect("pool batches").push(batch);
+        results
+    }
 }
 
 #[cfg(test)]

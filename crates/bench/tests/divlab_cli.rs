@@ -1027,8 +1027,9 @@ fn sample_every_zero_is_rejected() {
 fn batch_campaign_telemetry_error_carries_data_loss_exit_code() {
     // Regression: a `--telemetry` exporter failure must surface as exit
     // code 4 through the *native* batch observed path exactly as it does
-    // on the fast path — the affected lane group runs unobserved (the
-    // trajectories are unchanged) and the loss is reported at exit.
+    // on the fast path — the affected trial runs unobserved (the
+    // trajectories are unchanged), its lane-mates keep their files, and
+    // the loss is reported at exit.
     let dir = temp_file("batch-telemetry-err", "d");
     std::fs::create_dir_all(&dir).unwrap();
     // Block trial 0's telemetry file with a *directory* of the same
@@ -1054,10 +1055,15 @@ fn batch_campaign_telemetry_error_carries_data_loss_exit_code() {
     ]);
     assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr(&out));
     assert!(
-        stderr(&out).contains("running group unobserved"),
+        stderr(&out).contains("running trial unobserved"),
         "stderr: {}",
         stderr(&out)
     );
+    let written = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().is_file())
+        .count();
+    assert_eq!(written, 2, "the other trials' telemetry files");
     assert!(
         stderr(&out).contains("telemetry lost for 1 trial(s)"),
         "stderr: {}",

@@ -29,9 +29,9 @@
 //!   and its RNG) and finished step by step with full bookkeeping at its
 //!   exact first hit.
 //!
-//! Opinion state is structure-of-arrays: one contiguous `u32` column of
-//! offsets per lane (`opinions[l * n + v]`), the fast engine's own
-//! representation and span limit (2²⁴ values).  So a lane needs no
+//! Opinion state is one contiguous `u32` column of offsets per lane,
+//! indexed by vertex: the fast engine's own representation and span
+//! limit (2²⁴ values).  So a lane needs no
 //! engine of its own: every lane outside an AVX2 lockstep group runs
 //! the fast engine's single-lane block loop (`crate::engine::Lane`) on
 //! its borrowed column, and the same code finishes every exact first
@@ -60,6 +60,27 @@
 //! the step counter.  **No random draw is ever shared between lanes** —
 //! sharing draws would correlate trials and break the bit-exactness
 //! contract below.
+//!
+//! # Scheduling: one block step, any set of lanes
+//!
+//! [`BatchProcess::step_block`] steps any set of the batch's lanes by
+//! one block and reports the lanes that stopped; every run is a loop of
+//! it.  [`BatchProcess::run_to_consensus`] steps the lanes still above
+//! the stop width until the budget runs out, and
+//! [`BatchProcess::run_observed`] cuts the same loop at its sample
+//! lattice.  A campaign does not run a batch of `K` trials to completion:
+//! a lockstep group of `K` waits on its slowest lane, and consensus
+//! times on expanders are heavy-tailed, so most lane slots would idle
+//! (one `campaign_batch_expander` job of the benchmark kept ≈ 29% of its
+//! group lane-steps busy).  Instead a campaign keeps a pool of
+//! [`BatchLane`]s — column, stream and step count, detached from any
+//! batch — that its workers share.  A worker moves the lanes it claims
+//! into its own small batch with [`BatchProcess::swap_lane`] (no copy),
+//! steps them one block, and moves them back; a finished lane's buffers
+//! take the next trial, which [`BatchProcess::reload`] starts from the
+//! initial opinions at step zero.  So lane slots stay occupied until the
+//! campaign runs out of trials, the AVX2 groups stay full, and the
+//! campaign's last lanes are split across workers.
 //!
 //! # The bit-exactness contract
 //!
@@ -120,8 +141,53 @@ use crate::process::RunStatus;
 use crate::rng::FastRng;
 use crate::scheduler::SelectionBias;
 use crate::state::OpinionState;
-use crate::telemetry::{Observer, Phase, PhaseEvent, TelemetrySample};
+use crate::telemetry::{NullObserver, Observer, Phase, PhaseEvent, TelemetrySample};
 use crate::{FastScheduler, FinishPolicy};
+
+/// One lane's state: its opinion column, its RNG stream and its step
+/// counter.  Lanes live in a [`BatchProcess`];
+/// [`BatchProcess::swap_lane`] moves one out and another in without
+/// copying, which is how a lane pool shared by several workers hands
+/// trials from one worker's batch to another's.  A default lane is empty
+/// until [`BatchProcess::reload`] fills it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchLane {
+    /// Offsets into the batch's span, indexed by vertex.
+    column: Vec<u32>,
+    rng: FastRng,
+    steps: u64,
+    /// Whether this lane's `τ` is behind it (reported, or passed before
+    /// observation began): observed blocks locate `τ` only for lanes
+    /// still short of it.
+    tau_seen: bool,
+}
+
+impl Default for BatchLane {
+    fn default() -> Self {
+        BatchLane {
+            column: Vec::new(),
+            rng: FastRng::seed_from_u64(0),
+            steps: 0,
+            tau_seen: false,
+        }
+    }
+}
+
+/// Buffers the block step keeps from one call to the next.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Block-start columns of a lockstep group: the rewind source.
+    group: Vec<u32>,
+    /// The single-lane loop's block snapshot.
+    single: Vec<u32>,
+    /// One cell per span offset: the count table of exact finishes.
+    counts: Vec<u32>,
+    /// Block-start columns of observed lanes still short of `τ`, in the
+    /// order of `tau_starts`.
+    tau_cols: Vec<u32>,
+    /// `(lane, block-start RNG, block-start steps)` of those lanes.
+    tau_starts: Vec<(usize, FastRng, u64)>,
+}
 
 /// `K` trials of one DIV instance stepped in lockstep (see the module
 /// docs for the layout and the bit-exactness contract).
@@ -130,21 +196,19 @@ pub struct BatchProcess<'g> {
     graph: &'g Graph,
     kind: FastScheduler,
     sampler: CompiledSampler,
-    lanes: usize,
     span: usize,
     base: i64,
     /// The shared initial opinion vector (fault sessions validate
     /// stubborn/crash sets against it, exactly as the scalar engine does).
     initial: Vec<i64>,
-    /// Structure-of-arrays offsets: lane `l`'s column is
-    /// `opinions[l * n .. (l + 1) * n]`, indexed by vertex.
-    opinions: Vec<u32>,
-    steps: Vec<u64>,
-    rngs: Vec<FastRng>,
+    /// The initial opinions as offsets: every lane's column at load.
+    start: Vec<u32>,
+    lanes: Vec<BatchLane>,
     /// Which kernel tier drives the hot loop (see [`crate::kernels`]).
     /// Pure performance knob: every tier is bit-exact, so changing it
     /// can never change a result.
     tier: KernelTier,
+    scratch: Scratch,
 }
 
 impl<'g> BatchProcess<'g> {
@@ -173,22 +237,24 @@ impl<'g> BatchProcess<'g> {
         let reference = OpinionState::new(graph, opinions)?;
         let base = reference.min_opinion();
         let span = (reference.max_opinion() - base) as usize + 1;
-        let lanes = seeds.len();
         let initial = reference.opinions().to_vec();
-        let column: Vec<u32> = initial.iter().map(|&x| (x - base) as u32).collect();
-        Ok(BatchProcess {
+        let start: Vec<u32> = initial.iter().map(|&x| (x - base) as u32).collect();
+        let mut batch = BatchProcess {
             graph,
             kind: scheduler,
             sampler: CompiledSampler::compile(graph, scheduler),
-            lanes,
             span,
             base,
             initial,
-            opinions: column.repeat(lanes),
-            steps: vec![0u64; lanes],
-            rngs: seeds.iter().map(|&s| FastRng::seed_from_u64(s)).collect(),
+            start,
+            lanes: vec![BatchLane::default(); seeds.len()],
             tier: KernelTier::active(),
-        })
+            scratch: Scratch::default(),
+        };
+        for (l, &seed) in seeds.iter().enumerate() {
+            batch.reload(l, seed);
+        }
+        Ok(batch)
     }
 
     /// The kernel tier currently driving this batch.
@@ -217,7 +283,7 @@ impl<'g> BatchProcess<'g> {
 
     /// The number of lanes.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.lanes.len()
     }
 
     /// The number of vertices (shared across lanes).
@@ -230,10 +296,48 @@ impl<'g> BatchProcess<'g> {
         self.kind
     }
 
+    /// Steps per block: the most steps a lane takes between two width
+    /// checks of the plain run.
+    pub fn block_steps(&self) -> u64 {
+        block_len(self.initial.len())
+    }
+
+    /// The observed runs' sample lattice for a requested `sample_every`:
+    /// that many lane-steps rounded up to whole blocks, or
+    /// `BatchProcess::DEFAULT_SAMPLE_BLOCKS` blocks for `0`.  Lane
+    /// samples fall on its multiples.
+    pub fn sample_lattice(&self, sample_every: u64) -> u64 {
+        let block = self.block_steps();
+        if sample_every == 0 {
+            Self::DEFAULT_SAMPLE_BLOCKS * block
+        } else {
+            block * sample_every.div_ceil(block).max(1)
+        }
+    }
+
+    /// Reloads lane `l` with a fresh trial: the initial opinions, the
+    /// stream `FastRng::seed_from_u64(seed)` and zero steps — exactly the
+    /// lane [`BatchProcess::new`] builds for `seed`.
+    pub fn reload(&mut self, l: usize, seed: u64) {
+        let (mn, mx) = kernels::min_max_u32(&self.start, self.tier);
+        let lane = &mut self.lanes[l];
+        lane.column.clear();
+        lane.column.extend_from_slice(&self.start);
+        lane.rng = FastRng::seed_from_u64(seed);
+        lane.steps = 0;
+        lane.tau_seen = mx - mn <= 1;
+    }
+
+    /// Exchanges lane `l` with `lane`, without copying either.  A lane
+    /// moved in must come from a batch of the same instance, or be
+    /// [reloaded](BatchProcess::reload) before it steps.
+    pub fn swap_lane(&mut self, l: usize, lane: &mut BatchLane) {
+        std::mem::swap(&mut self.lanes[l], lane);
+    }
+
     /// Lane `l`'s column of offsets, indexed by vertex.
     fn column(&self, l: usize) -> &[u32] {
-        let n = self.initial.len();
-        &self.opinions[l * n..(l + 1) * n]
+        &self.lanes[l].column
     }
 
     /// Smallest and largest offset currently held in lane `l` (one
@@ -249,7 +353,7 @@ impl<'g> BatchProcess<'g> {
 
     /// Steps taken by lane `l` so far.
     pub fn steps(&self, l: usize) -> u64 {
-        self.steps[l]
+        self.lanes[l].steps
     }
 
     /// `S(t)` for lane `l` (`O(n)` column scan).
@@ -325,13 +429,20 @@ impl<'g> BatchProcess<'g> {
         let dws = self.base * two_m + dw_off;
         let (mn, mx) = self.column_min_max(l);
         TelemetrySample {
-            step: self.steps[l],
+            step: self.lanes[l].steps,
             sum: self.sum(l),
             z_weight: n as f64 * (dws as f64 / two_m as f64),
             min: self.base + mn as i64,
             max: self.base + mx as i64,
             distinct: self.distinct(l),
         }
+    }
+
+    /// Lane `l`'s status against consensus: `Consensus` once it holds one
+    /// opinion, else `StepLimit` at its current step count — what a run
+    /// to consensus reports for the lane when it stops.
+    pub fn status(&self, l: usize) -> RunStatus {
+        self.result_for(l, 0)
     }
 
     /// Lane `l`'s result after a run to `stop_width`: classified like the
@@ -341,125 +452,190 @@ impl<'g> BatchProcess<'g> {
     fn result_for(&self, l: usize, stop_width: u32) -> RunStatus {
         let (mn, mx) = self.column_min_max(l);
         let w = mx - mn;
+        let steps = self.lanes[l].steps;
         if w > stop_width {
-            RunStatus::StepLimit {
-                steps: self.steps[l],
-            }
+            RunStatus::StepLimit { steps }
         } else if w == 0 {
             RunStatus::Consensus {
                 opinion: self.base + mn as i64,
-                steps: self.steps[l],
+                steps,
             }
         } else {
             RunStatus::TwoAdjacent {
                 low: self.base + mn as i64,
                 high: self.base + mx as i64,
-                steps: self.steps[l],
+                steps,
             }
         }
     }
 
-    /// The hot loop: every lane above `stop_width` takes at most
-    /// `max_steps` additional steps, in blocks of [`block_len`] bare
-    /// toward-steps per lane (see the module docs for the
-    /// block/scan/rewind scheme).  When [`kernels::accelerates`] the
-    /// tier/sampler pair, active lanes are driven in lockstep groups of
-    /// [`kernels::GROUP`] through [`kernels::drive_group`] (breaking the
-    /// per-lane RNG dependency chain); leftover lanes — and every lane of
-    /// an unaccelerated batch — run the fast engine's single-lane block
-    /// loop ([`Lane::run_blocks`]) one block at a time, and a grouped lane
-    /// whose block holds its first hit is rewound and finished by
-    /// [`Lane::finish`].  Lanes never interact, so group order, per-lane
-    /// order and round-lockstep order are all observationally identical.
-    fn run_width(&mut self, max_steps: u64, stop_width: u32) -> Vec<RunStatus> {
-        let k = self.lanes;
+    /// One block of the hot loop over any set of lanes: each lane of
+    /// `lanes` (distinct, all above `stop_width`) takes `steps` bare
+    /// toward-steps, or stops at its exact first hit of `stop_width`
+    /// inside them.  Returns the lanes that stopped.
+    ///
+    /// Where the kernel tier accelerates the sampler family (the AVX2
+    /// tier, complete-pair and edge families), the lanes are driven in
+    /// lockstep groups of four (breaking the per-lane RNG dependency
+    /// chain), and a grouped lane whose block holds its first hit is
+    /// rewound and finished by the fast engine's finishing code; leftover
+    /// lanes — and every lane of an unaccelerated batch — run the fast
+    /// engine's single-lane block loop.  Lanes never
+    /// interact, so neither the grouping nor how a run is cut into blocks
+    /// changes any lane's trajectory.
+    ///
+    /// With enabled observers (`observers[l]` watches lane `l`), a lane
+    /// whose width reaches 1 for the first time reports `τ` at its exact
+    /// step, located by the same finishing code run from a block-start
+    /// copy of the lane in scratch buffers, and a lane that stops at
+    /// consensus reports it.  Samples are the caller's.  With a disabled
+    /// observer type `observers` may be empty.
+    ///
+    /// This is the one block step of [`BatchProcess::run_to_consensus`],
+    /// [`BatchProcess::run_observed`] and of a lane pool that moves lanes
+    /// in and out with [`BatchProcess::swap_lane`].
+    pub fn step_block<O: Observer>(
+        &mut self,
+        lanes: &[usize],
+        steps: u64,
+        stop_width: u32,
+        observers: &mut [O],
+    ) -> Vec<usize> {
         let n = self.initial.len();
-        let mut active: Vec<u32> = (0..k as u32)
-            .filter(|&l| self.width(l as usize) > stop_width)
-            .collect();
-        let block = block_len(n);
         let grouped = kernels::accelerates(self.tier, &self.sampler);
-        let mut group_snap: Vec<u32> = vec![0; if grouped { kernels::GROUP * n } else { 0 }];
-        let mut counts = vec![0u32; self.span];
-        let mut remaining = max_steps;
         let BatchProcess {
             graph,
             sampler,
             base,
-            opinions,
-            steps,
-            rngs,
+            span,
+            lanes: states,
             tier,
+            scratch,
             ..
         } = self;
         let (graph, base, tier) = (*graph, *base, *tier);
+        if scratch.counts.len() != *span {
+            scratch.counts = vec![0; *span];
+        }
+        if O::ENABLED {
+            scratch.tau_cols.clear();
+            scratch.tau_starts.clear();
+            for &l in lanes {
+                let lane = &states[l];
+                if !lane.tau_seen {
+                    scratch.tau_cols.extend_from_slice(&lane.column);
+                    scratch.tau_starts.push((l, lane.rng, lane.steps));
+                }
+            }
+        }
+        let mut finished = Vec::new();
+        let mut chunks = lanes.chunks_exact(kernels::GROUP);
+        let rest = if grouped {
+            for chunk in chunks.by_ref() {
+                let idx: [usize; kernels::GROUP] = core::array::from_fn(|j| chunk[j]);
+                let mut group = states.get_disjoint_mut(idx).expect("lanes are distinct");
+                scratch.group.clear();
+                for lane in &group {
+                    scratch.group.extend_from_slice(&lane.column);
+                }
+                let mut rngs: [FastRng; kernels::GROUP] = core::array::from_fn(|j| group[j].rng);
+                let mut cols = group.each_mut().map(|lane| lane.column.as_mut_slice());
+                kernels::drive_group(tier, sampler, &mut cols, &mut rngs, steps);
+                for (j, lane) in group.into_iter().enumerate() {
+                    let (mn, mx) = kernels::min_max_u32(&lane.column, tier);
+                    if mx - mn > stop_width {
+                        lane.rng = rngs[j];
+                        lane.steps += steps;
+                        continue;
+                    }
+                    // Crossed inside the block: rewind the column (the
+                    // RNG was left at the snapshot) and finish the lane
+                    // at its exact first hit.
+                    lane.column
+                        .copy_from_slice(&scratch.group[j * n..(j + 1) * n]);
+                    Lane {
+                        graph,
+                        sampler,
+                        state: &mut FastState::lane(&mut lane.column, &mut scratch.counts),
+                        base,
+                        steps: &mut lane.steps,
+                        tier,
+                    }
+                    .finish(None, &mut lane.rng, stop_width, steps);
+                    finished.push(chunk[j]);
+                }
+            }
+            chunks.remainder()
+        } else {
+            lanes
+        };
+        for &l in rest {
+            let lane = &mut states[l];
+            let hit = Lane {
+                graph,
+                sampler,
+                state: &mut FastState::lane(&mut lane.column, &mut scratch.counts),
+                base,
+                steps: &mut lane.steps,
+                tier,
+            }
+            .run_blocks(steps, None, &mut lane.rng, stop_width, &mut scratch.single);
+            if hit {
+                finished.push(l);
+            }
+        }
+        if O::ENABLED {
+            for (k, &(l, mut rng, mut step)) in scratch.tau_starts.iter().enumerate() {
+                let lane = &mut states[l];
+                let (mn, mx) = kernels::min_max_u32(&lane.column, tier);
+                if mx - mn > 1 {
+                    continue;
+                }
+                lane.tau_seen = true;
+                Lane {
+                    graph,
+                    sampler,
+                    state: &mut FastState::lane(
+                        &mut scratch.tau_cols[k * n..(k + 1) * n],
+                        &mut scratch.counts,
+                    ),
+                    base,
+                    steps: &mut step,
+                    tier,
+                }
+                .finish(None, &mut rng, 1, steps);
+                observers[l].on_phase(&PhaseEvent {
+                    phase: Phase::TwoAdjacent,
+                    step,
+                });
+            }
+            for &l in &finished {
+                let lane = &states[l];
+                let (mn, mx) = kernels::min_max_u32(&lane.column, tier);
+                if mn == mx {
+                    observers[l].on_phase(&PhaseEvent {
+                        phase: Phase::Consensus,
+                        step: lane.steps,
+                    });
+                }
+            }
+        }
+        finished
+    }
+
+    /// Every lane above `stop_width` takes at most `max_steps` additional
+    /// steps, block by block through [`BatchProcess::step_block`]; a lane
+    /// leaves the active set at its exact first hit.
+    fn run_width(&mut self, max_steps: u64, stop_width: u32) -> Vec<RunStatus> {
+        let k = self.lanes.len();
+        let mut active: Vec<usize> = (0..k).filter(|&l| self.width(l) > stop_width).collect();
+        let block = self.block_steps();
+        let mut remaining = max_steps;
         while remaining > 0 && !active.is_empty() {
             let b = block.min(remaining);
             remaining -= b;
-            // Lanes whose first hit fell in this block: each is already
-            // at its exact first hit and retires below.
-            let mut finished: Vec<u32> = Vec::new();
-            let mut chunks = active.chunks_exact(kernels::GROUP);
-            let rest = if grouped {
-                for chunk in chunks.by_ref() {
-                    let ranges: [core::ops::Range<usize>; kernels::GROUP] =
-                        core::array::from_fn(|j| {
-                            let l = chunk[j] as usize;
-                            l * n..(l + 1) * n
-                        });
-                    let mut cols = opinions
-                        .get_disjoint_mut(ranges)
-                        .expect("lane columns are disjoint");
-                    for (j, col) in cols.iter().enumerate() {
-                        group_snap[j * n..(j + 1) * n].copy_from_slice(col);
-                    }
-                    let mut group_rngs: [FastRng; kernels::GROUP] =
-                        core::array::from_fn(|j| rngs[chunk[j] as usize]);
-                    kernels::drive_group(tier, sampler, &mut cols, &mut group_rngs, b);
-                    for (j, col) in cols.into_iter().enumerate() {
-                        let l = chunk[j] as usize;
-                        let (mn, mx) = kernels::min_max_u32(col, tier);
-                        if mx - mn > stop_width {
-                            rngs[l] = group_rngs[j];
-                            steps[l] += b;
-                            continue;
-                        }
-                        // Crossed inside the block: rewind the column (the
-                        // RNG was left at the snapshot) and finish the
-                        // lane at its exact first hit.
-                        col.copy_from_slice(&group_snap[j * n..(j + 1) * n]);
-                        Lane {
-                            graph,
-                            sampler,
-                            state: &mut FastState::lane(col, &mut counts),
-                            base,
-                            steps: &mut steps[l],
-                            tier,
-                        }
-                        .finish(None, &mut rngs[l], stop_width, b);
-                        finished.push(chunk[j]);
-                    }
-                }
-                chunks.remainder()
-            } else {
-                &active[..]
-            };
-            for &lane in rest {
-                let l = lane as usize;
-                let hit = Lane {
-                    graph,
-                    sampler,
-                    state: &mut FastState::lane(&mut opinions[l * n..(l + 1) * n], &mut counts),
-                    base,
-                    steps: &mut steps[l],
-                    tier,
-                }
-                .run_blocks(b, None, &mut rngs[l], stop_width);
-                if hit {
-                    finished.push(lane);
-                }
-            }
-            active.retain(|lane| !finished.contains(lane));
+            let finished = self.step_block(&active, b, stop_width, &mut [NullObserver; 0]);
+            active.retain(|l| !finished.contains(l));
         }
         (0..k).map(|l| self.result_for(l, stop_width)).collect()
     }
@@ -488,28 +664,24 @@ impl<'g> BatchProcess<'g> {
     /// attached, sampling per-lane register snapshots at block-aligned
     /// boundaries.
     ///
-    /// The run is the unmodified hot loop driven in uniform chunks —
-    /// chunked `BatchProcess::run_width` calls are bit-exact against
-    /// a one-shot call (trajectory, step counts **and** RNG positions),
-    /// so attaching observers never changes any lane's outcome.  At
-    /// each chunk boundary an active lane contributes one
+    /// The run is the plain run's block loop, [`BatchProcess::step_block`],
+    /// cut into chunks of the sample lattice
+    /// ([`BatchProcess::sample_lattice`]); blocks are bit-exact however a
+    /// run is cut (trajectory, step counts **and** RNG positions), so
+    /// attaching observers never changes any lane's outcome.  At each
+    /// full chunk's end an active lane contributes one
     /// [`TelemetrySample`] (all registers are `O(n)` column scans, paid
-    /// only when sampled); the sampled steps sit on the chunk lattice,
-    /// which downstream sinks re-infer by gcd.
+    /// only when sampled); the sampled steps sit on the lattice, which
+    /// downstream sinks re-infer by gcd.
     ///
     /// Phase events are **exact**, matching the scalar engine's
     /// contract: consensus steps come from the engine's own
-    /// rewind-and-finish bookkeeping, and the `τ` (two-adjacent) step is
-    /// located by the same finishing code run on a per-lane column+RNG
-    /// snapshot of the crossing chunk's start, in scratch buffers — the
-    /// live lane state is never touched.  Phases already satisfied at run start
-    /// emit no event, exactly like `FastProcess::run_observed`.
+    /// rewind-and-finish bookkeeping, and the `τ` step is located by the
+    /// block step's scratch replay — the live lane state is never
+    /// touched.  Phases already satisfied at run start emit no event,
+    /// exactly like `FastProcess::run_observed`.
     ///
-    /// `sample_every` asks for at most one sample per that many
-    /// lane-steps, rounded up to whole blocks
-    /// (`0` = the engine default of
-    /// `BatchProcess::DEFAULT_SAMPLE_BLOCKS` blocks).  With a
-    /// disabled observer type this is exactly
+    /// With a disabled observer type this is exactly
     /// [`BatchProcess::run_to_consensus`].
     ///
     /// # Panics
@@ -521,83 +693,41 @@ impl<'g> BatchProcess<'g> {
         sample_every: u64,
         observers: &mut [O],
     ) -> Vec<RunStatus> {
+        let k = self.lanes.len();
         assert_eq!(
             observers.len(),
-            self.lanes,
+            k,
             "run_observed needs exactly one observer per lane"
         );
         if !O::ENABLED {
             return self.run_to_consensus(max_steps);
         }
-        let n = self.initial.len();
-        let k = self.lanes;
-        let block = block_len(n);
-        let chunk = if sample_every == 0 {
-            Self::DEFAULT_SAMPLE_BLOCKS * block
-        } else {
-            block * sample_every.div_ceil(block).max(1)
-        };
+        let block = self.block_steps();
+        let chunk = self.sample_lattice(sample_every);
         let started = Instant::now();
         for (l, obs) in observers.iter_mut().enumerate() {
             obs.on_start(&self.telemetry_sample(l));
         }
-        let mut seen_tau: Vec<bool> = (0..k).map(|l| self.width(l) <= 1).collect();
-        let mut done: Vec<bool> = (0..k).map(|l| self.width(l) == 0).collect();
-        // Per-lane chunk-start snapshots, kept only until the lane's τ is
-        // located: the τ replay runs on these scratch buffers with the
-        // lane's frozen RNG copy, leaving the live columns and streams
-        // untouched.
-        let mut snap_cols: Vec<u32> = vec![0; k * n];
-        let mut snap_rngs: Vec<FastRng> = self.rngs.clone();
-        let mut snap_steps: Vec<u64> = vec![0u64; k];
-        let mut counts = vec![0u32; self.span];
+        for l in 0..k {
+            self.lanes[l].tau_seen = self.width(l) <= 1;
+        }
+        let mut active: Vec<usize> = (0..k).filter(|&l| self.width(l) > 0).collect();
         let mut remaining = max_steps;
-        while remaining > 0 && done.iter().any(|&d| !d) {
+        while remaining > 0 && !active.is_empty() {
             let c = chunk.min(remaining);
             remaining -= c;
-            for l in 0..k {
-                if !seen_tau[l] && !done[l] {
-                    snap_cols[l * n..(l + 1) * n].copy_from_slice(self.column(l));
-                    snap_rngs[l] = self.rngs[l];
-                    snap_steps[l] = self.steps[l];
-                }
+            let mut left = c;
+            while left > 0 && !active.is_empty() {
+                let b = block.min(left);
+                left -= b;
+                let finished = self.step_block(&active, b, 0, observers);
+                active.retain(|l| !finished.contains(l));
             }
-            let statuses = self.run_width(c, 0);
-            for l in 0..k {
-                if done[l] {
-                    continue;
-                }
-                let consensus = matches!(statuses[l], RunStatus::Consensus { .. });
-                if !seen_tau[l] && (consensus || self.width(l) <= 1) {
-                    seen_tau[l] = true;
-                    let mut step = snap_steps[l];
-                    Lane {
-                        graph: self.graph,
-                        sampler: &self.sampler,
-                        state: &mut FastState::lane(
-                            &mut snap_cols[l * n..(l + 1) * n],
-                            &mut counts,
-                        ),
-                        base: self.base,
-                        steps: &mut step,
-                        tier: self.tier,
-                    }
-                    .finish(None, &mut snap_rngs[l], 1, c);
-                    observers[l].on_phase(&PhaseEvent {
-                        phase: Phase::TwoAdjacent,
-                        step,
-                    });
-                }
-                if consensus {
-                    done[l] = true;
-                    observers[l].on_phase(&PhaseEvent {
-                        phase: Phase::Consensus,
-                        step: self.steps[l],
-                    });
-                } else if c == chunk {
-                    // Full chunks end on the sample lattice; a final
-                    // partial chunk (budget tail) is covered by the
-                    // finish sample instead, keeping the lattice exact.
+            // Full chunks end on the sample lattice; a final partial
+            // chunk (budget tail) is covered by the finish sample instead,
+            // keeping the lattice exact.
+            if c == chunk {
+                for &l in &active {
                     observers[l].on_sample(&self.telemetry_sample(l));
                 }
             }
@@ -627,12 +757,12 @@ impl<'g> BatchProcess<'g> {
                                 SelectionBias::Stationary => {
                                     let n = self.initial.len() as u64;
                                     let hits = self.count(l, high) as u64;
-                                    bounded_u64(&mut self.rngs[l], n) < hits
+                                    bounded_u64(&mut self.lanes[l].rng, n) < hits
                                 }
                                 SelectionBias::UniformVertex => {
                                     let two_m = self.graph.total_degree() as u64;
                                     let mass = self.degree_mass_of(l, high);
-                                    bounded_u64(&mut self.rngs[l], two_m) < mass
+                                    bounded_u64(&mut self.lanes[l].rng, two_m) < mass
                                 }
                             };
                             RunStatus::Consensus {
@@ -705,27 +835,54 @@ impl<'g> BatchProcess<'g> {
         plan: &FaultPlan,
         stop_width: u32,
     ) -> Result<(Vec<RunStatus>, Vec<FaultStats>), DivError> {
-        let n = self.initial.len();
-        let mut statuses = Vec::with_capacity(self.lanes);
-        let mut stats = Vec::with_capacity(self.lanes);
-        let mut counts = vec![0u32; self.span];
-        for l in 0..self.lanes {
-            let mut session = plan.session(&self.initial)?;
-            let mut state = FastState::lane(&mut self.opinions[l * n..(l + 1) * n], &mut counts);
-            state.recount();
-            Lane {
-                graph: self.graph,
-                sampler: &self.sampler,
-                state: &mut state,
-                base: self.base,
-                steps: &mut self.steps[l],
-                tier: self.tier,
-            }
-            .run_faulty(max_steps, &mut session, &mut self.rngs[l], stop_width);
-            statuses.push(self.result_for(l, stop_width));
-            stats.push(*session.stats());
+        (0..self.lanes.len())
+            .map(|l| self.run_faulty_lane(l, max_steps, plan, stop_width))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|runs| runs.into_iter().unzip())
+    }
+
+    /// Runs lane `l` alone to consensus under a fault plan, with a fresh
+    /// session: one lane's share of
+    /// [`BatchProcess::run_faulty_to_consensus`], for a lane pool whose
+    /// faulty lanes run one at a time.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`FaultPlan::session`] rejects for this instance.
+    pub fn run_faulty_lane_to_consensus(
+        &mut self,
+        l: usize,
+        max_steps: u64,
+        plan: &FaultPlan,
+    ) -> Result<(RunStatus, FaultStats), DivError> {
+        self.run_faulty_lane(l, max_steps, plan, 0)
+    }
+
+    fn run_faulty_lane(
+        &mut self,
+        l: usize,
+        max_steps: u64,
+        plan: &FaultPlan,
+        stop_width: u32,
+    ) -> Result<(RunStatus, FaultStats), DivError> {
+        let mut session = plan.session(&self.initial)?;
+        let counts = &mut self.scratch.counts;
+        if counts.len() != self.span {
+            *counts = vec![0; self.span];
         }
-        Ok((statuses, stats))
+        let lane = &mut self.lanes[l];
+        let mut state = FastState::lane(&mut lane.column, counts);
+        state.recount();
+        Lane {
+            graph: self.graph,
+            sampler: &self.sampler,
+            state: &mut state,
+            base: self.base,
+            steps: &mut lane.steps,
+            tier: self.tier,
+        }
+        .run_faulty(max_steps, &mut session, &mut lane.rng, stop_width);
+        Ok((self.result_for(l, stop_width), *session.stats()))
     }
 }
 
@@ -806,7 +963,10 @@ mod tests {
         assert_eq!(final_one, final_chunked);
         for l in 0..seeds.len() {
             assert_eq!(one.opinions_of(l), chunked.opinions_of(l), "lane {l}");
-            assert_eq!(one.rngs[l], chunked.rngs[l], "lane {l} rng position");
+            assert_eq!(
+                one.lanes[l].rng, chunked.lanes[l].rng,
+                "lane {l} rng position"
+            );
         }
     }
 
@@ -829,7 +989,7 @@ mod tests {
                 let status = p.run_observed(2_000_000, &mut rng, 64, &mut rec);
                 assert_eq!(got[l], status, "lane {l} status ({kind:?})");
                 assert_eq!(batch.opinions_of(l), p.opinions(), "lane {l} opinions");
-                assert_eq!(batch.rngs[l], rng, "lane {l} rng position");
+                assert_eq!(batch.lanes[l].rng, rng, "lane {l} rng position");
                 // Phase events are exact on both engines, so they agree
                 // to the step — including τ, located by the scratch
                 // replay on the batch side.
@@ -857,7 +1017,7 @@ mod tests {
         let b = observed.run_observed(1_000_000, 0, &mut null);
         assert_eq!(a, b);
         for l in 0..seeds.len() {
-            assert_eq!(plain.rngs[l], observed.rngs[l], "lane {l} rng");
+            assert_eq!(plain.lanes[l].rng, observed.lanes[l].rng, "lane {l} rng");
         }
     }
 
@@ -932,7 +1092,10 @@ mod tests {
                 (0, 0, 0, 0, 0),
                 "lane {l} fault counters"
             );
-            assert_eq!(plain.rngs[l], faulty.rngs[l], "lane {l} rng position");
+            assert_eq!(
+                plain.lanes[l].rng, faulty.lanes[l].rng,
+                "lane {l} rng position"
+            );
         }
     }
 
@@ -973,7 +1136,7 @@ mod tests {
                 let want =
                     p.run_with_policy(1_000_000, &mut rng, FinishPolicy::AnalyticTwoAdjacent);
                 assert_eq!(got[l], want, "lane {l} ({kind:?})");
-                assert_eq!(batch.rngs[l], rng, "lane {l} rng position");
+                assert_eq!(batch.lanes[l].rng, rng, "lane {l} rng position");
             }
         }
     }

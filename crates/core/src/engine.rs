@@ -674,7 +674,7 @@ impl<S: DerefMut<Target = [u32]>> Lane<'_, S> {
             return true;
         }
         if faults.plan().preserves_range() {
-            let hit = self.run_blocks(max_steps, Some(faults), rng, stop_width);
+            let hit = self.run_blocks(max_steps, Some(faults), rng, stop_width, &mut Vec::new());
             if !hit {
                 self.state.recount();
             }
@@ -700,13 +700,16 @@ impl<S: DerefMut<Target = [u32]>> Lane<'_, S> {
     /// throughout, and one whose end is not is rewound (opinions and RNG)
     /// and finished by [`Lane::finish`].  The width must start above
     /// `stop_width`; the state may start uncounted ([`FastState::lane`])
-    /// and is counted only after a hit.
+    /// and is counted only after a hit.  `snap` holds each block's
+    /// snapshot; one buffer serves every block of the run (and, for a
+    /// caller stepping block by block, every call).
     pub(crate) fn run_blocks<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
         mut faults: Option<&mut FaultSession>,
         rng: &mut R,
         stop_width: u32,
+        snap: &mut Vec<u32>,
     ) -> bool {
         let (stubborn, drop_below) = faults.as_deref().map_or((0, 0), |f| {
             (f.plan().stubborn as u32, f.plan().drop_threshold())
@@ -715,7 +718,8 @@ impl<S: DerefMut<Target = [u32]>> Lane<'_, S> {
         let mut remaining = max_steps;
         while remaining > 0 {
             let b = block.min(remaining);
-            let snap = self.state.opinions.to_vec();
+            snap.clear();
+            snap.extend_from_slice(&self.state.opinions);
             let snap_rng = rng.clone();
             let (dropped, suppressed) = self.sampler.drive(
                 self.graph,
@@ -729,7 +733,7 @@ impl<S: DerefMut<Target = [u32]>> Lane<'_, S> {
             );
             let (lo, hi) = kernels::min_max_u32(&self.state.opinions, self.tier);
             if hi - lo <= stop_width {
-                self.state.opinions.copy_from_slice(&snap);
+                self.state.opinions.copy_from_slice(snap);
                 *rng = snap_rng;
                 self.finish(faults, rng, stop_width, b);
                 return true;

@@ -110,7 +110,7 @@ mod test_util;
 pub mod theory;
 pub mod trace;
 
-pub use batch::BatchProcess;
+pub use batch::{BatchLane, BatchProcess};
 pub use engine::{FastProcess, FastScheduler, FinishPolicy};
 pub use error::DivError;
 pub use fault::{CrashFault, FaultPlan, FaultSession, FaultStats, NoiseFault, StaleFault};

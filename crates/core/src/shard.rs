@@ -55,7 +55,10 @@
 //! and `Z(t)` are rescanned from the domain slice only when they are
 //! read — at the end of a run and on an observed run's sample rounds —
 //! and global statistics are `O(P)` combines of those per-domain
-//! registers (`O(P·span)` for the distinct-opinion count).
+//! registers.  The distinct-opinion count looks up the domains' count
+//! tables over the live range; a domain narrower than the span keeps a
+//! sorted list of its opinions instead, so sampling a wide span costs
+//! `O(n log n)`, not `O(P·span)`.
 //!
 //! # Step allocation
 //!
@@ -111,13 +114,20 @@ enum ShardSampler {
     Alias(Vec<u64>),
 }
 
-/// One domain's statistic registers: dense opinion counts plus the
+/// One domain's statistic registers: the opinions it holds plus the
 /// extremes and (degree-weighted) sums of the domain.  Rescanned from the
 /// domain slice when read ([`Shard::rescan`]), never maintained per step.
+///
+/// A domain narrower than the span keeps no count table: scanning one
+/// would cost `O(span)` per sample, so it lists its held opinions
+/// instead, at `O(len log len)`.
 #[derive(Debug, Clone, Default)]
 struct ShardRegs {
-    /// `N_i(t)` restricted to this domain, indexed by span offset.
+    /// `N_i(t)` restricted to this domain, indexed by span offset; empty
+    /// when the span is wider than the domain.
     counts: Vec<u32>,
+    /// The distinct offsets held, ascending, when `counts` is empty.
+    held: Vec<u32>,
     /// Smallest span offset held in this domain.
     lo: u32,
     /// Largest span offset held in this domain.
@@ -233,24 +243,36 @@ impl Shard {
         }
     }
 
-    /// Recomputes the registers from the domain slice `local`.
+    /// Recomputes the registers from the domain slice `local`: from the
+    /// count table on a span no wider than the domain, from the opinions
+    /// themselves on a wider one.
     fn rescan(&mut self, graph: &Graph, local: &[u32]) {
         let regs = &mut self.regs;
-        histogram(local, &mut regs.counts);
-        regs.sum_off = (regs.counts.iter().enumerate())
-            .map(|(off, &c)| off as i64 * c as i64)
-            .sum();
+        if regs.counts.is_empty() {
+            regs.held.clear();
+            regs.held.extend_from_slice(local);
+            regs.held.sort_unstable();
+            regs.held.dedup();
+            regs.sum_off = local.iter().map(|&x| x as i64).sum();
+            regs.lo = *regs.held.first().expect("domains are non-empty");
+            regs.hi = *regs.held.last().expect("domains are non-empty");
+        } else {
+            histogram(local, &mut regs.counts);
+            regs.sum_off = (regs.counts.iter().enumerate())
+                .map(|(off, &c)| off as i64 * c as i64)
+                .sum();
+            let mut held = (regs.counts.iter().enumerate())
+                .filter(|&(_, &c)| c > 0)
+                .map(|(off, _)| off as u32);
+            regs.lo = held.next().expect("domains are non-empty");
+            regs.hi = held.next_back().unwrap_or(regs.lo);
+        }
         regs.dw_off = match self.sampler {
             ShardSampler::Regular { degree } => degree as i64 * regs.sum_off,
             _ => (local.iter().zip(self.start as usize..))
                 .map(|(&x, v)| x as i64 * graph.degree(v) as i64)
                 .sum(),
         };
-        let mut held = (regs.counts.iter().enumerate())
-            .filter(|&(_, &c)| c > 0)
-            .map(|(off, _)| off as u32);
-        regs.lo = held.next().expect("domains are non-empty");
-        regs.hi = held.next_back().unwrap_or(regs.lo);
     }
 }
 
@@ -362,7 +384,9 @@ fn executed(weights: &[u64], total_weight: u64, target: u64) -> u64 {
 }
 
 /// A trajectory sample combined from per-domain registers: `O(P)` sums
-/// and extremes, `O(P·span)` distinct opinions.
+/// and extremes; distinct opinions by `O(P·width)` count lookups when
+/// every domain keeps a count table, else by merging the domains' held
+/// opinions (`O(n log n)`, independent of the span).
 fn combine<R: Deref<Target = ShardRegs>>(
     step: u64,
     base: i64,
@@ -380,9 +404,22 @@ fn combine<R: Deref<Target = ShardRegs>>(
         z_weight: n as f64 * dws as f64 / total_degree as f64,
         min: base + lo as i64,
         max: base + hi as i64,
-        distinct: (lo..=hi)
-            .filter(|&off| regs.iter().any(|r| r.counts[off] > 0))
-            .count(),
+        distinct: if regs.iter().all(|r| !r.counts.is_empty()) {
+            (lo..=hi)
+                .filter(|&off| regs.iter().any(|r| r.counts[off] > 0))
+                .count()
+        } else {
+            let mut held: Vec<u32> = Vec::new();
+            for r in regs {
+                match r.counts.is_empty() {
+                    true => held.extend_from_slice(&r.held),
+                    false => held.extend((r.lo..=r.hi).filter(|&off| r.counts[off as usize] > 0)),
+                }
+            }
+            held.sort_unstable();
+            held.dedup();
+            held.len()
+        },
     }
 }
 
@@ -638,7 +675,11 @@ impl<'g> ShardedProcess<'g> {
                     rng: FastRng::seed_from_u64(shard_seeds[k]),
                     sampler,
                     regs: ShardRegs {
-                        counts: vec![0; span],
+                        counts: if span <= end - start {
+                            vec![0; span]
+                        } else {
+                            Vec::new()
+                        },
                         ..ShardRegs::default()
                     },
                     frontier,
@@ -725,12 +766,19 @@ impl<'g> ShardedProcess<'g> {
         self.base + self.hi() as i64
     }
 
-    /// `N_i(t)` for `opinion` (0 outside the initial span) — `O(P)`.
+    /// `N_i(t)` for `opinion` (0 outside the initial span) — `O(P)`, or
+    /// an `O(len)` scan of each domain whose span is wider than it.
     pub fn count(&self, opinion: i64) -> usize {
-        let off = opinion - self.base;
+        let Ok(off) = u32::try_from(opinion - self.base) else {
+            return 0;
+        };
         (self.shards.iter())
-            .filter_map(|s| s.regs.counts.get(usize::try_from(off).ok()?))
-            .map(|&c| c as usize)
+            .map(|s| match s.regs.counts.is_empty() {
+                true => (self.live[s.start as usize..s.end as usize].iter())
+                    .filter(|&&x| x == off)
+                    .count(),
+                false => s.regs.counts.get(off as usize).map_or(0, |&c| c as usize),
+            })
             .sum()
     }
 
@@ -753,9 +801,9 @@ impl<'g> ShardedProcess<'g> {
     }
 
     /// The combined trajectory sample at the current (round-boundary)
-    /// state — an `O(P·span)` combine of the per-domain registers.  A pure
-    /// function of the trajectory, so it is identical for every thread
-    /// count.
+    /// state — an `O(P·width)` or `O(n log n)` combine of the per-domain
+    /// registers.  A pure function of the trajectory, so it is identical
+    /// for every thread count.
     pub fn telemetry_sample(&self) -> TelemetrySample {
         let regs: Vec<&ShardRegs> = self.shards.iter().map(|s| &s.regs).collect();
         combine(self.steps(), self.base, self.graph, &regs)
@@ -1194,6 +1242,42 @@ mod tests {
             }
         }
         assert!(p.is_consensus(), "complete-ish graph converges quickly");
+    }
+
+    #[test]
+    fn wide_span_registers_and_samples_agree_with_a_rescan() {
+        // Domains narrower than the span take their registers from their
+        // opinions instead of a count table; samples, counts and extremes
+        // must not notice.  Span 21 over 4 domains of 10 vertices and a
+        // span of 5·10⁶ over 2 domains are wide everywhere; span 4 over 11
+        // domains of 3 or 4 vertices mixes both kinds.
+        let g = generators::wheel(40).unwrap();
+        for (opinions, shards) in [
+            (init::spread(40, 21).unwrap(), 4),
+            (init::blocks(&[(0, 20), (5_000_000, 20)]).unwrap(), 2),
+            (init::spread(40, 4).unwrap(), 11),
+        ] {
+            let mut p =
+                ShardedProcess::new(&g, opinions, FastScheduler::Edge, &seeds(shards, 8)).unwrap();
+            let mut rec = crate::telemetry::RingRecorder::new(1 << 12);
+            p.run_observed(30_000, 1, 1, &mut rec);
+            assert!(!rec.samples().is_empty());
+            let ops = p.opinions();
+            let sample = p.telemetry_sample();
+            let mut distinct = ops.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(sample.distinct, distinct.len());
+            assert_eq!(sample.sum, ops.iter().sum::<i64>());
+            assert_eq!(sample.min, distinct[0]);
+            assert_eq!(sample.max, *distinct.last().unwrap());
+            for &x in &distinct {
+                assert_eq!(p.count(x), ops.iter().filter(|&&o| o == x).count());
+            }
+            for s in rec.samples() {
+                assert!(s.distinct >= 1 && s.min <= s.max, "{s:?}");
+            }
+        }
     }
 
     #[test]

@@ -160,6 +160,69 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     }
 }
 
+/// A borrowed observer: lets a batch step watch lanes whose observers
+/// live elsewhere (a lane pool keeps each with its trial).
+impl<O: Observer> Observer for &mut O {
+    const ENABLED: bool = O::ENABLED;
+
+    fn on_start(&mut self, sample: &TelemetrySample) {
+        (**self).on_start(sample);
+    }
+
+    fn on_sample(&mut self, sample: &TelemetrySample) {
+        (**self).on_sample(sample);
+    }
+
+    fn on_phase(&mut self, event: &PhaseEvent) {
+        (**self).on_phase(event);
+    }
+
+    fn on_faults(&mut self, stats: &FaultStats) {
+        (**self).on_faults(stats);
+    }
+
+    fn on_finish(&mut self, sample: &TelemetrySample, elapsed: Duration) {
+        (**self).on_finish(sample, elapsed);
+    }
+}
+
+/// An observer that may be absent: `None` drops every event, so trials
+/// whose sink could not be opened run beside observed ones under one
+/// observer type.
+impl<O: Observer> Observer for Option<O> {
+    const ENABLED: bool = O::ENABLED;
+
+    fn on_start(&mut self, sample: &TelemetrySample) {
+        if let Some(o) = self {
+            o.on_start(sample);
+        }
+    }
+
+    fn on_sample(&mut self, sample: &TelemetrySample) {
+        if let Some(o) = self {
+            o.on_sample(sample);
+        }
+    }
+
+    fn on_phase(&mut self, event: &PhaseEvent) {
+        if let Some(o) = self {
+            o.on_phase(event);
+        }
+    }
+
+    fn on_faults(&mut self, stats: &FaultStats) {
+        if let Some(o) = self {
+            o.on_faults(stats);
+        }
+    }
+
+    fn on_finish(&mut self, sample: &TelemetrySample, elapsed: Duration) {
+        if let Some(o) = self {
+            o.on_finish(sample, elapsed);
+        }
+    }
+}
+
 /// Euclid's gcd, with `gcd(0, x) = x` (used to infer the sample stride).
 fn gcd(a: u64, b: u64) -> u64 {
     let (mut a, mut b) = (a, b);

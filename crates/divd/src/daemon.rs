@@ -80,7 +80,7 @@ use div_sim::http::{HttpLimits, HttpServer, Request, Response};
 use div_sim::{CampaignHooks, CampaignReport, SeedSequence, TrialOutcome};
 
 use div_bench::spec::{CampaignInputs, Front};
-use div_bench::trial::run_engine_campaign;
+use div_bench::trial::{run_engine_campaign, Unwatched};
 
 use crate::job::JobState;
 use crate::JobSpec;
@@ -977,7 +977,8 @@ fn run_engine(
         ..CampaignHooks::default()
     };
     let c = &campaign;
-    run_engine_campaign(c.engine, &c.setup, &c.cfg, c.lanes, hooks, None).map_err(|e| e.to_string())
+    run_engine_campaign(c.engine, &c.setup, &c.cfg, c.lanes, hooks, &Unwatched)
+        .map_err(|e| e.to_string())
 }
 
 // ---------------------------------------------------------------------

@@ -49,12 +49,13 @@
 //! can never disagree with the outcomes.
 
 use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use div_oplog::atomic_write;
 
@@ -199,16 +200,16 @@ pub struct TrialCtx {
 ///
 /// * `monitor` — live publication: the campaign declares `cfg.trials` as
 ///   expected, replays resumed outcomes into it, and every worker
-///   publishes trial starts (per lane as its group begins), panic retries
-///   and finished outcomes as they happen — so an HTTP scrape (see
-///   [`crate::MetricsServer`]) watches the campaign in flight, and a
-///   scrape taken after the campaign returns agrees exactly with the
-///   report's counts.
-/// * `cancel` — checked by every worker before claiming the next trial
-///   (or lane group).  Once set, no *new* work starts; in-flight trials
-///   finish, the collector drains, the final checkpoint is written, and
-///   the campaign returns its partial report — exactly the state a
-///   later `resume` continues from.
+///   publishes trial starts (as each trial leaves the pending queue),
+///   panic retries and finished outcomes as they happen — so an HTTP
+///   scrape (see [`crate::MetricsServer`]) watches the campaign in
+///   flight, and a scrape taken after the campaign returns agrees
+///   exactly with the report's counts.
+/// * `cancel` — checked every time a trial is claimed from the pending
+///   queue.  Once set, no *new* trial starts; trials in flight (batch
+///   lanes included) finish, the collector drains, the final checkpoint
+///   is written, and the campaign returns its partial report — exactly
+///   the state a later `resume` continues from.
 /// * `on_trial` — called from the collector thread, in completion
 ///   order, after the outcome is recorded (and before any checkpoint
 ///   flush it triggers).  A daemon uses it to stream per-trial results
@@ -234,15 +235,44 @@ pub type TrialHook<'a> = &'a (dyn Fn(usize, &TrialOutcome) + Sync);
 /// and returns one outcome per context.
 pub type GroupFn<'a> = &'a (dyn Fn(&[TrialCtx]) -> Vec<TrialOutcome> + Sync);
 
-/// How [`run_campaign_hooked`] groups trials for a batch engine:
-/// pending trials are chunked into groups of `lanes` and each group is
-/// handed to `run` (see [`run_campaign_batched`]).
+/// How [`run_campaign_hooked`] groups trials for a group executor:
+/// workers hand `run` up to `lanes` trials at a time and it steps them to
+/// completion (see [`run_campaign_batched`]).
 #[derive(Clone, Copy)]
 pub struct LaneGroups<'a> {
     /// Trials per lockstep group (≥ 1).
     pub lanes: usize,
     /// The group executor.
     pub run: GroupFn<'a>,
+}
+
+/// An engine whose lanes the workers of one campaign share: the
+/// executor of [`run_campaign_pooled`].
+///
+/// The campaign keeps a pool of loaded lanes.  A worker claims up to
+/// [`LaneEngine::group`] of them, steps them one block with
+/// [`LaneEngine::step`] and hands back those still running; a lane that
+/// finished reports its outcome at once and its buffers take the next
+/// pending trial through [`LaneEngine::load`].  Lanes never interact, so
+/// which worker steps which lane, and with which others, is free: a
+/// bit-exact engine gives every trial the outcome of its scalar run.
+pub trait LaneEngine: Sync {
+    /// One loaded trial's state.
+    type Lane: Send;
+
+    /// The most lanes one block should step together (≥ 1): the
+    /// engine's lockstep group width.
+    fn group(&self) -> usize;
+
+    /// Loads the attempt-0 trial `ctx` into a lane, reusing a finished
+    /// lane's buffers when given one.
+    fn load(&self, ctx: &TrialCtx, recycled: Option<Self::Lane>) -> Self::Lane;
+
+    /// Steps `lanes` by one block.  Returns one entry per lane: its
+    /// outcome once it has finished, `None` while it runs on.  A panic,
+    /// or a result of the wrong length, demotes every trial of the block
+    /// to the scalar retry chain.
+    fn step(&self, lanes: &mut [Self::Lane]) -> Vec<Option<TrialOutcome>>;
 }
 
 impl fmt::Debug for CampaignHooks<'_> {
@@ -524,15 +554,18 @@ pub fn run_campaign<F>(cfg: &CampaignConfig, trial_fn: F) -> Result<CampaignRepo
 where
     F: Fn(&TrialCtx) -> TrialOutcome + Sync,
 {
-    run_campaign_hooked(cfg, CampaignHooks::default(), None, trial_fn)
+    run_campaign_hooked(cfg, CampaignHooks::default(), trial_fn)
 }
 
-/// [`run_campaign`] driven by a **batch engine**: pending trials are
-/// chunked into lane groups of `lanes` and each group is handed to
-/// `batch_fn` as a slice of [`TrialCtx`]s (attempt 0, the same
-/// per-trial seeds the scalar campaign would use), which steps them in
-/// lockstep and returns one [`TrialOutcome`] per context.
+/// [`run_campaign`] driven by a **group executor**: workers hand
+/// `batch_fn` up to `lanes` pending trials at a time as a slice of
+/// [`TrialCtx`]s (attempt 0, the same per-trial seeds the scalar campaign
+/// would use), which steps them to completion and returns one
+/// [`TrialOutcome`] per context.
 ///
+/// This is [`run_campaign_pooled`] with each group as one block of
+/// `lanes` trials, and a group can be cut smaller at the campaign's tail
+/// so the last trials spread over the workers.
 /// Resilience composes with the scalar machinery: a `batch_fn` call
 /// that panics, or that returns the wrong number of outcomes, demotes
 /// every trial of that group to the scalar path — `trial_fn` with the
@@ -540,8 +573,7 @@ where
 /// lane was given.  A batch engine that is bit-exact against `trial_fn`
 /// therefore yields a report identical to [`run_campaign`]'s, whatever
 /// fails.  Checkpoint/resume, `stop_after` and the outcome taxonomy are
-/// untouched: resumed holes simply make shorter or non-contiguous
-/// groups.
+/// untouched: resumed holes simply make non-contiguous groups.
 ///
 /// # Errors
 ///
@@ -564,19 +596,56 @@ where
         lanes,
         run: &batch_fn,
     };
-    run_campaign_hooked(cfg, CampaignHooks::default(), Some(groups), trial_fn)
+    run_campaign_pooled(cfg, CampaignHooks::default(), &groups, trial_fn)
 }
 
-/// The campaign driver behind [`run_campaign`] and
-/// [`run_campaign_batched`], with [`CampaignHooks`] (live monitor,
-/// cooperative cancellation, per-trial and retry callbacks) for
-/// front-ends and services embedding the engine.
+/// [`run_campaign`] with [`CampaignHooks`] (live monitor, cooperative
+/// cancellation, per-trial and retry callbacks) for front-ends and
+/// services embedding the engine.
 ///
-/// Without `groups` every trial runs through `trial_fn` and its retry
-/// chain (the scalar campaign: lane groups of one with no group
-/// executor).  With `groups` the campaign is batched as described in
-/// [`run_campaign_batched`]; cancellation is then checked per lane
-/// *group*: a group that has started steps to completion.
+/// Every trial runs through `trial_fn` and its retry chain, as an
+/// executor of the one driver loop of [`run_campaign_pooled`]: scalar
+/// trials are lanes of one that finish in their first block.
+///
+/// # Errors
+///
+/// Identical to [`run_campaign`].
+pub fn run_campaign_hooked<G>(
+    cfg: &CampaignConfig,
+    hooks: CampaignHooks<'_>,
+    trial_fn: G,
+) -> Result<CampaignReport, CampaignError>
+where
+    G: Fn(&TrialCtx) -> TrialOutcome + Sync,
+{
+    let scalar = ScalarTrials {
+        cfg,
+        hooks,
+        trial_fn: &trial_fn,
+    };
+    run_campaign_pooled(cfg, hooks, &scalar, &trial_fn)
+}
+
+/// The campaign driver: every worker runs the one loop of a lane pool
+/// shared by all workers, over the engine `engine`.
+///
+/// The pool holds at most `engine.group() × workers` loaded trials, one
+/// block's worth per worker.  A worker fills free lanes from the pending
+/// queue (each claim checks `cancel` and marks the trial started on the
+/// monitor), takes up to `min(engine.group(), ⌈loaded / workers⌉)`
+/// lanes, steps them one block and returns them.  A lane that finished reports its outcome at once —
+/// to the monitor, `on_trial` and the checkpoint collector — and frees
+/// its slot for the next pending trial.  Because claims shrink as the
+/// pool drains, the campaign's last lanes are split across the workers
+/// instead of queuing behind one.  A worker with nothing to claim waits
+/// for lanes to come back, and leaves once the pool and the queue are
+/// both empty.
+///
+/// A block that panics (or returns the wrong number of entries), and a
+/// load that panics, demote exactly the trials they held to `trial_fn`
+/// with the standard retry chain; the other workers keep going.  With a
+/// bit-exact engine the report is identical to [`run_campaign`]'s for
+/// every group width and thread count.
 ///
 /// # Errors
 ///
@@ -584,46 +653,21 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `groups` has zero lanes.
-pub fn run_campaign_hooked<G>(
+/// Panics if `engine.group() == 0`.
+pub fn run_campaign_pooled<E, G>(
     cfg: &CampaignConfig,
     hooks: CampaignHooks<'_>,
-    groups: Option<LaneGroups<'_>>,
+    engine: &E,
     trial_fn: G,
 ) -> Result<CampaignReport, CampaignError>
 where
+    E: LaneEngine,
     G: Fn(&TrialCtx) -> TrialOutcome + Sync,
 {
-    let lanes = groups.map_or(1, |g| g.lanes);
-    assert!(lanes > 0, "need at least one lane per group");
-    let mut outcomes: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
-    let mut resumed = 0usize;
-    if let Some(path) = &cfg.checkpoint {
-        if cfg.resume && path.exists() {
-            let manifest = Manifest::load(path)?;
-            manifest.check_matches(cfg)?;
-            resumed = manifest.outcomes.len();
-            outcomes = manifest.outcomes;
-        }
-    }
-    let monitor = hooks.monitor;
-    if let Some(m) = monitor {
-        m.set_expected(cfg.trials as u64);
-        for outcome in outcomes.values() {
-            m.trial_started();
-            m.record_outcome(outcome);
-        }
-    }
-
-    let pending: Vec<usize> = (0..cfg.trials)
-        .filter(|i| !outcomes.contains_key(i))
-        .collect();
-    let scheduled: Vec<usize> = match cfg.stop_after {
-        Some(k) => pending.into_iter().take(k).collect(),
-        None => pending,
-    };
-
-    if !scheduled.is_empty() {
+    assert!(engine.group() > 0, "need at least one lane per block");
+    let trial_fn: &TrialFn<'_> = &trial_fn;
+    let mut plan = Plan::load(cfg, &hooks)?;
+    if !plan.scheduled.is_empty() {
         let threads = if cfg.threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -631,108 +675,393 @@ where
         } else {
             cfg.threads
         };
-        let chunks: Vec<&[usize]> = scheduled.chunks(lanes).collect();
-        let workers = threads.min(chunks.len()).max(1);
-        let next = AtomicUsize::new(0);
+        let workers = threads.min(plan.scheduled.len()).max(1);
+        let queue = TrialQueue {
+            cfg,
+            hooks: &hooks,
+            scheduled: &plan.scheduled,
+            next: AtomicUsize::new(0),
+        };
+        let pool = Pool {
+            engine,
+            capacity: engine.group() * workers,
+            workers,
+            state: Mutex::new(PoolState {
+                ready: VecDeque::new(),
+                spare: Vec::new(),
+                live: 0,
+                waiting: 0,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        };
         let (tx, rx) = mpsc::channel::<(usize, TrialOutcome)>();
-        let flush_every = cfg.checkpoint_every.max(1);
-        let outcomes_ref = &mut outcomes;
-        std::thread::scope(|scope| -> Result<(), CampaignError> {
+        let outcomes = &mut plan.outcomes;
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                let next = &next;
-                let chunks = &chunks;
-                let trial_fn = &trial_fn;
-                scope.spawn(move || loop {
-                    if hooks.cancelled() {
-                        break;
-                    }
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= chunks.len() {
-                        break;
-                    }
-                    let chunk = chunks[slot];
-                    if let Some(m) = monitor {
-                        for _ in chunk {
-                            m.trial_started();
-                        }
-                    }
-                    let batched = groups.and_then(|g| {
-                        let ctxs: Vec<TrialCtx> = chunk
-                            .iter()
-                            .map(|&i| TrialCtx {
-                                trial: i,
-                                seed: SeedSequence::seed_for(cfg.master_seed, i as u64),
-                                attempt: 0,
-                                step_budget: cfg.step_budget,
-                            })
-                            .collect();
-                        catch_unwind(AssertUnwindSafe(|| (g.run)(&ctxs)))
-                            .ok()
-                            .filter(|v| v.len() == ctxs.len())
-                    });
-                    let results: Vec<(usize, TrialOutcome)> = match batched {
-                        Some(v) => chunk.iter().copied().zip(v).collect(),
-                        // Scalar trials, and every trial of a failed group:
-                        // the attempt chain, whose attempt 0 reuses the
-                        // batch lane's seed, so a healthy scalar engine
-                        // reproduces exactly what the batch would have
-                        // produced.
-                        None => chunk
-                            .iter()
-                            .map(|&i| (i, run_one_trial(cfg, i, &hooks, trial_fn)))
-                            .collect(),
-                    };
-                    for (i, outcome) in results {
-                        if let Some(m) = monitor {
+                let (pool, queue) = (&pool, &queue);
+                scope.spawn(move || {
+                    let _close = CloseOnUnwind(pool);
+                    let mut report = |i: usize, outcome: TrialOutcome| {
+                        if let Some(m) = hooks.monitor {
                             m.record_outcome(&outcome);
                         }
-                        if tx.send((i, outcome)).is_err() {
-                            return;
-                        }
-                    }
+                        tx.send((i, outcome)).is_ok()
+                    };
+                    // Demoted trials: the attempt chain, whose attempt 0
+                    // reuses the lane's seed, so a healthy scalar engine
+                    // reproduces exactly what the lane would have.
+                    let demote = |i: usize| run_one_trial(cfg, i, &hooks, trial_fn);
+                    let mut held = Held::default();
+                    while pool.work(queue, &mut held, &mut report, &demote) {}
                 });
             }
             drop(tx);
-            let mut since_flush = 0usize;
-            for (i, outcome) in rx {
-                if let Some(f) = hooks.on_trial {
-                    f(i, &outcome);
-                }
-                outcomes_ref.insert(i, outcome);
-                since_flush += 1;
-                if let Some(path) = &cfg.checkpoint {
-                    if since_flush >= flush_every {
-                        write_manifest(path, cfg, outcomes_ref)?;
-                        since_flush = 0;
-                    }
-                }
-            }
-            Ok(())
+            collect(cfg, &hooks, rx, outcomes)
         })?;
     }
+    plan.finish(cfg)
+}
 
-    if let Some(path) = &cfg.checkpoint {
-        write_manifest(path, cfg, &outcomes)?;
+/// A campaign's per-trial closure, behind one pointer so the driver is
+/// compiled once per engine rather than once per closure.
+type TrialFn<'a> = dyn Fn(&TrialCtx) -> TrialOutcome + Sync + 'a;
+
+/// The campaign state around the worker loop: the outcomes so far
+/// (resumed from the manifest) and the trials this run starts.
+struct Plan {
+    outcomes: BTreeMap<usize, TrialOutcome>,
+    resumed: usize,
+    scheduled: Vec<usize>,
+}
+
+impl Plan {
+    /// Loads the manifest when resuming, replays resumed outcomes into
+    /// the monitor, and schedules the pending trials (at most
+    /// `cfg.stop_after` of them).
+    fn load(cfg: &CampaignConfig, hooks: &CampaignHooks<'_>) -> Result<Plan, CampaignError> {
+        let mut outcomes: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
+        let mut resumed = 0usize;
+        if let Some(path) = &cfg.checkpoint {
+            if cfg.resume && path.exists() {
+                let manifest = Manifest::load(path)?;
+                manifest.check_matches(cfg)?;
+                resumed = manifest.outcomes.len();
+                outcomes = manifest.outcomes;
+            }
+        }
+        if let Some(m) = hooks.monitor {
+            m.set_expected(cfg.trials as u64);
+            for outcome in outcomes.values() {
+                m.trial_started();
+                m.record_outcome(outcome);
+            }
+        }
+        let pending = (0..cfg.trials).filter(|i| !outcomes.contains_key(i));
+        let scheduled: Vec<usize> = match cfg.stop_after {
+            Some(k) => pending.take(k).collect(),
+            None => pending.collect(),
+        };
+        Ok(Plan {
+            outcomes,
+            resumed,
+            scheduled,
+        })
     }
-    Ok(CampaignReport {
-        master_seed: cfg.master_seed,
-        trials: cfg.trials,
-        outcomes,
-        resumed,
-    })
+
+    /// Writes the final manifest and returns the report.
+    fn finish(self, cfg: &CampaignConfig) -> Result<CampaignReport, CampaignError> {
+        if let Some(path) = &cfg.checkpoint {
+            write_manifest(path, cfg, &self.outcomes)?;
+        }
+        Ok(CampaignReport {
+            master_seed: cfg.master_seed,
+            trials: cfg.trials,
+            outcomes: self.outcomes,
+            resumed: self.resumed,
+        })
+    }
+}
+
+/// The collector: records outcomes in completion order, calls
+/// `on_trial`, and flushes the manifest every `cfg.checkpoint_every`
+/// outcomes, until every worker has hung up.
+fn collect(
+    cfg: &CampaignConfig,
+    hooks: &CampaignHooks<'_>,
+    rx: mpsc::Receiver<(usize, TrialOutcome)>,
+    outcomes: &mut BTreeMap<usize, TrialOutcome>,
+) -> Result<(), CampaignError> {
+    let flush_every = cfg.checkpoint_every.max(1);
+    let mut since_flush = 0usize;
+    for (i, outcome) in rx {
+        if let Some(f) = hooks.on_trial {
+            f(i, &outcome);
+        }
+        outcomes.insert(i, outcome);
+        since_flush += 1;
+        if let Some(path) = &cfg.checkpoint {
+            if since_flush >= flush_every {
+                write_manifest(path, cfg, outcomes)?;
+                since_flush = 0;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The trials a campaign still has to start, claimed one at a time.
+struct TrialQueue<'a> {
+    cfg: &'a CampaignConfig,
+    hooks: &'a CampaignHooks<'a>,
+    scheduled: &'a [usize],
+    next: AtomicUsize,
+}
+
+impl TrialQueue<'_> {
+    /// The next pending trial's attempt-0 context, marked started on the
+    /// monitor; `None` once the queue is drained or the campaign is
+    /// cancelled.
+    fn claim(&self) -> Option<TrialCtx> {
+        if self.hooks.cancelled() {
+            return None;
+        }
+        let &trial = self
+            .scheduled
+            .get(self.next.fetch_add(1, Ordering::Relaxed))?;
+        if let Some(m) = self.hooks.monitor {
+            m.trial_started();
+        }
+        Some(TrialCtx {
+            trial,
+            seed: SeedSequence::seed_for(self.cfg.master_seed, trial as u64),
+            attempt: 0,
+            step_budget: self.cfg.step_budget,
+        })
+    }
+}
+
+/// The lane pool the workers of one campaign share.
+struct Pool<'e, E: LaneEngine> {
+    engine: &'e E,
+    /// Most lanes loaded at once: `engine.group() × workers`.
+    capacity: usize,
+    workers: usize,
+    state: Mutex<PoolState<E::Lane>>,
+    /// Signalled whenever lanes come back or the pool closes.
+    wake: Condvar,
+}
+
+struct PoolState<L> {
+    /// Loaded lanes no worker holds, longest-waiting first.
+    ready: VecDeque<(TrialCtx, L)>,
+    /// Finished lanes, kept for their buffers.
+    spare: Vec<L>,
+    /// Loaded lanes not yet finished: `ready` plus those workers hold.
+    live: usize,
+    /// Workers waiting for lanes to come back.
+    waiting: usize,
+    /// Set when a worker stops early; every worker then leaves.
+    closed: bool,
+}
+
+/// The lanes one worker holds for a block.
+struct Held<L> {
+    ctxs: Vec<TrialCtx>,
+    lanes: Vec<L>,
+}
+
+impl<L> Default for Held<L> {
+    fn default() -> Self {
+        Held {
+            ctxs: Vec::new(),
+            lanes: Vec::new(),
+        }
+    }
+}
+
+/// Closes the pool if its worker unwinds, so no other worker waits for
+/// lanes that will never come back.
+struct CloseOnUnwind<'p, 'e, E: LaneEngine>(&'p Pool<'e, E>);
+
+impl<E: LaneEngine> Drop for CloseOnUnwind<'_, '_, E> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
+impl<E: LaneEngine> Pool<'_, E> {
+    /// The pool state.  Nothing that can panic runs under the lock (loads
+    /// are caught), so a poisoned lock still guards a consistent state,
+    /// and the workers must keep draining it to finish the campaign.
+    fn lock(&self) -> MutexGuard<'_, PoolState<E::Lane>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.notify_all();
+    }
+
+    /// One turn of the worker loop: refill free lanes, claim lanes, step
+    /// them one block, report what finished.  `false` once the worker
+    /// should leave.
+    fn work(
+        &self,
+        queue: &TrialQueue<'_>,
+        held: &mut Held<E::Lane>,
+        report: &mut dyn FnMut(usize, TrialOutcome) -> bool,
+        demote: &dyn Fn(usize) -> TrialOutcome,
+    ) -> bool {
+        let mut demoted: Vec<usize> = Vec::new();
+        {
+            let mut st = self.lock();
+            loop {
+                if st.closed {
+                    return false;
+                }
+                while st.live < self.capacity {
+                    let Some(ctx) = queue.claim() else { break };
+                    let recycled = st.spare.pop();
+                    match catch_unwind(AssertUnwindSafe(|| self.engine.load(&ctx, recycled))) {
+                        Ok(lane) => {
+                            st.ready.push_back((ctx, lane));
+                            st.live += 1;
+                        }
+                        Err(_) => demoted.push(ctx.trial),
+                    }
+                }
+                if !demoted.is_empty() {
+                    break;
+                }
+                let claim = self.engine.group().min(st.live.div_ceil(self.workers));
+                while held.lanes.len() < claim {
+                    let Some((ctx, lane)) = st.ready.pop_front() else {
+                        break;
+                    };
+                    held.ctxs.push(ctx);
+                    held.lanes.push(lane);
+                }
+                if !held.lanes.is_empty() {
+                    break;
+                }
+                if st.live == 0 {
+                    // Nothing loaded and nothing left to load.
+                    self.wake.notify_all();
+                    return false;
+                }
+                st.waiting += 1;
+                st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.waiting -= 1;
+            }
+        }
+        let mut finished: Vec<(usize, TrialOutcome)> = Vec::new();
+        if !held.lanes.is_empty() {
+            let stepped = catch_unwind(AssertUnwindSafe(|| self.engine.step(&mut held.lanes)))
+                .ok()
+                .filter(|v| v.len() == held.lanes.len());
+            let mut st = self.lock();
+            match stepped {
+                Some(results) => {
+                    let lanes = held.ctxs.drain(..).zip(held.lanes.drain(..));
+                    for ((ctx, lane), result) in lanes.zip(results) {
+                        match result {
+                            Some(outcome) => {
+                                finished.push((ctx.trial, outcome));
+                                st.spare.push(lane);
+                                st.live -= 1;
+                            }
+                            None => st.ready.push_back((ctx, lane)),
+                        }
+                    }
+                }
+                None => {
+                    st.live -= held.lanes.len();
+                    held.lanes.clear();
+                    demoted.extend(held.ctxs.drain(..).map(|c| c.trial));
+                }
+            }
+            if st.waiting > 0 {
+                self.wake.notify_all();
+            }
+        }
+        for (i, outcome) in finished {
+            if !report(i, outcome) {
+                self.close();
+                return false;
+            }
+        }
+        for i in demoted {
+            if !report(i, demote(i)) {
+                self.close();
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The scalar executor: each trial is a lane of one that finishes in its
+/// first block, through `trial_fn` and its retry chain.
+struct ScalarTrials<'a> {
+    cfg: &'a CampaignConfig,
+    hooks: CampaignHooks<'a>,
+    trial_fn: &'a TrialFn<'a>,
+}
+
+impl LaneEngine for ScalarTrials<'_> {
+    type Lane = TrialCtx;
+
+    fn group(&self) -> usize {
+        1
+    }
+
+    fn load(&self, ctx: &TrialCtx, _recycled: Option<TrialCtx>) -> TrialCtx {
+        *ctx
+    }
+
+    fn step(&self, lanes: &mut [TrialCtx]) -> Vec<Option<TrialOutcome>> {
+        (lanes.iter())
+            .map(|ctx| {
+                Some(run_one_trial(
+                    self.cfg,
+                    ctx.trial,
+                    &self.hooks,
+                    self.trial_fn,
+                ))
+            })
+            .collect()
+    }
+}
+
+/// The group executor: a block is one `run` call over the claimed
+/// trials, which finishes them all.
+impl LaneEngine for LaneGroups<'_> {
+    type Lane = TrialCtx;
+
+    fn group(&self) -> usize {
+        self.lanes
+    }
+
+    fn load(&self, ctx: &TrialCtx, _recycled: Option<TrialCtx>) -> TrialCtx {
+        *ctx
+    }
+
+    fn step(&self, lanes: &mut [TrialCtx]) -> Vec<Option<TrialOutcome>> {
+        (self.run)(lanes).into_iter().map(Some).collect()
+    }
 }
 
 /// One slot: run the attempt chain until an outcome or retry exhaustion.
-fn run_one_trial<F>(
+fn run_one_trial(
     cfg: &CampaignConfig,
     trial: usize,
     hooks: &CampaignHooks<'_>,
-    trial_fn: &F,
-) -> TrialOutcome
-where
-    F: Fn(&TrialCtx) -> TrialOutcome,
-{
+    trial_fn: &TrialFn<'_>,
+) -> TrialOutcome {
     let base = SeedSequence::seed_for(cfg.master_seed, trial as u64);
     let mut last = String::new();
     for attempt in 0..=cfg.max_retries {
@@ -1221,7 +1550,7 @@ mod tests {
             lanes: 5,
             run: &batch,
         };
-        let report = run_campaign_hooked(&cfg, hooks, Some(groups), outcome_for).unwrap();
+        let report = run_campaign_pooled(&cfg, hooks, &groups, outcome_for).unwrap();
         assert!(report.is_complete());
         let s = monitor.snapshot();
         assert_eq!((s.expected, s.started, s.finished), (12, 12, 12));
@@ -1272,7 +1601,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(3));
             outcome_for(ctx)
         };
-        let partial = run_campaign_hooked(&cfg, hooks, None, slow_trial).unwrap();
+        let partial = run_campaign_hooked(&cfg, hooks, slow_trial).unwrap();
         let streamed = seen.lock().unwrap().len();
         assert_eq!(partial.completed(), streamed, "every outcome streamed");
         assert!(
@@ -1285,8 +1614,7 @@ mod tests {
         // and renders byte-identically to an uninterrupted control run.
         let mut resume = cfg.clone();
         resume.resume = true;
-        let resumed =
-            run_campaign_hooked(&resume, CampaignHooks::default(), None, outcome_for).unwrap();
+        let resumed = run_campaign_hooked(&resume, CampaignHooks::default(), outcome_for).unwrap();
         assert!(resumed.is_complete());
         let mut control_cfg = CampaignConfig::new(40, 0xF00D);
         control_cfg.tag = "hooked".to_string();
@@ -1308,8 +1636,231 @@ mod tests {
             lanes: 4,
             run: &batch,
         };
-        let report = run_campaign_hooked(&cfg, hooks, Some(groups), outcome_for).unwrap();
+        let report = run_campaign_pooled(&cfg, hooks, &groups, outcome_for).unwrap();
         assert_eq!(report.completed(), 0, "pre-cancelled campaign runs nothing");
+    }
+
+    /// A lane engine whose trial `i` needs `1 + seed mod 7` blocks, and
+    /// whose blocks panic while they hold trial `doom`.
+    struct Blocks {
+        group: usize,
+        doom: Option<usize>,
+        /// The trials each panicking block held.
+        exploded: std::sync::Mutex<Vec<Vec<usize>>>,
+        /// Lanes stepped by more than one worker thread.
+        movers: std::sync::Mutex<std::collections::BTreeSet<usize>>,
+        /// How long each block takes.
+        pace: std::time::Duration,
+    }
+
+    impl Blocks {
+        fn new(group: usize, doom: Option<usize>) -> Blocks {
+            Blocks {
+                group,
+                doom,
+                exploded: std::sync::Mutex::new(Vec::new()),
+                movers: std::sync::Mutex::new(Default::default()),
+                pace: std::time::Duration::ZERO,
+            }
+        }
+    }
+
+    impl LaneEngine for Blocks {
+        type Lane = (TrialCtx, u64, Option<std::thread::ThreadId>);
+
+        fn group(&self) -> usize {
+            self.group
+        }
+
+        fn load(&self, ctx: &TrialCtx, _recycled: Option<Self::Lane>) -> Self::Lane {
+            (*ctx, 1 + ctx.seed % 7, None)
+        }
+
+        fn step(&self, lanes: &mut [Self::Lane]) -> Vec<Option<TrialOutcome>> {
+            std::thread::sleep(self.pace);
+            let trials: Vec<usize> = lanes.iter().map(|l| l.0.trial).collect();
+            if self.doom.is_some_and(|d| trials.contains(&d)) {
+                self.exploded.lock().unwrap().push(trials);
+                panic!("injected block failure");
+            }
+            let me = std::thread::current().id();
+            (lanes.iter_mut())
+                .map(|(ctx, left, last)| {
+                    if last.is_some_and(|t| t != me) {
+                        self.movers.lock().unwrap().insert(ctx.trial);
+                    }
+                    *last = Some(me);
+                    *left -= 1;
+                    (*left == 0).then(|| outcome_for(ctx))
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn pooled_campaign_matches_scalar_for_every_lane_and_thread_count() {
+        let cfg = CampaignConfig::new(41, 0x9001);
+        let scalar = run_campaign(&cfg, outcome_for).unwrap();
+        for lanes in [1, 3, 4, 8, 64] {
+            for threads in [1, 2, 4] {
+                let cfg = CampaignConfig {
+                    threads,
+                    ..cfg.clone()
+                };
+                let engine = Blocks::new(lanes, None);
+                let pooled =
+                    run_campaign_pooled(&cfg, CampaignHooks::default(), &engine, outcome_for)
+                        .unwrap();
+                assert_eq!(pooled, scalar, "lanes={lanes} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_block_demotes_exactly_its_trials() {
+        use std::sync::Mutex;
+        let mut cfg = CampaignConfig::new(30, 0xD00D);
+        cfg.threads = 2;
+        let scalar = run_campaign(&cfg, outcome_for).unwrap();
+        let engine = Blocks::new(4, Some(13));
+        let demoted: Mutex<Vec<(usize, u64, u32)>> = Mutex::new(Vec::new());
+        let trial = |ctx: &TrialCtx| {
+            demoted
+                .lock()
+                .unwrap()
+                .push((ctx.trial, ctx.seed, ctx.attempt));
+            outcome_for(ctx)
+        };
+        let pooled = run_campaign_pooled(&cfg, CampaignHooks::default(), &engine, trial).unwrap();
+        assert_eq!(pooled, scalar);
+        let exploded = engine.exploded.into_inner().unwrap();
+        assert_eq!(exploded.len(), 1, "one block held the doomed trial");
+        let mut held = exploded[0].clone();
+        held.sort_unstable();
+        let mut demoted = demoted.into_inner().unwrap();
+        demoted.sort_unstable();
+        let want: Vec<(usize, u64, u32)> = (held.iter())
+            .map(|&i| (i, SeedSequence::seed_for(0xD00D, i as u64), 0))
+            .collect();
+        assert_eq!(
+            demoted, want,
+            "the scalar chain reran exactly the block's trials"
+        );
+    }
+
+    #[test]
+    fn lanes_move_between_workers_as_the_pool_drains() {
+        // With two workers sharing a pool of 8, lanes change hands: the
+        // tail is split instead of queuing behind one worker.
+        let mut cfg = CampaignConfig::new(60, 0x7A1);
+        cfg.threads = 2;
+        let engine = Blocks {
+            pace: std::time::Duration::from_millis(1),
+            ..Blocks::new(4, None)
+        };
+        run_campaign_pooled(&cfg, CampaignHooks::default(), &engine, outcome_for).unwrap();
+        assert!(!engine.movers.into_inner().unwrap().is_empty());
+    }
+
+    #[test]
+    fn mid_run_cancel_starts_nothing_new_and_finishes_lanes_in_flight() {
+        let monitor = CampaignMonitor::new();
+        let cancel = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let started_at_cancel = AtomicUsize::new(0);
+        let on_trial = |_: usize, _: &TrialOutcome| {
+            if finished.fetch_add(1, Ordering::SeqCst) + 1 == 10 {
+                cancel.store(true, Ordering::SeqCst);
+                let started = monitor.snapshot().started as usize;
+                started_at_cancel.store(started, Ordering::SeqCst);
+            }
+        };
+        let hooks = CampaignHooks {
+            monitor: Some(&monitor),
+            cancel: Some(&cancel),
+            on_trial: Some(&on_trial),
+            ..CampaignHooks::default()
+        };
+        let mut cfg = CampaignConfig::new(400, 0xCA7);
+        cfg.threads = 2;
+        let engine = Blocks {
+            pace: std::time::Duration::from_micros(200),
+            ..Blocks::new(4, None)
+        };
+        let report = run_campaign_pooled(&cfg, hooks, &engine, outcome_for).unwrap();
+        let s = monitor.snapshot();
+        // Every trial that started finished, and after the cancel at most
+        // one claim per worker (already past its cancel check) started.
+        assert_eq!(s.started, s.finished);
+        assert_eq!(report.completed() as u64, s.finished);
+        assert!(report.completed() >= 10);
+        let at_cancel = started_at_cancel.load(Ordering::SeqCst) as u64;
+        assert!(s.started <= at_cancel + 2, "{} vs {at_cancel}", s.started);
+        assert!(report.completed() < 400);
+    }
+
+    /// [`Blocks`], checking at every load that the monitor counted
+    /// exactly the trials loaded so far as started.
+    struct Counted<'m> {
+        inner: Blocks,
+        monitor: &'m CampaignMonitor,
+        loads: AtomicUsize,
+    }
+
+    impl LaneEngine for Counted<'_> {
+        type Lane = <Blocks as LaneEngine>::Lane;
+
+        fn group(&self) -> usize {
+            self.inner.group()
+        }
+
+        fn load(&self, ctx: &TrialCtx, recycled: Option<Self::Lane>) -> Self::Lane {
+            let loads = self.loads.fetch_add(1, Ordering::SeqCst) as u64 + 1;
+            assert_eq!(
+                self.monitor.snapshot().started,
+                loads,
+                "trial {}",
+                ctx.trial
+            );
+            self.inner.load(ctx, recycled)
+        }
+
+        fn step(&self, lanes: &mut [Self::Lane]) -> Vec<Option<TrialOutcome>> {
+            self.inner.step(lanes)
+        }
+    }
+
+    #[test]
+    fn monitor_counts_each_trial_as_it_starts_and_finishes() {
+        let monitor = CampaignMonitor::new();
+        let seen: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+        let on_trial = |_: usize, _: &TrialOutcome| {
+            seen.lock().unwrap().push(monitor.snapshot().finished);
+        };
+        let hooks = CampaignHooks {
+            monitor: Some(&monitor),
+            on_trial: Some(&on_trial),
+            ..CampaignHooks::default()
+        };
+        let mut cfg = CampaignConfig::new(60, 0x5EE);
+        cfg.threads = 2;
+        let engine = Counted {
+            inner: Blocks::new(4, None),
+            monitor: &monitor,
+            loads: AtomicUsize::new(0),
+        };
+        // A load whose check fails is demoted to this chain, which panics.
+        let no_demotion = |_: &TrialCtx| -> TrialOutcome { panic!("a trial was demoted") };
+        let report = run_campaign_pooled(&cfg, hooks, &engine, no_demotion).unwrap();
+        assert!(!report.is_degraded(), "a load saw a wrong started count");
+        // Each outcome is counted finished before `on_trial` sees it.
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 60);
+        for (k, &finished) in seen.iter().enumerate() {
+            assert!(finished > k as u64, "{k}: {finished}");
+        }
+        let s = monitor.snapshot();
+        assert_eq!((s.expected, s.started, s.finished), (60, 60, 60));
     }
 
     #[test]
@@ -1325,7 +1876,7 @@ mod tests {
         let mut cfg = CampaignConfig::new(3, 11);
         cfg.max_retries = 2;
         cfg.threads = 1;
-        let report = run_campaign_hooked(&cfg, hooks, None, |ctx| {
+        let report = run_campaign_hooked(&cfg, hooks, |ctx| {
             if ctx.trial == 1 && ctx.attempt == 0 {
                 panic!("first attempt fails");
             }

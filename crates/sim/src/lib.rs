@@ -16,9 +16,11 @@
 //!   deterministic retries, a `TrialOutcome` taxonomy instead of
 //!   all-or-nothing, and crash-safe checkpoint manifests with exact
 //!   resume; [`run_campaign_batched`] drives the same machinery through
-//!   a batch engine, demoting failed groups to the scalar retry chain,
-//!   and [`run_campaign_hooked`] — the one driver behind both — adds a
-//!   live monitor, cancellation and per-trial callbacks;
+//!   a group executor, demoting failed groups to the scalar retry chain,
+//!   [`run_campaign_hooked`] adds a live monitor, cancellation and
+//!   per-trial callbacks, and [`run_campaign_pooled`] — the one driver
+//!   behind all three — shares a pool of [`LaneEngine`] lanes among the
+//!   workers, refilled from the pending trials as lanes finish;
 //! * [`MetricsRegistry`] — named counters/gauges/histograms with a
 //!   deterministic rendering, folded into campaign reports and
 //!   manifests;
@@ -66,8 +68,8 @@ pub mod stats;
 pub mod table;
 
 pub use campaign::{
-    run_campaign, run_campaign_batched, run_campaign_hooked, CampaignConfig, CampaignError,
-    CampaignHooks, CampaignReport, LaneGroups, TrialCtx, TrialOutcome,
+    run_campaign, run_campaign_batched, run_campaign_hooked, run_campaign_pooled, CampaignConfig,
+    CampaignError, CampaignHooks, CampaignReport, LaneEngine, LaneGroups, TrialCtx, TrialOutcome,
 };
 pub use metrics::MetricsRegistry;
 pub use monitor::{

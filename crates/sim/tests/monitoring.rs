@@ -24,7 +24,7 @@ where
         monitor,
         ..CampaignHooks::default()
     };
-    run_campaign_hooked(cfg, hooks, None, trial_fn)
+    run_campaign_hooked(cfg, hooks, trial_fn)
 }
 
 /// A deterministic mixed-outcome trial function: converges on most seeds,
