@@ -51,11 +51,12 @@
 //! regime the kernels optimize, with no consensus-tail variance) is run
 //! single-threaded with the kernel tier pinned to each tier the host
 //! supports (`scalar`, `avx2`), and the JSON gains a `simd` block with
-//! the selected tier, the host's vector CPU features and per-tier
-//! `ns_per_lane_step` / campaign throughput.  On AVX2
-//! hosts `--check-overhead` additionally gates the selected tier's
-//! sweep-campaign speedup on `complete_1k` at ≥ 2.8× the scalar engine;
-//! hosts without AVX2 record `"gate": "skipped (no avx2)"` instead.
+//! the selected tier, the host's vector CPU features and, per tier, the
+//! median and quartiles of `ns_per_lane_step` and of the speedup over
+//! [`SIMD_REPEATS`] interleaved rounds.  On AVX2 hosts `--check-overhead`
+//! additionally gates the selected tier's median sweep-campaign speedup
+//! on `complete_1k` at ≥ 2.8× the scalar engine; hosts without AVX2
+//! record `"gate": "skipped (no avx2)"` instead.
 //!
 //! A fifth section benchmarks the sharded-domain engine
 //! ([`div_core::ShardedProcess`]): one million-vertex trial (8-regular
@@ -144,6 +145,10 @@ const SHARD_SCALING_GATE: f64 = 2.5;
 /// hosts without AVX2 cannot run the vector drives and skip the gate
 /// with a recorded reason instead of failing.
 const SIMD_SPEEDUP_GATE: f64 = 2.8;
+
+/// Interleaved rounds of the SIMD section and of its gate; each row and
+/// the gate read the median round.
+const SIMD_REPEATS: usize = 7;
 
 /// The graph-build section's specs: the benchmark's `sharded_100k`
 /// circulant, its largest graph, and the random regular expander of its
@@ -586,14 +591,14 @@ fn measure_batch(budget: u64) -> Vec<BatchRow> {
 
 /// One per-tier SIMD measurement: the fixed batch campaign at
 /// `K = DEFAULT_LANES` lanes on one thread, forced to one kernel tier.
+/// Each `[p25, median, p75]` is over [`SIMD_REPEATS`] rounds.
 struct SimdTierRow {
     tier: &'static str,
     graph: &'static str,
-    ns_per_lane_step: f64,
-    campaign_steps_per_sec: f64,
+    ns_per_lane_step: [f64; 3],
     /// Campaign throughput relative to the scalar fast engine running
-    /// the same trials trial-by-trial.
-    speedup: f64,
+    /// the same trials trial-by-trial in the same round.
+    speedup: [f64; 3],
 }
 
 /// The SIMD kernel section: which tier auto-selection picked, the CPU
@@ -617,7 +622,7 @@ impl SimdSection {
         self.rows
             .iter()
             .find(|r| r.tier == self.selected && r.graph == "complete_1k")
-            .map(|r| r.speedup)
+            .map(|r| r.speedup[1])
     }
 }
 
@@ -664,36 +669,47 @@ fn sweep_opinions(g: &Graph) -> Vec<i64> {
     init::spread(n, n).unwrap()
 }
 
+/// [`SIMD_REPEATS`] interleaved rounds of the sweep campaign on `g`: the
+/// scalar-engine baseline, then each of `tiers`, so machine drift hits
+/// every arm equally.  Returns, per tier, each round's ns per lane-step
+/// and its speedup over the same round's baseline.
+fn simd_rounds(g: &Graph, tiers: &[KernelTier], budget: u64) -> Vec<(Vec<f64>, Vec<f64>)> {
+    let ops = sweep_opinions(g);
+    let mut out = vec![(Vec::new(), Vec::new()); tiers.len()];
+    for _ in 0..SIMD_REPEATS {
+        let (scalar_ns, steps) = scalar_campaign(g, &ops, SIMD_TRIALS, budget);
+        for (slot, &t) in tiers.iter().enumerate() {
+            let (ns, ts) = batch_campaign(g, &ops, SIMD_TRIALS, DEFAULT_LANES, 1, budget, Some(t));
+            assert_eq!(
+                steps,
+                ts,
+                "tier {} diverged from the scalar replay",
+                t.name()
+            );
+            out[slot].0.push(ns / steps as f64);
+            out[slot].1.push(scalar_ns / ns);
+        }
+    }
+    out
+}
+
+/// `[p25, median, p75]` of `xs`.
+fn quartiles(xs: &[f64]) -> [f64; 3] {
+    [0.25, 0.5, 0.75].map(|q| quantile(xs, q))
+}
+
 /// Measures the fixed sweep campaign under **every** kernel tier the
-/// host supports, single-threaded, on both benchmark graphs.  Rounds
-/// interleave the scalar-engine baseline with all tiers so machine
-/// drift hits every arm equally; each arm keeps its best round.
+/// host supports, single-threaded, on both benchmark graphs.
 fn measure_simd(budget: u64) -> SimdSection {
     let tiers = KernelTier::supported();
     let mut rows = Vec::new();
     for (gname, g) in graphs() {
-        let ops = sweep_opinions(&g);
-        let mut scalar_ns = f64::INFINITY;
-        let mut tier_ns = vec![f64::INFINITY; tiers.len()];
-        let mut steps = 0u64;
-        for _ in 0..3 {
-            let (ns, s) = scalar_campaign(&g, &ops, SIMD_TRIALS, budget);
-            scalar_ns = scalar_ns.min(ns);
-            steps = s;
-            for (slot, &t) in tiers.iter().enumerate() {
-                let (ns, ts) =
-                    batch_campaign(&g, &ops, SIMD_TRIALS, DEFAULT_LANES, 1, budget, Some(t));
-                assert_eq!(s, ts, "tier {} diverged from the scalar replay", t.name());
-                tier_ns[slot] = tier_ns[slot].min(ns);
-            }
-        }
-        for (slot, &t) in tiers.iter().enumerate() {
+        for (&t, (ns, speedup)) in tiers.iter().zip(simd_rounds(&g, &tiers, budget)) {
             rows.push(SimdTierRow {
                 tier: t.name(),
                 graph: gname,
-                ns_per_lane_step: tier_ns[slot] / steps as f64,
-                campaign_steps_per_sec: steps as f64 / (tier_ns[slot] * 1e-9),
-                speedup: scalar_ns / tier_ns[slot],
+                ns_per_lane_step: quartiles(&ns),
+                speedup: quartiles(&speedup),
             });
         }
     }
@@ -707,9 +723,10 @@ fn measure_simd(budget: u64) -> SimdSection {
 
 /// The live SIMD acceptance gate: on hosts with AVX2, the batch
 /// campaign under the auto-selected tier must beat the scalar campaign
-/// by at least [`SIMD_SPEEDUP_GATE`]× on `complete_1k` at
-/// `K = DEFAULT_LANES`, T=1.  Hosts without AVX2 skip with a note:
-/// their only tier is the scalar baseline itself.  Returns whether the
+/// by at least [`SIMD_SPEEDUP_GATE`]× in the median of
+/// [`SIMD_REPEATS`] rounds on `complete_1k` at `K = DEFAULT_LANES`, T=1.
+/// Hosts without AVX2 skip with a note: their only tier is the scalar
+/// baseline itself.  Returns whether the
 /// gate failed.
 fn check_simd_speedup(budget: u64) -> bool {
     if !KernelTier::Avx2.is_supported() {
@@ -717,18 +734,12 @@ fn check_simd_speedup(budget: u64) -> bool {
         return false;
     }
     let g = graphs().remove(0).1;
-    let ops = sweep_opinions(&g);
     let tier = KernelTier::active();
-    let (mut scalar_ns, mut batch_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let (ns, _) = scalar_campaign(&g, &ops, SIMD_TRIALS, budget);
-        scalar_ns = scalar_ns.min(ns);
-        let (ns, _) = batch_campaign(&g, &ops, SIMD_TRIALS, DEFAULT_LANES, 1, budget, Some(tier));
-        batch_ns = batch_ns.min(ns);
-    }
-    let speedup = scalar_ns / batch_ns;
+    let (_, speedups) = simd_rounds(&g, &[tier], budget).remove(0);
+    let speedup = quantile(&speedups, 0.5);
     println!(
-        "simd gate (complete_1k, K={DEFAULT_LANES}, tier {}): campaign speedup {speedup:.2}x (gate >= {SIMD_SPEEDUP_GATE}x)",
+        "simd gate (complete_1k, K={DEFAULT_LANES}, tier {}): median campaign speedup {speedup:.2}x \
+         over {SIMD_REPEATS} rounds (gate >= {SIMD_SPEEDUP_GATE}x)",
         tier.name()
     );
     if speedup < SIMD_SPEEDUP_GATE {
@@ -935,7 +946,6 @@ fn measure_batch_campaign() -> Vec<PoolRow> {
             samples[arm].1.push(lane_secs / (slots * wall));
         }
     }
-    let quartiles = |xs: &[f64]| [0.25, 0.5, 0.75].map(|q| quantile(xs, q));
     threads
         .iter()
         .zip(&samples)
@@ -1266,7 +1276,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"simd\": {{\"lanes\": {}, \"selected\": \"{}\", \"cpu_features\": \"{}\", ",
+        "  \"simd\": {{\"lanes\": {}, \"repeats\": {SIMD_REPEATS}, \"selected\": \"{}\", \"cpu_features\": \"{}\", ",
         simd.lanes, simd.selected, simd.cpu_features
     ));
     match simd.gate_speedup() {
@@ -1274,14 +1284,16 @@ fn main() {
         None => json.push_str("\"gate\": \"skipped (no avx2)\", \"rows\": [\n"),
     }
     for (i, r) in simd.rows.iter().enumerate() {
+        let [ns25, ns50, ns75] = r.ns_per_lane_step;
+        let [sp25, sp50, sp75] = r.speedup;
         json.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"graph\": \"{}\", \"ns_per_lane_step\": {:.2}, \
-             \"campaign_steps_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"tier\": \"{}\", \"graph\": \"{}\", \"ns_per_lane_step\": {ns50:.2}, \
+             \"ns_per_lane_step_p25\": {ns25:.2}, \"ns_per_lane_step_p75\": {ns75:.2}, \
+             \"campaign_steps_per_sec\": {:.0}, \"speedup\": {sp50:.2}, \
+             \"speedup_p25\": {sp25:.2}, \"speedup_p75\": {sp75:.2}}}{}\n",
             r.tier,
             r.graph,
-            r.ns_per_lane_step,
-            r.campaign_steps_per_sec,
-            r.speedup,
+            1e9 / ns50,
             if i + 1 < simd.rows.len() { "," } else { "" }
         ));
     }
@@ -1416,13 +1428,17 @@ fn main() {
     );
     for r in &simd.rows {
         println!(
-            "{:>12}/simd K={} tier {:6}  {:5.2} ns/lane-step   campaign {:>12.0} steps/s   speedup {:4.2}x",
+            "{:>12}/simd K={} tier {:6}  median {:5.2} ns/lane-step [IQR {:.2}–{:.2}]   \
+             speedup {:4.2}x [IQR {:.2}–{:.2}] over {SIMD_REPEATS} rounds",
             r.graph,
             simd.lanes,
             r.tier,
-            r.ns_per_lane_step,
-            r.campaign_steps_per_sec,
-            r.speedup
+            r.ns_per_lane_step[1],
+            r.ns_per_lane_step[0],
+            r.ns_per_lane_step[2],
+            r.speedup[1],
+            r.speedup[0],
+            r.speedup[2]
         );
     }
     for r in &shard.rows {

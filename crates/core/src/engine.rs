@@ -124,8 +124,10 @@ pub(crate) fn block_len(n: usize) -> u64 {
 }
 
 /// The bare DIV step on a column of offsets: `v` moves one unit toward
-/// `w`'s opinion (branchless signum, no bookkeeping).  Every bare block
-/// loop, scalar and AVX2, steps through this one function.
+/// `w`'s opinion (branchless signum, no bookkeeping).  Every scalar bare
+/// block loop steps through this one function; the AVX2 lockstep drives
+/// keep an unchecked copy of it (`kernels::avx2`), bounded once per
+/// drive instead of once per step.
 #[inline(always)]
 pub(crate) fn toward(col: &mut [u32], v: usize, w: usize) {
     let xv = col[v];
@@ -195,7 +197,14 @@ pub(crate) enum CompiledSampler {
     /// a single draw `j ∈ [0, 2m)` addresses the directed edge
     /// `(endpoints[j], endpoints[j ^ 1])`, so the endpoint flip is the low
     /// bit of the same draw and both loads share a cache line.
-    Edge { endpoints: Vec<u32>, two_m: u64 },
+    /// `vertex_bound` is 1 + the largest endpoint: the column length the
+    /// AVX2 edge drive needs, checked once per drive in
+    /// `kernels::drive_group` (see the unsafe policy in `kernels`).
+    Edge {
+        endpoints: Vec<u32>,
+        two_m: u64,
+        vertex_bound: usize,
+    },
     /// Packed Walker alias table over the degree distribution:
     /// `slot = threshold << 32 | alias`.  One word draws the (biased)
     /// vertex — high half picks the slot, low half decides slot vs alias —
@@ -231,6 +240,7 @@ impl CompiledSampler {
                     endpoints.push(b as u32);
                 }
                 CompiledSampler::Edge {
+                    vertex_bound: endpoints.iter().max().map_or(0, |&x| x as usize + 1),
                     endpoints,
                     two_m: 2 * m as u64,
                 }
@@ -252,6 +262,7 @@ impl CompiledSampler {
             CompiledSampler::Edge {
                 ref endpoints,
                 two_m,
+                ..
             } => EdgePick { endpoints, two_m }.pick(rng),
             CompiledSampler::Alias { ref slots, n } => AliasPick { g, slots, n }.pick(rng),
         };
@@ -272,6 +283,7 @@ impl CompiledSampler {
             CompiledSampler::Edge {
                 ref endpoints,
                 two_m,
+                ..
             } => d.drive(EdgePick { endpoints, two_m }),
             CompiledSampler::Alias { ref slots, n } => d.drive(AliasPick { g, slots, n }),
         }
@@ -1670,6 +1682,28 @@ mod tests {
                 family(&g, FastScheduler::Vertex),
                 CompiledSampler::CompletePair { .. }
             ));
+        }
+    }
+
+    /// The AVX2 edge drive indexes lane columns with endpoints unchecked
+    /// once `kernels::drive_group` has compared the columns with the
+    /// compiled bound, so the bound must cover every endpoint.
+    #[test]
+    fn compiled_edge_bound_is_one_past_the_largest_endpoint() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for g in [
+            generators::star(9).unwrap(),
+            generators::barbell(5, 3).unwrap(),
+            generators::wheel(11).unwrap(),
+            generators::random_regular(60, 5, &mut rng).unwrap(),
+        ] {
+            let largest = g.edges().map(|(a, b)| a.max(b)).max().unwrap();
+            match CompiledSampler::compile(&g, FastScheduler::Edge) {
+                CompiledSampler::Edge { vertex_bound, .. } => {
+                    assert_eq!(vertex_bound, largest + 1)
+                }
+                other => panic!("expected the edge family, got {other:?}"),
+            }
         }
     }
 

@@ -13,14 +13,25 @@
 //! "avx2")]` function, so Rust makes the dispatchers in `super` call it
 //! inside `unsafe {}`; each checks `is_x86_feature_detected!("avx2")`
 //! (through `KernelTier::is_supported`) on the same call first.
-//! Internal `unsafe {}` blocks are limited to 32-byte in-bounds vector
-//! loads and `transmute` between `__m256i` and plain integer arrays of
-//! the same size (no padding, all bit patterns valid).
+//! Internal `unsafe {}` blocks come in three kinds:
+//!
+//! * 32-byte in-bounds vector loads;
+//! * `transmute` between `__m256i` and plain integer arrays of the same
+//!   size (no padding, all bit patterns valid);
+//! * unchecked lane-column and edge-table accesses in the lockstep
+//!   drives.  Each is bounded once per drive, not once per step: the
+//!   drives are `unsafe fn`s whose `# Safety` contracts (column lengths
+//!   against the sampler's vertex bound, the edge table's length) are
+//!   exactly the entry asserts of `super::drive_group`, and inside the
+//!   step one `vpminud` clamps every drawn index to its table, so no
+//!   access depends on the draw arithmetic being right.  The clamp never
+//!   changes a correct draw, so every lane stays bit-exact.  Each such
+//!   block names the assert or clamp that bounds it and `debug_assert!`s
+//!   its index.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
-use crate::engine::toward;
 use crate::rng::FastRng;
 
 /// `x <<< 23` on each 64-bit element.
@@ -128,6 +139,24 @@ impl Rng4x {
     }
 }
 
+/// `engine::toward` without bounds checks: `v` moves one unit toward
+/// `w`'s opinion.
+///
+/// # Safety
+///
+/// `v < col.len()` and `w < col.len()`.
+#[inline(always)]
+unsafe fn toward_unchecked(col: &mut [u32], v: usize, w: usize) {
+    debug_assert!(v < col.len() && w < col.len());
+    // SAFETY: the caller guarantees both indices are in bounds.
+    unsafe {
+        let xv = *col.get_unchecked(v);
+        let xw = *col.get_unchecked(w);
+        let delta = (xw > xv) as i32 - (xw < xv) as i32;
+        *col.get_unchecked_mut(v) = (xv as i32 + delta) as u32;
+    }
+}
+
 /// Constants of the complete-pair draw.
 #[derive(Clone, Copy)]
 struct PairConsts {
@@ -137,6 +166,8 @@ struct PairConsts {
     nm1v: __m256i,
     tv: __m256i,
     tw: __m256i,
+    /// `n − 1` in every 32-bit element: the clamp on both packed indices.
+    last: __m256i,
 }
 
 impl PairConsts {
@@ -154,12 +185,15 @@ impl PairConsts {
             // compare is exact.
             tv: _mm256_set1_epi64x((n.wrapping_neg() % n) as i64),
             tw: _mm256_set1_epi64x((nm1.wrapping_neg() % nm1) as i64),
+            last: _mm256_set1_epi32(nm1 as i32),
         }
     }
 }
 
 /// The complete-pair draw on four lanes with masked redraw: returns
-/// `v | (w << 32)` per lane (packed so one spill serves both indices).
+/// `v | (w << 32)` per lane (packed so one spill serves both indices),
+/// each half clamped to `n − 1`.  A correct draw is already `< n`, so
+/// the clamp changes nothing but bounds the column accesses.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn pair_draw(rng4: &mut Rng4x, c: PairConsts) -> __m256i {
@@ -182,35 +216,37 @@ fn pair_draw(rng4: &mut Rng4x, c: PairConsts) -> __m256i {
     let w0 = _mm256_srli_epi64::<32>(mw);
     // Skip over v: w = w0 + (w0 ≥ v) = w0 + 1 + (v > w0 ? −1 : 0).
     let w = _mm256_add_epi64(_mm256_add_epi64(w0, c.one), _mm256_cmpgt_epi64(v, w0));
-    _mm256_or_si256(v, _mm256_slli_epi64::<32>(w))
-}
-
-/// Applies four packed `v | (w << 32)` draws to four lane columns.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn toward4(cols: &mut [&mut [u32]; 4], vw: __m256i) {
-    let a = lanes_of(vw);
-    for j in 0..4 {
-        toward(cols[j], a[j] as u32 as usize, (a[j] >> 32) as usize);
-    }
+    _mm256_min_epu32(_mm256_or_si256(v, _mm256_slli_epi64::<32>(w)), c.last)
 }
 
 /// Lockstep drive for the complete-pair sampler on four lanes: one word
 /// per step per lane, high half → `v` over `n`, low half → `w` over
 /// `n − 1` with the skip-over-`v` map.  Rejection of either half
 /// redraws the whole word, per lane, exactly as the scalar pick does.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `n ≥ 2`, and every column is at least `n`
+/// long (the entry asserts of `super::drive_group`).
 #[target_feature(enable = "avx2")]
-pub(super) fn drive_complete_pair(
+pub(super) unsafe fn drive_complete_pair(
     cols: &mut [&mut [u32]; 4],
     rngs: &mut [FastRng; 4],
     n: u32,
     steps: u64,
 ) {
+    debug_assert!(n >= 2 && cols.iter().all(|c| c.len() >= n as usize));
     let mut rng4 = Rng4x::load(rngs);
     let c = PairConsts::new(n);
     for _ in 0..steps {
-        let vw = pair_draw(&mut rng4, c);
-        toward4(cols, vw);
+        let vw = lanes_of(pair_draw(&mut rng4, c));
+        for j in 0..4 {
+            let (v, w) = (vw[j] as u32 as usize, (vw[j] >> 32) as usize);
+            // SAFETY: `pair_draw` clamps both halves to `n − 1`, and the
+            // contract (drive_group's entry assert) makes every column
+            // at least `n` long.
+            unsafe { toward_unchecked(cols[j], v, w) };
+        }
     }
     rng4.store(rngs);
 }
@@ -247,45 +283,61 @@ fn bounded_masked(rng4: &mut Rng4x, words: &mut __m256i, range: u64, t: u64) -> 
     }
 }
 
-/// One edge draw for four lanes (redraws rolled in), applied to the lane
-/// columns through the endpoint table.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn edge_step(rng4: &mut Rng4x, cols: &mut [&mut [u32]; 4], endpoints: &[u32], two_m: u64, t: u64) {
-    let mut words = rng4.next_words();
-    let idx = lanes_of(bounded_masked(rng4, &mut words, two_m, t));
-    for j in 0..4 {
-        let a = endpoints[idx[j] as usize] as usize;
-        let b = endpoints[idx[j] as usize ^ 1] as usize;
-        toward(cols[j], a, b);
-    }
-}
-
 /// Lockstep drive for the edge sampler on four lanes: one 64-bit Lemire
 /// draw `j ∈ [0, 2m)` per step per lane addresses the directed edge
-/// `(endpoints[j], endpoints[j ^ 1])`.  `two_m < 2³²` is guaranteed by
-/// `super::accelerates`.
+/// `(endpoints[j], endpoints[j ^ 1])`, where `2m = endpoints.len()`.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `endpoints.len()` is even and in `(0, 2³²)`,
+/// and every column is longer than every endpoint (the entry asserts of
+/// `super::drive_group` against the compiled vertex bound).
 #[target_feature(enable = "avx2")]
-pub(super) fn drive_edge(
+pub(super) unsafe fn drive_edge(
     cols: &mut [&mut [u32]; 4],
     rngs: &mut [FastRng; 4],
     endpoints: &[u32],
-    two_m: u64,
     steps: u64,
 ) {
-    debug_assert!(two_m < (1u64 << 32));
+    let two_m = endpoints.len() as u64;
+    debug_assert!(two_m > 0 && two_m.is_multiple_of(2) && two_m < (1u64 << 32));
     let mut rng4 = Rng4x::load(rngs);
     let t = two_m.wrapping_neg() % two_m;
+    // 2m − 1 in the low half of each 64-bit element, 0 in the high half.
+    let last = _mm256_set1_epi64x(two_m as i64 - 1);
     for _ in 0..steps {
-        edge_step(&mut rng4, cols, endpoints, two_m, t);
+        let mut words = rng4.next_words();
+        let idx = bounded_masked(&mut rng4, &mut words, two_m, t);
+        // A correct draw is `< 2m`, so the clamp changes nothing; it
+        // bounds the table loads whatever the draw arithmetic does.
+        let idx = lanes_of(_mm256_min_epu32(idx, last));
+        for j in 0..4 {
+            let e = idx[j] as usize;
+            debug_assert!(e < endpoints.len() && e ^ 1 < endpoints.len());
+            // SAFETY: the clamp above bounds `e ≤ 2m − 1`, and `2m` is
+            // even (the contract; drive_group's entry assert), so
+            // `e ^ 1 ≤ 2m − 1` too.
+            let (a, b) = unsafe {
+                (
+                    *endpoints.get_unchecked(e) as usize,
+                    *endpoints.get_unchecked(e ^ 1) as usize,
+                )
+            };
+            // SAFETY: every endpoint is below every column's length (the
+            // contract; drive_group's entry assert on the vertex bound).
+            unsafe { toward_unchecked(cols[j], a, b) };
+        }
     }
     rng4.store(rngs);
 }
 
 /// One masked 64-bit Lemire draw per lane (test/bench entry for the
-/// vectorised sampler).  `range` must be in `(0, 2³²)`.
+/// vectorised sampler).  `range` must be in `(0, 2³²)`, where the draw's
+/// 96-bit product split holds; `super` routes every other range to the
+/// scalar draw.
 #[target_feature(enable = "avx2")]
 pub(super) fn bounded_u64_x4(rngs: &mut [FastRng; 4], range: u64) -> [u64; 4] {
+    debug_assert!(range > 0 && range < (1u64 << 32));
     let mut rng4 = Rng4x::load(rngs);
     let t = range.wrapping_neg() % range;
     let mut words = rng4.next_words();

@@ -63,8 +63,14 @@
 //! below makes that call only after `KernelTier::is_supported` held on
 //! the same call.  Inside `avx2.rs` every `unsafe {}` block is a
 //! pointer-free `transmute` between vector and plain-integer arrays
-//! (same size, no padding, any bit pattern valid) or an in-bounds
-//! vector load.
+//! (same size, no padding, any bit pattern valid), an in-bounds
+//! vector load, or an unchecked lane-column or edge-table access of a
+//! lockstep drive.  Those accesses are bounded once per drive, by the
+//! entry asserts of [`drive_group`] (the four columns share one length
+//! that covers the sampler's compiled vertex bound; the edge table is
+//! non-empty, even and below 2³²), and once per step by a `vpminud`
+//! clamp of each drawn index to its table, so no memory access depends
+//! on the draw arithmetic being right.
 
 use crate::engine::CompiledSampler;
 use crate::rng::FastRng;
@@ -191,11 +197,17 @@ pub(crate) fn accelerates(tier: KernelTier, sampler: &CompiledSampler) -> bool {
 /// single-lane loop would.  `cols` are the lanes' (disjoint) opinion
 /// columns.
 ///
+/// The AVX2 drives step without bounds checks; the asserts at entry are
+/// what bound their accesses, once per call.
+///
 /// # Panics
 ///
-/// Panics unless [`accelerates`] holds for `tier` and `sampler` and
-/// this CPU supports `tier` (the batch engine routes every other batch
-/// to the single-lane loop, and holds only supported tiers).
+/// Panics unless the four columns share one length that covers the
+/// sampler's vertex bound (`n` for the complete-pair family, 1 + the
+/// largest endpoint for the edge family), and unless [`accelerates`]
+/// holds for `tier` and `sampler` and this CPU supports `tier` (the
+/// batch engine routes every other batch to the single-lane loop, and
+/// holds only supported tiers).
 #[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn drive_group(
@@ -205,19 +217,42 @@ pub(crate) fn drive_group(
     rngs: &mut [FastRng; GROUP],
     steps: u64,
 ) {
+    let n = cols[0].len();
+    assert!(
+        cols.iter().all(|c| c.len() == n),
+        "lane columns must share one length"
+    );
+    let vertex_bound = match sampler {
+        CompiledSampler::CompletePair { n } => *n as usize,
+        CompiledSampler::Edge { vertex_bound, .. } => *vertex_bound,
+        _ => unreachable!("{} does not accelerate this sampler family", tier.name()),
+    };
+    assert!(
+        vertex_bound <= n,
+        "lane columns of length {n} do not cover the sampler's vertex bound {vertex_bound}"
+    );
     #[cfg(target_arch = "x86_64")]
     let vector = tier == KernelTier::Avx2 && tier.is_supported();
     match sampler {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `vector` checked that this CPU supports AVX2.
-        CompiledSampler::CompletePair { n } if vector => unsafe {
-            avx2::drive_complete_pair(cols, rngs, *n, steps)
-        },
+        CompiledSampler::CompletePair { n } if vector => {
+            assert!(*n >= 2, "a complete-pair draw needs two vertices");
+            // SAFETY: `vector` checked that this CPU supports AVX2; the
+            // asserts above give n ≥ 2 and every column ≥ n long.
+            unsafe { avx2::drive_complete_pair(cols, rngs, *n, steps) }
+        }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `vector` checked that this CPU supports AVX2.
-        CompiledSampler::Edge { endpoints, two_m } if vector => unsafe {
-            avx2::drive_edge(cols, rngs, endpoints, *two_m, steps)
-        },
+        CompiledSampler::Edge { endpoints, .. } if vector => {
+            let two_m = endpoints.len() as u64;
+            assert!(
+                two_m > 0 && two_m.is_multiple_of(2) && two_m < (1u64 << 32),
+                "edge table of {two_m} entries is not an even length in (0, 2³²)"
+            );
+            // SAFETY: `vector` checked that this CPU supports AVX2; the
+            // assert above bounds the table, and the vertex-bound assert
+            // makes every column longer than every endpoint.
+            unsafe { avx2::drive_edge(cols, rngs, endpoints, steps) }
+        }
         _ => unreachable!("{} does not accelerate this sampler family", tier.name()),
     }
 }
@@ -252,17 +287,21 @@ pub fn min_max_u32(xs: &[u32], tier: KernelTier) -> (u32, u32) {
 /// statistical acceptance tests and benchmarks can hit the vectorised
 /// sampler directly.
 ///
+/// The vector tier covers `range < 2³²` (the batch engine's edge-table
+/// regime); every tier takes the scalar draw for larger ranges.
+///
 /// # Panics
 ///
-/// Debug-panics unless `0 < range < 2³²` (the batch engine's edge-table
-/// regime).
+/// Panics if `range == 0`.
 #[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
 pub fn bounded_u64_x4(tier: KernelTier, rngs: &mut [FastRng; 4], range: u64) -> [u64; 4] {
-    debug_assert!(range > 0 && range < (1u64 << 32));
+    assert!(range > 0, "bounded draw over an empty range");
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard checked that this CPU supports AVX2.
-        KernelTier::Avx2 if tier.is_supported() => unsafe { avx2::bounded_u64_x4(rngs, range) },
+        KernelTier::Avx2 if tier.is_supported() && range < (1u64 << 32) => unsafe {
+            avx2::bounded_u64_x4(rngs, range)
+        },
         _ => rngs
             .each_mut()
             .map(|rng| crate::engine::bounded_u64(rng, range)),
@@ -337,6 +376,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Ranges of 2³² and above take the scalar draw on every tier: the
+    /// vector draw's 96-bit product split holds only below 2³².
+    #[test]
+    fn bounded_x4_matches_the_scalar_draw_above_two_to_the_32() {
+        for range in [(1u64 << 32) + 3, (1u64 << 40) + 1, u64::MAX] {
+            for tier in tiers() {
+                let mut lanes: [FastRng; 4] =
+                    std::array::from_fn(|j| FastRng::seed_from_u64(0x7A11 + 17 * j as u64));
+                let mut scalar = lanes;
+                for _ in 0..64 {
+                    let got = bounded_u64_x4(tier, &mut lanes, range);
+                    for (j, rng) in scalar.iter_mut().enumerate() {
+                        assert_eq!(got[j], bounded_u64(rng, range), "lane {j} {tier:?} {range}");
+                    }
+                }
+                assert_eq!(lanes, scalar, "{tier:?} {range}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn bounded_x4_rejects_an_empty_range() {
+        let mut lanes: [FastRng; 4] = std::array::from_fn(|j| FastRng::seed_from_u64(j as u64));
+        bounded_u64_x4(KernelTier::detect(), &mut lanes, 0);
+    }
+
+    /// Drives one group under `sampler` with the given column lengths.
+    /// The entry asserts must reject bad lengths before any tier runs, so
+    /// these panic (and read nothing out of bounds) on every host.
+    fn drive_with_lengths(sampler: &CompiledSampler, lens: [usize; GROUP]) {
+        let mut cols: [Vec<u32>; GROUP] = lens.map(|len| (0..len as u32).collect());
+        let mut rngs: [FastRng; GROUP] = std::array::from_fn(|j| FastRng::seed_from_u64(j as u64));
+        let mut slices = cols.each_mut().map(|c| c.as_mut_slice());
+        drive_group(KernelTier::Avx2, sampler, &mut slices, &mut rngs, 10_000);
+    }
+
+    fn edge_sampler() -> CompiledSampler {
+        let g = div_graph::generators::wheel(12).unwrap();
+        CompiledSampler::compile(&g, crate::FastScheduler::Edge)
+    }
+
+    fn pair_sampler() -> CompiledSampler {
+        let g = div_graph::generators::complete(12).unwrap();
+        CompiledSampler::compile(&g, crate::FastScheduler::Edge)
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn drive_group_rejects_a_short_edge_lane_column() {
+        drive_with_lengths(&edge_sampler(), [12, 12, 3, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not cover the sampler's vertex bound 12")]
+    fn drive_group_rejects_edge_columns_below_the_vertex_bound() {
+        drive_with_lengths(&edge_sampler(), [11; GROUP]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn drive_group_rejects_a_short_pair_lane_column() {
+        drive_with_lengths(&pair_sampler(), [12, 12, 12, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not cover the sampler's vertex bound 12")]
+    fn drive_group_rejects_pair_columns_below_the_vertex_bound() {
+        drive_with_lengths(&pair_sampler(), [5; GROUP]);
     }
 
     fn chi_square_bounded_x4(tier: KernelTier, seed: u64, range: u64, draws: u64) {

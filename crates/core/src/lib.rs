@@ -84,8 +84,10 @@
 // `kernels` that call into it).  Its entry points are
 // `#[target_feature(enable = "avx2")]` functions, called only after the
 // runtime feature check passed; its interior unsafety is limited to
-// in-bounds vector loads and size-equal transmutes.  Unsafe
-// operations inside any `unsafe fn` still require explicit blocks.
+// in-bounds vector loads, size-equal transmutes and the lockstep drives'
+// unchecked column and edge-table accesses, bounded once per drive by
+// `kernels::drive_group`'s entry asserts and per step by an index clamp.
+// Unsafe operations inside any `unsafe fn` still require explicit blocks.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
