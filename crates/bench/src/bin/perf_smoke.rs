@@ -55,8 +55,11 @@
 //! median and quartiles of `ns_per_lane_step` and of the speedup over
 //! [`SIMD_REPEATS`] interleaved rounds.  On AVX2 hosts `--check-overhead`
 //! additionally gates the selected tier's median sweep-campaign speedup
-//! on `complete_1k` at ≥ 2.8× the scalar engine; hosts without AVX2
-//! record `"gate": "skipped (no avx2)"` instead.
+//! on `complete_1k` at ≥ 1.3× the scalar fast engine, whose clean runs
+//! step the batch engine's single-lane loop, so the ratio is what the
+//! AVX2 lockstep drives add (see [`SIMD_SPEEDUP_GATE`] for how the limit
+//! was re-baselined from 2.8×); hosts without AVX2 record
+//! `"gate": "skipped (no avx2)"` instead.
 //!
 //! A fifth section benchmarks the sharded-domain engine
 //! ([`div_core::ShardedProcess`]): one million-vertex trial (8-regular
@@ -144,7 +147,16 @@ const SHARD_SCALING_GATE: f64 = 2.5;
 /// the densest per-step workload) with the auto-selected kernel tier;
 /// hosts without AVX2 cannot run the vector drives and skip the gate
 /// with a recorded reason instead of failing.
-const SIMD_SPEEDUP_GATE: f64 = 2.8;
+///
+/// The limit was 2.8 while the scalar campaign stepped a loop that kept
+/// the count table and the range walk per step.  That loop is gone:
+/// the scalar campaign now runs the single-lane block loop the batch
+/// engine's scalar tier runs, so a tier pinned to scalar reads ≈ 1.0.
+/// Within a round, the old loop took r = 2.13 times the lane loop's time
+/// (the scalar-tier `speedup` of the last ledger recorded with it; 2.19
+/// in one more run), so the same absolute bar over the lane loop is
+/// 2.8 / r ≈ 1.31 (1.28): the limit is 1.3.
+const SIMD_SPEEDUP_GATE: f64 = 1.3;
 
 /// Interleaved rounds of the SIMD section and of its gate; each row and
 /// the gate read the median round.

@@ -2,14 +2,13 @@
 //!
 //! A Monte-Carlo campaign runs many independent trials of the same
 //! instance (one graph, one initial opinion vector, per-trial seeds).
-//! [`FastProcess`] executes those trials one at a time at ~5 ns/step,
-//! and every one of those steps pays for more than the step itself: the
-//! per-opinion count table, the live-range walk and the convergence
-//! check that exact stopping needs are all maintained *incrementally*,
-//! on the hot path.
-//!
-//! [`BatchProcess`] runs `K` trials ("lanes") of one compiled instance
-//! and splits that per-step work into three rates:
+//! [`FastProcess`] runs those trials one at a time, each on its own
+//! compiled sampler and count table.  [`BatchProcess`] runs `K` trials
+//! ("lanes") of one compiled instance: one compilation and one scratch
+//! count table serve every lane, a lane pool can move lanes between
+//! workers, and on the AVX2 tier lanes step in lockstep groups of four.
+//! Each lane splits its work into the three rates of the fast engine's
+//! block loop:
 //!
 //! * **per lane-step** (the hot loop): one sampler draw from the lane's
 //!   own stream and one bare branchless toward-step — a `u32` load /
@@ -133,13 +132,12 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::SeedableRng;
 
-use crate::engine::{block_len, bounded_u64, CompiledSampler, FastState, Lane};
+use crate::engine::{analytic_finish, block_len, CompiledSampler, FastState, Lane};
 use crate::error::DivError;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::kernels::{self, KernelTier};
 use crate::process::RunStatus;
 use crate::rng::FastRng;
-use crate::scheduler::SelectionBias;
 use crate::state::OpinionState;
 use crate::telemetry::{NullObserver, Observer, Phase, PhaseEvent, TelemetrySample};
 use crate::{FastScheduler, FinishPolicy};
@@ -447,8 +445,8 @@ impl<'g> BatchProcess<'g> {
 
     /// Lane `l`'s result after a run to `stop_width`: classified like the
     /// scalar `status()` when the lane got there, `StepLimit` when the
-    /// budget ran out first (matching `run_blocks`, which only classifies
-    /// on a hit).
+    /// budget ran out first (matching the fast engine, which only
+    /// classifies on a hit).
     fn result_for(&self, l: usize, stop_width: u32) -> RunStatus {
         let (mn, mx) = self.column_min_max(l);
         let w = mx - mn;
@@ -748,45 +746,14 @@ impl<'g> BatchProcess<'g> {
             FinishPolicy::Simulate => self.run_to_consensus(max_steps),
             FinishPolicy::AnalyticTwoAdjacent => {
                 let statuses = self.run_to_two_adjacent(max_steps);
-                statuses
-                    .into_iter()
-                    .enumerate()
-                    .map(|(l, status)| match status {
-                        RunStatus::TwoAdjacent { low, high, steps } => {
-                            let high_wins = match self.kind.selection_bias() {
-                                SelectionBias::Stationary => {
-                                    let n = self.initial.len() as u64;
-                                    let hits = self.count(l, high) as u64;
-                                    bounded_u64(&mut self.lanes[l].rng, n) < hits
-                                }
-                                SelectionBias::UniformVertex => {
-                                    let two_m = self.graph.total_degree() as u64;
-                                    let mass = self.degree_mass_of(l, high);
-                                    bounded_u64(&mut self.lanes[l].rng, two_m) < mass
-                                }
-                            };
-                            RunStatus::Consensus {
-                                opinion: if high_wins { high } else { low },
-                                steps,
-                            }
-                        }
-                        done => done,
+                let (graph, kind, base) = (self.graph, self.kind, self.base);
+                (statuses.into_iter().zip(&mut self.lanes))
+                    .map(|(status, lane)| {
+                        analytic_finish(status, graph, kind, &lane.column, base, &mut lane.rng)
                     })
                     .collect()
             }
         }
-    }
-
-    /// `d(A_i)` for `opinion` in lane `l` (`O(n)` column scan, only
-    /// needed once per lane, at `τ`).
-    fn degree_mass_of(&self, l: usize, opinion: i64) -> u64 {
-        let off = (opinion - self.base) as u32;
-        self.column(l)
-            .iter()
-            .enumerate()
-            .filter(|&(_, &x)| x == off)
-            .map(|(v, _)| self.graph.degree(v) as u64)
-            .sum()
     }
 
     /// Runs every lane to consensus under a fault plan.
@@ -881,7 +848,7 @@ impl<'g> BatchProcess<'g> {
             steps: &mut lane.steps,
             tier: self.tier,
         }
-        .run_faulty(max_steps, &mut session, &mut lane.rng, stop_width);
+        .run(max_steps, Some(&mut session), &mut lane.rng, stop_width);
         Ok((self.result_for(l, stop_width), *session.stats()))
     }
 }

@@ -21,23 +21,24 @@
 //!   instead of the generic `gen_range` plumbing.
 //! * **[`FastRng`] (xoshiro256++)** instead of `StdRng` — a handful of ALU
 //!   ops per word instead of a ChaCha block.
-//! * **Block stepping**: the stop condition is hoisted out of the inner
-//!   loop and checked once per block.  Both stop predicates are *monotone*
-//!   along a DIV trajectory (the opinion range never expands, so
-//!   "range width ≤ w" never becomes false once true), hence a block whose
-//!   endpoint satisfies the predicate contains the first hit; the engine
-//!   rewinds to the block's start snapshot and replays stepwise to report
-//!   the exact first-hit step count — block size never changes results.
-//! * **One lane loop**: [`Lane`] runs bare blocks — one pick and one
-//!   [`toward`] step, no per-opinion counts, one min/max scan per block —
-//!   with an exact rewind to the first hit.  Every batch lane outside an
-//!   AVX2 lockstep group runs it fault-free (a check-free loop), and so
-//!   do drop and stubborn plans: those faults only delete steps, so the
-//!   range still never expands.  There a step adds the stubborn check (no
-//!   draw) and, when the drop rate is positive, one drop draw compared
-//!   as an integer ([`FaultSession::filter`]'s exact draw order); fault
+//! * **One block loop**: [`Lane`] runs bare blocks — one pick and one
+//!   [`toward`] step, no per-opinion counts, no stop check — and scans
+//!   min/max once per block.  Both stop predicates are *monotone* along
+//!   a DIV trajectory (the opinion range never expands, so "range width
+//!   ≤ w" never becomes false once true), hence a block whose endpoint
+//!   satisfies the predicate contains the first hit; the lane rewinds to
+//!   the block's start (opinions and RNG) and replays stepwise, with
+//!   full bookkeeping, to the exact first-hit step — block size never
+//!   changes results.  A run that spends its budget recounts once.
+//!   Every clean [`FastProcess`] run and every batch lane outside an
+//!   AVX2 lockstep group runs this loop check-free, and so do drop and
+//!   stubborn plans: those faults only delete steps, so the range still
+//!   never expands.  There a step adds the stubborn check (no draw) and,
+//!   when the drop rate is positive, one drop draw compared as an
+//!   integer ([`FaultSession::filter`]'s exact draw order); fault
 //!   counters are booked once per block.  Noise, stale and crash faults
-//!   step one at a time through [`FaultSession::filter`].
+//!   step one at a time through [`FaultSession::filter`].  Observed runs
+//!   keep the counts per step (see [`FastProcess::run_observed`]).
 //! * **Branchless updates**: the signum and the aggregate increments
 //!   compile to arithmetic, not branches; the only data-dependent branch
 //!   left is the (rare) range-boundary shrink.
@@ -115,10 +116,44 @@ pub enum FinishPolicy {
     AnalyticTwoAdjacent,
 }
 
-/// Steps per block of the bare block loops ([`Lane`] and the batch
-/// engine's lockstep groups).  A block pays one `O(n)` snapshot and one
-/// `O(n)` scan, and the block that holds a run's first hit is replayed
-/// once at replay speed, so long blocks cost almost nothing.
+/// [`FinishPolicy::AnalyticTwoAdjacent`]'s last step, shared by the fast
+/// and batch engines: a run stopped at `τ` (`TwoAdjacent`) becomes
+/// `Consensus` on the winner of Lemma 5's exact law — `P[high wins]` is
+/// `N_high/n` under the edge process, `d(A_high)/2m` under the vertex
+/// process — with one exact integer draw from `rng`, counted on the
+/// trajectory's column `col` of offsets from `base`.  Any other status
+/// passes through unchanged.
+pub(crate) fn analytic_finish<R: RngCore + ?Sized>(
+    status: RunStatus,
+    graph: &Graph,
+    kind: FastScheduler,
+    col: &[u32],
+    base: i64,
+    rng: &mut R,
+) -> RunStatus {
+    let RunStatus::TwoAdjacent { low, high, steps } = status else {
+        return status;
+    };
+    let high_off = (high - base) as u32;
+    let holders = col.iter().enumerate().filter(|&(_, &x)| x == high_off);
+    let high_wins = match kind.selection_bias() {
+        SelectionBias::Stationary => bounded_u64(rng, col.len() as u64) < holders.count() as u64,
+        SelectionBias::UniformVertex => {
+            let mass: u64 = holders.map(|(v, _)| graph.degree(v) as u64).sum();
+            bounded_u64(rng, graph.total_degree() as u64) < mass
+        }
+    };
+    RunStatus::Consensus {
+        opinion: if high_wins { high } else { low },
+        steps,
+    }
+}
+
+/// Steps per block of every block loop ([`Lane`], the batch engine's
+/// lockstep groups and [`FastProcess::run_observed`]).  A block pays one
+/// `O(n)` snapshot and one `O(n)` scan, and the block that holds a run's
+/// first hit is replayed once at replay speed, so long blocks cost
+/// almost nothing.
 pub(crate) fn block_len(n: usize) -> u64 {
     (4 * n as u64).max(8192)
 }
@@ -669,38 +704,44 @@ impl<S: DerefMut<Target = [u32]>> Lane<'_, S> {
         (v, self.state.sum_off - before)
     }
 
-    /// Steps under a fault plan until the range width is at most
-    /// `stop_width` (`true`) or `max_steps` steps are spent (`false`),
-    /// with the per-step semantics of [`Lane::step`]: width check, then
-    /// budget, then one step.  Range-preserving plans take the block
-    /// engine, every other plan the per-step loop.  The state must be
-    /// counted on entry, and is on return.
-    pub(crate) fn run_faulty<R: Rng + Clone>(
+    /// Steps, clean (`faults = None`) or under a fault plan, until the
+    /// range width is at most `stop_width` (`true`) or `max_steps` steps
+    /// are spent (`false`), with the per-step semantics of a width check,
+    /// then the budget, then one step.  Clean runs and range-preserving
+    /// plans take the block engine, which recounts the state once when
+    /// the budget runs out; every other plan steps one at a time through
+    /// [`Lane::step`].  The state must be counted on entry, and is on
+    /// return.
+    pub(crate) fn run<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
-        faults: &mut FaultSession,
+        faults: Option<&mut FaultSession>,
         rng: &mut R,
         stop_width: u32,
     ) -> bool {
         if self.state.width() <= stop_width {
             return true;
         }
-        if faults.plan().preserves_range() {
-            let hit = self.run_blocks(max_steps, Some(faults), rng, stop_width, &mut Vec::new());
-            if !hit {
-                self.state.recount();
+        match faults {
+            Some(faults) if !faults.plan().preserves_range() => {
+                let mut remaining = max_steps;
+                while self.state.width() > stop_width {
+                    if remaining == 0 {
+                        return false;
+                    }
+                    remaining -= 1;
+                    self.step(faults, rng);
+                }
+                true
             }
-            return hit;
-        }
-        let mut remaining = max_steps;
-        while self.state.width() > stop_width {
-            if remaining == 0 {
-                return false;
+            faults => {
+                let hit = self.run_blocks(max_steps, faults, rng, stop_width, &mut Vec::new());
+                if !hit {
+                    self.state.recount();
+                }
+                hit
             }
-            remaining -= 1;
-            self.step(faults, rng);
         }
-        true
     }
 
     /// The block engine, for clean lanes (`faults = None`) and
@@ -874,7 +915,7 @@ pub struct FastProcess<'g> {
     state: FastState,
     base: i64,
     steps: u64,
-    /// The tier of the faulty block engine's width scans (a pure speed
+    /// The tier of the block engine's width scans (a pure speed
     /// knob, see [`crate::kernels`]).
     tier: KernelTier,
 }
@@ -990,7 +1031,7 @@ impl<'g> FastProcess<'g> {
         max_steps: u64,
         rng: &mut R,
     ) -> RunStatus {
-        self.run_blocks(max_steps, rng, 0)
+        self.run_width(max_steps, None, rng, 0)
     }
 
     /// Runs until at most two adjacent opinions remain (`τ`), or until
@@ -1000,7 +1041,7 @@ impl<'g> FastProcess<'g> {
         max_steps: u64,
         rng: &mut R,
     ) -> RunStatus {
-        self.run_blocks(max_steps, rng, 1)
+        self.run_width(max_steps, None, rng, 1)
     }
 
     /// Runs to consensus under the given [`FinishPolicy`].
@@ -1019,25 +1060,11 @@ impl<'g> FastProcess<'g> {
     ) -> RunStatus {
         match policy {
             FinishPolicy::Simulate => self.run_to_consensus(max_steps, rng),
-            FinishPolicy::AnalyticTwoAdjacent => match self.run_to_two_adjacent(max_steps, rng) {
-                RunStatus::TwoAdjacent { low, high, steps } => {
-                    let high_wins = match self.kind.selection_bias() {
-                        SelectionBias::Stationary => {
-                            let n = self.state.opinions.len() as u64;
-                            bounded_u64(rng, n) < self.count(high) as u64
-                        }
-                        SelectionBias::UniformVertex => {
-                            let two_m = self.graph.total_degree() as u64;
-                            bounded_u64(rng, two_m) < self.degree_mass_of(high)
-                        }
-                    };
-                    RunStatus::Consensus {
-                        opinion: if high_wins { high } else { low },
-                        steps,
-                    }
-                }
-                done => done,
-            },
+            FinishPolicy::AnalyticTwoAdjacent => {
+                let status = self.run_to_two_adjacent(max_steps, rng);
+                let col = &self.state.opinions;
+                analytic_finish(status, self.graph, self.kind, col, self.base, rng)
+            }
         }
     }
 
@@ -1083,7 +1110,7 @@ impl<'g> FastProcess<'g> {
         faults: &mut FaultSession,
         rng: &mut R,
     ) -> RunStatus {
-        self.run_faulty_width(max_steps, faults, rng, 0)
+        self.run_width(max_steps, Some(faults), rng, 0)
     }
 
     /// Runs under a fault model until at most two adjacent opinions
@@ -1094,66 +1121,22 @@ impl<'g> FastProcess<'g> {
         faults: &mut FaultSession,
         rng: &mut R,
     ) -> RunStatus {
-        self.run_faulty_width(max_steps, faults, rng, 1)
+        self.run_width(max_steps, Some(faults), rng, 1)
     }
 
-    fn run_faulty_width<R: Rng + Clone>(
+    /// Every unobserved run: [`Lane::run`] on this process's lane.
+    fn run_width<R: Rng + Clone>(
         &mut self,
         max_steps: u64,
-        faults: &mut FaultSession,
+        faults: Option<&mut FaultSession>,
         rng: &mut R,
         stop_width: u32,
     ) -> RunStatus {
-        if self.lane().run_faulty(max_steps, faults, rng, stop_width) {
+        if self.lane().run(max_steps, faults, rng, stop_width) {
             self.status()
         } else {
             RunStatus::StepLimit { steps: self.steps }
         }
-    }
-
-    /// Runs to consensus with telemetry: stride-boundary samples plus
-    /// exact phase-transition events delivered to `obs`.
-    ///
-    /// Block stepping stays intact — the engine cuts blocks at stride
-    /// boundaries to take samples and reuses the block-snapshot replay to
-    /// locate the `τ` and consensus crossings at their **exact** steps
-    /// (both predicates are monotone along fault-free trajectories).
-    /// With a disabled observer ([`Observer::ENABLED`]` == false`, e.g.
-    /// [`crate::NullObserver`]) this monomorphises to a direct call to
-    /// the unobserved block engine: provably zero overhead.
-    ///
-    /// Samples land on the lattice `stride·ℕ` of the *global* step
-    /// counter; the initial state is always reported via
-    /// [`Observer::on_start`] and the terminal one via
-    /// [`Observer::on_finish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn run_observed<R: RngCore + Clone, O: Observer>(
-        &mut self,
-        max_steps: u64,
-        rng: &mut R,
-        stride: u64,
-        obs: &mut O,
-    ) -> RunStatus {
-        self.run_blocks_observed(max_steps, rng, 0, stride, obs)
-    }
-
-    /// [`FastProcess::run_observed`] stopping at the two-adjacent stage
-    /// (the paper's `τ`) instead of consensus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn run_observed_to_two_adjacent<R: RngCore + Clone, O: Observer>(
-        &mut self,
-        max_steps: u64,
-        rng: &mut R,
-        stride: u64,
-        obs: &mut O,
-    ) -> RunStatus {
-        self.run_blocks_observed(max_steps, rng, 1, stride, obs)
     }
 
     /// Runs under a fault model to consensus with telemetry: stride
@@ -1179,7 +1162,7 @@ impl<'g> FastProcess<'g> {
         obs: &mut O,
     ) -> RunStatus {
         if !O::ENABLED {
-            return self.run_faulty_width(max_steps, faults, rng, 0);
+            return self.run_width(max_steps, Some(faults), rng, 0);
         }
         assert!(stride > 0, "stride must be positive");
         let start = Instant::now();
@@ -1219,29 +1202,46 @@ impl<'g> FastProcess<'g> {
         self.status()
     }
 
-    /// The observed block engine: [`FastProcess::run_blocks`] with blocks
-    /// additionally cut at stride boundaries for sampling.  A sub-block
-    /// whose endpoint crosses a phase (or the stop predicate) triggers
-    /// the usual rewind-and-replay from the big block's snapshot, which
-    /// locates the crossing's exact step; monotonicity guarantees the
-    /// replay sees it.  Emitted samples are deduplicated against replays
-    /// via `last_sampled`.
-    fn run_blocks_observed<R: RngCore + Clone, O: Observer>(
+    /// Runs to consensus with telemetry: stride-boundary samples plus
+    /// exact phase-transition events delivered to `obs`.
+    ///
+    /// The observed loop steps with the counts kept per step: a sample
+    /// at every stride boundary reads the registers (`S(t)`, min/max,
+    /// distinct), and a bare block would add an `O(n)` rescan to every
+    /// `stride` steps.  Blocks of [`block_len`] steps are cut at stride
+    /// boundaries to take samples; a sub-block whose endpoint crosses a
+    /// phase rewinds to the block's snapshot and replays the identical
+    /// stream to locate the `τ` and consensus crossings at their
+    /// **exact** steps (both predicates are monotone along fault-free
+    /// trajectories).  Emitted samples are deduplicated against replays
+    /// via `last_sampled`.  With a disabled observer
+    /// ([`Observer::ENABLED`]` == false`, e.g. [`crate::NullObserver`])
+    /// this monomorphises to a direct call to
+    /// [`FastProcess::run_to_consensus`]: provably zero overhead.
+    ///
+    /// Samples land on the lattice `stride·ℕ` of the *global* step
+    /// counter; the initial state is always reported via
+    /// [`Observer::on_start`] and the terminal one via
+    /// [`Observer::on_finish`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride == 0`.
+    pub fn run_observed<R: RngCore + Clone, O: Observer>(
         &mut self,
         max_steps: u64,
         rng: &mut R,
-        stop_width: u32,
         stride: u64,
         obs: &mut O,
     ) -> RunStatus {
         if !O::ENABLED {
-            return self.run_blocks(max_steps, rng, stop_width);
+            return self.run_to_consensus(max_steps, rng);
         }
         assert!(stride > 0, "stride must be positive");
         let start = Instant::now();
         let mut dw_off = self.degree_weighted_off_sum();
         obs.on_start(&self.telemetry_sample_at(self.steps, dw_off));
-        if self.state.width() <= stop_width {
+        if self.is_consensus() {
             obs.on_finish(
                 &self.telemetry_sample_at(self.steps, dw_off),
                 start.elapsed(),
@@ -1249,7 +1249,7 @@ impl<'g> FastProcess<'g> {
             return self.status();
         }
         let mut next_phase = self.first_pending_phase();
-        let block = (self.state.opinions.len() as u64).max(1024);
+        let block = block_len(self.state.opinions.len());
         let mut snap = Vec::new();
         let mut remaining = max_steps;
         let mut last_sampled = self.steps;
@@ -1269,9 +1269,10 @@ impl<'g> FastProcess<'g> {
                     dw_off += (self.state.sum_off - before) * self.graph.degree(v) as i64;
                 }
                 done += sub;
+                // Consensus is the last phase, so a phase hit covers the
+                // stop too.
                 let width = self.state.width();
-                let phase_hit = next_phase < PHASES.len() && width <= PHASES[next_phase].0;
-                if width <= stop_width || phase_hit {
+                if next_phase < PHASES.len() && width <= PHASES[next_phase].0 {
                     // The crossing is inside the block: rewind to the
                     // block snapshot and replay the identical RNG stream
                     // stepwise to locate its exact step.
@@ -1294,7 +1295,7 @@ impl<'g> FastProcess<'g> {
                             });
                             next_phase += 1;
                         }
-                        if w_now <= stop_width {
+                        if w_now == 0 {
                             self.steps = step_no;
                             obs.on_finish(
                                 &self.telemetry_sample_at(self.steps, dw_off),
@@ -1307,9 +1308,9 @@ impl<'g> FastProcess<'g> {
                             obs.on_sample(&self.telemetry_sample_at(step_no, dw_off));
                         }
                     }
-                    // The stop predicate did not fire, so the hit was a
-                    // phase crossing only (now emitted); the replay has
-                    // advanced state and RNG back to the sub-block end.
+                    // Consensus did not fire, so the hit was `τ` only (now
+                    // emitted); the replay has advanced state and RNG back
+                    // to the sub-block end.
                 } else if (self.steps + done).is_multiple_of(stride) {
                     last_sampled = self.steps + done;
                     obs.on_sample(&self.telemetry_sample_at(last_sampled, dw_off));
@@ -1375,67 +1376,6 @@ impl<'g> FastProcess<'g> {
             max: self.max_opinion(),
             distinct,
         }
-    }
-
-    /// `d(A_i)` for `opinion`, by an `O(n)` scan (only needed once, at `τ`).
-    fn degree_mass_of(&self, opinion: i64) -> u64 {
-        let off = (opinion - self.base) as u32;
-        self.state
-            .opinions
-            .iter()
-            .enumerate()
-            .filter(|&(_, &o)| o == off)
-            .map(|(v, _)| self.graph.degree(v) as u64)
-            .sum()
-    }
-
-    /// The block engine.  `stop_width` is 0 (consensus) or 1 (two
-    /// adjacent); both predicates are monotone along DIV trajectories, so
-    /// checking only at block boundaries and replaying the hitting block
-    /// from its snapshot reproduces the exact stepwise semantics.
-    fn run_blocks<R: RngCore + Clone>(
-        &mut self,
-        max_steps: u64,
-        rng: &mut R,
-        stop_width: u32,
-    ) -> RunStatus {
-        if self.state.width() <= stop_width {
-            return self.status();
-        }
-        // The snapshot is the opinions alone (O(n) per block, amortised
-        // O(1) per step); `counts` is span-sized, so a rewind rebuilds it
-        // once instead of every block copying it.
-        let block = (self.state.opinions.len() as u64).max(1024);
-        let mut snap = Vec::new();
-        let mut remaining = max_steps;
-        while remaining > 0 {
-            let b = block.min(remaining);
-            snap.clone_from(&self.state.opinions);
-            let snap_rng = rng.clone();
-            for _ in 0..b {
-                let (v, w) = self.sampler.pick(self.graph, rng);
-                self.state.apply(v, w);
-            }
-            if self.state.width() <= stop_width {
-                // The first hit is inside this block: rewind and replay
-                // the identical RNG stream with per-step checks.
-                self.state.opinions.copy_from_slice(&snap);
-                self.state.recount();
-                *rng = snap_rng;
-                for _ in 0..b {
-                    let (v, w) = self.sampler.pick(self.graph, rng);
-                    self.state.apply(v, w);
-                    self.steps += 1;
-                    if self.state.width() <= stop_width {
-                        return self.status();
-                    }
-                }
-                unreachable!("stop held at block end but not in replay");
-            }
-            self.steps += b;
-            remaining -= b;
-        }
-        RunStatus::StepLimit { steps: self.steps }
     }
 
     /// The stopped-state classification at the current instant.
@@ -1823,18 +1763,64 @@ mod tests {
         );
     }
 
+    /// The bare blocks leave the count table behind and a run that
+    /// spends its budget recounts once: its registers must equal a
+    /// rescan of its opinions.
+    fn assert_registers_match_a_rescan(p: &FastProcess<'_>) {
+        let state = p.opinion_state();
+        state.check_invariants();
+        assert_eq!(p.sum(), state.sum());
+        assert_eq!(p.min_opinion(), state.min_opinion());
+        assert_eq!(p.max_opinion(), state.max_opinion());
+        for x in p.min_opinion() - 1..=p.max_opinion() + 1 {
+            assert_eq!(p.count(x), state.count(x), "count of {x}");
+        }
+    }
+
     #[test]
     fn step_limit_is_exact() {
         let g = generators::path(50).unwrap();
         let mut rng = FastRng::seed_from_u64(3);
         let opinions = init::spread(50, 5).unwrap();
-        let mut p = FastProcess::new(&g, opinions, FastScheduler::Vertex).unwrap();
+        let mut p = FastProcess::new(&g, opinions.clone(), FastScheduler::Vertex).unwrap();
         let status = p.run_to_consensus(10, &mut rng);
         assert_eq!(status, RunStatus::StepLimit { steps: 10 });
         assert_eq!(p.steps(), 10);
+        assert_registers_match_a_rescan(&p);
         // An odd, non-block-aligned budget also lands exactly.
         let status = p.run_to_consensus(1537, &mut rng);
         assert_eq!(status.steps(), 1547);
+        assert_registers_match_a_rescan(&p);
+
+        // A run cut into odd budgets, inside one block and across block
+        // ends, stops where one call with their sum stops.
+        let opinions = init::spread(50, 40).unwrap();
+        let budgets = [1u64, 8191, 8193, 3, 20_001, 5, 77_777, 1_000_003];
+        for stop in [0, 1] {
+            let run = |p: &mut FastProcess<'_>, budget, rng: &mut FastRng| match stop {
+                0 => p.run_to_consensus(budget, rng),
+                _ => p.run_to_two_adjacent(budget, rng),
+            };
+            let mut whole = FastProcess::new(&g, opinions.clone(), FastScheduler::Vertex).unwrap();
+            let mut whole_rng = FastRng::seed_from_u64(9);
+            let whole_status = run(&mut whole, budgets.iter().sum(), &mut whole_rng);
+            let mut cut = FastProcess::new(&g, opinions.clone(), FastScheduler::Vertex).unwrap();
+            let mut cut_rng = FastRng::seed_from_u64(9);
+            let mut limits = 0;
+            let mut status = RunStatus::StepLimit { steps: 0 };
+            for budget in budgets {
+                status = run(&mut cut, budget, &mut cut_rng);
+                if let RunStatus::StepLimit { .. } = status {
+                    assert_registers_match_a_rescan(&cut);
+                    limits += 1;
+                }
+            }
+            assert!(limits >= 4, "only {limits} budget-exhausted returns");
+            assert_eq!(status, whole_status, "stop width {stop}");
+            assert_eq!(cut.steps(), whole.steps());
+            assert_eq!(cut.opinions(), whole.opinions());
+            assert_eq!(cut_rng.next_u64(), whole_rng.next_u64());
+        }
     }
 
     #[test]

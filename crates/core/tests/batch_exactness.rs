@@ -9,12 +9,19 @@
 //! under fault plans, regardless of how many lanes share the batch, and
 //! under **every kernel tier the host supports** (the vectorized drives
 //! must be indistinguishable from the scalar ones, not merely close).
+//!
+//! Clean fast runs and clean batch lanes share one block loop, so a
+//! fault in it would show in both alike.  The clean-run tests therefore
+//! also hold both against [`stepwise`], a per-step loop that shares no
+//! code with the block loop.
 
-use div_core::{init, BatchProcess, FastProcess, FastRng, FastScheduler, FaultPlan, KernelTier};
+use div_core::{
+    init, BatchProcess, FastProcess, FastRng, FastScheduler, FaultPlan, KernelTier, RunStatus,
+};
 use div_graph::generators;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// A small connected workload graph chosen by an index.
 fn workload_graph(pick: u8, size: usize, seed: u64) -> div_graph::Graph {
@@ -54,6 +61,70 @@ fn lane_seeds(k: usize, base: u64) -> Vec<u64> {
 /// lane statuses, lane step counts and final opinion vectors.
 type TierObservables = (Vec<div_core::RunStatus>, Vec<u64>, Vec<Vec<i64>>);
 
+/// What a clean run leaves behind: status, step count, final opinions
+/// and the next word of its stream.
+type Stepwise = (RunStatus, u64, Vec<i64>, u64);
+
+/// The oracle of clean runs: a width check, then the budget, then one
+/// public [`FastProcess::step_faulty`] call under the trivial plan, which
+/// draws nothing beyond the pair — until the range width is at most
+/// `stop_width` or `budget` steps are spent.
+fn stepwise(
+    g: &div_graph::Graph,
+    opinions: &[i64],
+    kind: FastScheduler,
+    seed: u64,
+    budget: u64,
+    stop_width: i64,
+) -> Stepwise {
+    let mut p = FastProcess::new(g, opinions.to_vec(), kind).unwrap();
+    let mut session = FaultPlan::none().session(opinions).unwrap();
+    let mut rng = FastRng::seed_from_u64(seed);
+    let mut remaining = budget;
+    let status = loop {
+        let (lo, hi) = (p.min_opinion(), p.max_opinion());
+        if hi - lo <= stop_width {
+            break if lo == hi {
+                RunStatus::Consensus {
+                    opinion: lo,
+                    steps: p.steps(),
+                }
+            } else {
+                RunStatus::TwoAdjacent {
+                    low: lo,
+                    high: hi,
+                    steps: p.steps(),
+                }
+            };
+        }
+        if remaining == 0 {
+            break RunStatus::StepLimit { steps: p.steps() };
+        }
+        remaining -= 1;
+        p.step_faulty(&mut session, &mut rng);
+    };
+    (status, p.steps(), p.opinions(), rng.next_u64())
+}
+
+/// A clean fast-engine run's [`Stepwise`] observables, through the
+/// public entry point for `stop_width` (0 or 1).
+fn fast_run(
+    g: &div_graph::Graph,
+    opinions: &[i64],
+    kind: FastScheduler,
+    seed: u64,
+    budget: u64,
+    stop_width: i64,
+) -> Stepwise {
+    let mut p = FastProcess::new(g, opinions.to_vec(), kind).unwrap();
+    let mut rng = FastRng::seed_from_u64(seed);
+    let status = match stop_width {
+        0 => p.run_to_consensus(budget, &mut rng),
+        _ => p.run_to_two_adjacent(budget, &mut rng),
+    };
+    (status, p.steps(), p.opinions(), rng.next_u64())
+}
+
 /// A fault plan chosen by an index: drop/stubborn plans (the thinned
 /// block engine) and noise/stale plans (the per-step loop).
 fn fault_plan(pick: u8) -> (&'static str, FaultPlan) {
@@ -71,7 +142,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fault-free lanes: every lane's outcome, step count and final
-    /// opinion vector equal a scalar fast-engine run with the same seed.
+    /// opinion vector equal a scalar fast-engine run with the same seed,
+    /// and both equal the per-step oracle (the fast run's stream
+    /// position too).
     #[test]
     fn lanes_are_bit_exact_vs_scalar_replay(
         gpick in any::<u8>(),
@@ -88,6 +161,13 @@ proptest! {
         let mut orng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let opinions = init::uniform_random(g.num_vertices(), k, &mut orng).unwrap();
         let seeds = lane_seeds(lanes, seed);
+        let mut oracle = Vec::new();
+        for (l, &s) in seeds.iter().enumerate() {
+            let want = stepwise(&g, &opinions, kind, s, budget, 0);
+            let got = fast_run(&g, &opinions, kind, s, budget, 0);
+            prop_assert_eq!(&got, &want, "lane {} against the per-step oracle", l);
+            oracle.push(want);
+        }
 
         for tier in KernelTier::supported() {
             let mut batch = BatchProcess::new(&g, opinions.clone(), kind, &seeds).unwrap();
@@ -95,6 +175,10 @@ proptest! {
             let statuses = batch.run_to_consensus(budget);
 
             for (l, &s) in seeds.iter().enumerate() {
+                let (want, want_steps, want_ops, _) = &oracle[l];
+                prop_assert_eq!(statuses[l], *want, "lane {} oracle status ({})", l, tier.name());
+                prop_assert_eq!(batch.steps(l), *want_steps, "lane {} oracle steps", l);
+                prop_assert_eq!(&batch.opinions_of(l), want_ops, "lane {} oracle opinions", l);
                 let mut p = FastProcess::new(&g, opinions.clone(), kind).unwrap();
                 let mut rng = FastRng::seed_from_u64(s);
                 let status = p.run_to_consensus(budget, &mut rng);
@@ -204,7 +288,8 @@ proptest! {
 }
 
 /// A one-shot deep check on a denser instance than proptest's small
-/// cases: two-adjacent stopping must agree lane by lane as well.
+/// cases: two-adjacent stopping must agree lane by lane as well, and
+/// with the per-step oracle.
 #[test]
 fn two_adjacent_stop_matches_scalar_on_a_regular_graph() {
     let mut rng = StdRng::seed_from_u64(5);
@@ -221,6 +306,10 @@ fn two_adjacent_stop_matches_scalar_on_a_regular_graph() {
         let status = p.run_to_two_adjacent(u64::MAX, &mut frng);
         assert_eq!(statuses[l], status, "lane {l}");
         assert_eq!(batch.opinions_of(l), p.opinions(), "lane {l}");
+        let want = stepwise(&g, &opinions, FastScheduler::Edge, s, u64::MAX, 1);
+        let got = (status, p.steps(), p.opinions(), frng.next_u64());
+        assert_eq!(got, want, "lane {l} against the per-step oracle");
+        assert_eq!(batch.steps(l), want.1, "lane {l} oracle steps");
     }
 }
 
@@ -229,6 +318,7 @@ fn two_adjacent_stop_matches_scalar_on_a_regular_graph() {
 /// the fast engine lane for lane on every tier and both processes —
 /// through a budget that ends mid-range and through consensus.  Six
 /// lanes give the AVX2 tier one lockstep group plus two single lanes.
+/// The fast runs must also equal the per-step oracle.
 #[test]
 fn span_above_u16_lanes_match_scalar_replay() {
     let g = generators::complete(16).unwrap();
@@ -237,6 +327,12 @@ fn span_above_u16_lanes_match_scalar_replay() {
     let seeds = lane_seeds(6, 0x7_0000);
     for kind in [FastScheduler::Edge, FastScheduler::Vertex] {
         for budget in [50_000u64, u64::MAX] {
+            for (l, &s) in seeds.iter().enumerate() {
+                let want = stepwise(&g, &opinions, kind, s, budget, 0);
+                let got = fast_run(&g, &opinions, kind, s, budget, 0);
+                let at = format!("lane {l}, {kind:?}, budget {budget}");
+                assert_eq!(got, want, "{at} against the per-step oracle");
+            }
             for tier in KernelTier::supported() {
                 let mut batch = BatchProcess::new(&g, opinions.clone(), kind, &seeds).unwrap();
                 batch.set_kernel_tier(tier);

@@ -1640,8 +1640,9 @@ mod tests {
         assert_eq!(report.completed(), 0, "pre-cancelled campaign runs nothing");
     }
 
-    /// A lane engine whose trial `i` needs `1 + seed mod 7` blocks, and
-    /// whose blocks panic while they hold trial `doom`.
+    /// A lane engine whose trial `i` needs `1 + seed mod 7` blocks (two
+    /// under a hand-off script), and whose blocks panic while they hold
+    /// trial `doom`.
     struct Blocks {
         group: usize,
         doom: Option<usize>,
@@ -1651,6 +1652,7 @@ mod tests {
         movers: std::sync::Mutex<std::collections::BTreeSet<usize>>,
         /// How long each block takes.
         pace: std::time::Duration,
+        handoff: Option<HandOff>,
     }
 
     impl Blocks {
@@ -1661,6 +1663,68 @@ mod tests {
                 exploded: std::sync::Mutex::new(Vec::new()),
                 movers: std::sync::Mutex::new(Default::default()),
                 pace: std::time::Duration::ZERO,
+                handoff: None,
+            }
+        }
+
+        /// The campaign has reported trial `i` (an `on_trial` hook).
+        fn reported(&self, i: usize) {
+            if let Some(h) = &self.handoff {
+                h.state.lock().unwrap().reported.insert(i);
+                h.changed.notify_all();
+            }
+        }
+    }
+
+    /// A handshake that makes a lane change workers on every schedule,
+    /// for three trials of two blocks on two workers in blocks of at most
+    /// two lanes.  The first claim takes two of the three lanes, and its
+    /// block returns only once the third trial is reported, so two lanes
+    /// remain and each later claim takes one.  A worker does not step
+    /// while a lane it put back waits in the pool, so the lane the first
+    /// worker leaves behind goes to the other worker.
+    #[derive(Default)]
+    struct HandOff {
+        state: Mutex<HandOffState>,
+        changed: Condvar,
+    }
+
+    #[derive(Default)]
+    struct HandOffState {
+        loaded: std::collections::BTreeSet<usize>,
+        reported: std::collections::BTreeSet<usize>,
+        /// Unfinished lanes in the pool, by the worker that stepped them.
+        parked: BTreeMap<usize, std::thread::ThreadId>,
+    }
+
+    impl HandOff {
+        /// Before a block: the held lanes leave the pool, then the worker
+        /// waits until no lane it put back is still there.
+        fn claim(&self, held: &[usize], me: std::thread::ThreadId) {
+            let mut st = self.state.lock().unwrap();
+            for t in held {
+                st.parked.remove(t);
+            }
+            self.changed.notify_all();
+            let _st = (self.changed)
+                .wait_while(st, |st| st.parked.values().any(|&w| w == me))
+                .unwrap();
+        }
+
+        /// After a block: a block of several lanes waits until every
+        /// other loaded trial is reported, then the unfinished lanes go
+        /// back to the pool.
+        fn put_back(&self, held: &[usize], unfinished: &[usize], me: std::thread::ThreadId) {
+            let mut st = self.state.lock().unwrap();
+            if held.len() > 1 {
+                st = (self.changed)
+                    .wait_while(st, |st| {
+                        (st.loaded.iter()).any(|t| !held.contains(t) && !st.reported.contains(t))
+                    })
+                    .unwrap();
+            }
+            for &t in unfinished {
+                st.parked.insert(t, me);
             }
         }
     }
@@ -1673,6 +1737,10 @@ mod tests {
         }
 
         fn load(&self, ctx: &TrialCtx, _recycled: Option<Self::Lane>) -> Self::Lane {
+            if let Some(h) = &self.handoff {
+                h.state.lock().unwrap().loaded.insert(ctx.trial);
+                return (*ctx, 2, None);
+            }
             (*ctx, 1 + ctx.seed % 7, None)
         }
 
@@ -1684,7 +1752,10 @@ mod tests {
                 panic!("injected block failure");
             }
             let me = std::thread::current().id();
-            (lanes.iter_mut())
+            if let Some(h) = &self.handoff {
+                h.claim(&trials, me);
+            }
+            let results: Vec<Option<TrialOutcome>> = (lanes.iter_mut())
                 .map(|(ctx, left, last)| {
                     if last.is_some_and(|t| t != me) {
                         self.movers.lock().unwrap().insert(ctx.trial);
@@ -1693,7 +1764,15 @@ mod tests {
                     *left -= 1;
                     (*left == 0).then(|| outcome_for(ctx))
                 })
-                .collect()
+                .collect();
+            if let Some(h) = &self.handoff {
+                let unfinished: Vec<usize> = (trials.iter().zip(&results))
+                    .filter(|(_, r)| r.is_none())
+                    .map(|(&t, _)| t)
+                    .collect();
+                h.put_back(&trials, &unfinished, me);
+            }
+            results
         }
     }
 
@@ -1750,15 +1829,21 @@ mod tests {
 
     #[test]
     fn lanes_move_between_workers_as_the_pool_drains() {
-        // With two workers sharing a pool of 8, lanes change hands: the
-        // tail is split instead of queuing behind one worker.
-        let mut cfg = CampaignConfig::new(60, 0x7A1);
+        // With two workers sharing a pool, lanes change hands: the tail
+        // is split instead of queuing behind one worker.  The hand-off
+        // script forces the split whatever the scheduler does.
+        let mut cfg = CampaignConfig::new(3, 0x7A1);
         cfg.threads = 2;
         let engine = Blocks {
-            pace: std::time::Duration::from_millis(1),
-            ..Blocks::new(4, None)
+            handoff: Some(HandOff::default()),
+            ..Blocks::new(2, None)
         };
-        run_campaign_pooled(&cfg, CampaignHooks::default(), &engine, outcome_for).unwrap();
+        let on_trial = |i: usize, _: &TrialOutcome| engine.reported(i);
+        let hooks = CampaignHooks {
+            on_trial: Some(&on_trial),
+            ..CampaignHooks::default()
+        };
+        run_campaign_pooled(&cfg, hooks, &engine, outcome_for).unwrap();
         assert!(!engine.movers.into_inner().unwrap().is_empty());
     }
 
