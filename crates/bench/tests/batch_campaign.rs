@@ -3,20 +3,18 @@
 //!
 //! A batch is single-threaded; parallelism comes from the workers that
 //! share a campaign's lane pool (`run_engine_campaign`), or from whole
-//! groups (`run_lane_groups`, `run_campaign_batched`).  These tests pin
-//! the determinism contract: neither the worker-thread count nor the
-//! lane grouping, refill order or failure demotion may change any lane's
-//! trajectory or any campaign outcome, because lane seeds depend only on
-//! the trial index.
+//! groups (`run_campaign_batched`).  These tests pin the determinism
+//! contract: neither the worker-thread count nor the lane grouping,
+//! refill order or failure demotion may change any lane's trajectory or
+//! any campaign outcome, because lane seeds depend only on the trial
+//! index.
 
 use std::sync::Mutex;
 
 use div_bench::trial::{run_engine_campaign, Engine, TrialSetup, Unwatched, Watch};
 use div_core::{init, BatchProcess, FastScheduler, JsonlExporter, Observer};
 use div_graph::generators;
-use div_sim::{
-    run_campaign_batched, run_lane_groups, CampaignConfig, SeedSequence, TrialCtx, TrialOutcome,
-};
+use div_sim::{run_campaign_batched, CampaignConfig, SeedSequence, TrialCtx, TrialOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,7 +25,7 @@ fn workload() -> (div_graph::Graph, Vec<i64>) {
     (g, opinions)
 }
 
-/// A lane's full observable end state — what thread sharding must not
+/// A lane's full observable end state — what lane grouping must not
 /// perturb.
 #[derive(Debug, PartialEq)]
 struct LaneTrace {
@@ -36,45 +34,41 @@ struct LaneTrace {
     opinions: Vec<i64>,
 }
 
-fn batched_traces(trials: usize, lanes: usize, threads: usize) -> Vec<LaneTrace> {
+/// Every trial of a `trials`-trial workload, stepped in consecutive
+/// batches of `lanes` lanes seeded by the campaign seed discipline.
+fn batched_traces(trials: usize, lanes: usize) -> Vec<LaneTrace> {
     let (g, opinions) = workload();
-    run_lane_groups(trials, 0xD15C, lanes, threads, |_, seeds| {
-        let mut b = BatchProcess::new(&g, opinions.clone(), FastScheduler::Edge, seeds).unwrap();
+    let seeds: Vec<u64> = (0..trials as u64)
+        .map(|i| SeedSequence::seed_for(0xD15C, i))
+        .collect();
+    let mut traces = Vec::new();
+    for group in seeds.chunks(lanes) {
+        let mut b = BatchProcess::new(&g, opinions.clone(), FastScheduler::Edge, group).unwrap();
         let statuses = b.run_to_consensus(200_000);
-        statuses
-            .into_iter()
-            .enumerate()
-            .map(|(l, status)| LaneTrace {
-                status,
-                steps: b.steps(l),
-                opinions: b.opinions_of(l),
-            })
-            .collect()
-    })
-}
-
-#[test]
-fn thread_count_does_not_change_any_lane_trajectory() {
-    let base = batched_traces(19, 8, 1);
-    for threads in [2usize, 4, 7] {
-        assert_eq!(
-            base,
-            batched_traces(19, 8, threads),
-            "trajectories diverged at {threads} threads"
+        traces.extend(
+            statuses
+                .into_iter()
+                .enumerate()
+                .map(|(l, status)| LaneTrace {
+                    status,
+                    steps: b.steps(l),
+                    opinions: b.opinions_of(l),
+                }),
         );
     }
+    traces
 }
 
 #[test]
 fn lane_grouping_does_not_change_any_lane_trajectory() {
     // K=1 groups are literally scalar fast-engine runs (one lane each),
     // so equality across K also re-checks batch-vs-scalar equivalence
-    // through the pool's seed discipline.
-    let base = batched_traces(19, 1, 1);
+    // through the campaign's seed discipline.
+    let base = batched_traces(19, 1);
     for lanes in [3usize, 8, 16] {
         assert_eq!(
             base,
-            batched_traces(19, lanes, 2),
+            batched_traces(19, lanes),
             "trajectories diverged at {lanes} lanes"
         );
     }
@@ -122,22 +116,6 @@ fn batched_campaign_report_is_thread_and_lane_invariant() {
         run(1, 1),
         "scalar-equivalent grouping changed the report"
     );
-}
-
-#[test]
-fn lane_seeds_follow_the_campaign_seed_discipline() {
-    // The pool must hand groups exactly seed_for(master, index): the
-    // property that makes batch lanes interchangeable with scalar trials.
-    let seen = run_lane_groups(10, 0xABCD, 4, 1, |idxs, seeds| {
-        idxs.iter()
-            .zip(seeds)
-            .map(|(&i, &s)| (i, s))
-            .collect::<Vec<_>>()
-    });
-    for (i, (idx, seed)) in seen.into_iter().enumerate() {
-        assert_eq!(i, idx);
-        assert_eq!(seed, SeedSequence::seed_for(0xABCD, i as u64));
-    }
 }
 
 /// What one guarded campaign run leaves behind: its rendered report, the

@@ -1208,7 +1208,7 @@ impl<'g> FastProcess<'g> {
     /// The observed loop steps with the counts kept per step: a sample
     /// at every stride boundary reads the registers (`S(t)`, min/max,
     /// distinct), and a bare block would add an `O(n)` rescan to every
-    /// `stride` steps.  Blocks of [`block_len`] steps are cut at stride
+    /// `stride` steps.  Blocks of `block_len` steps are cut at stride
     /// boundaries to take samples; a sub-block whose endpoint crosses a
     /// phase rewinds to the block's snapshot and replays the identical
     /// stream to locate the `τ` and consensus crossings at their

@@ -66,7 +66,7 @@
 //! (same size, no padding, any bit pattern valid), an in-bounds
 //! vector load, or an unchecked lane-column or edge-table access of a
 //! lockstep drive.  Those accesses are bounded once per drive, by the
-//! entry asserts of [`drive_group`] (the four columns share one length
+//! entry asserts of `drive_group` (the four columns share one length
 //! that covers the sampler's compiled vertex bound; the edge table is
 //! non-empty, even and below 2³²), and once per step by a `vpminud`
 //! clamp of each drawn index to its table, so no memory access depends

@@ -9,9 +9,6 @@
 //!   (SplitMix64), so every experiment is exactly reproducible;
 //! * [`run_trials`] — parallel trial execution over scoped threads, with
 //!   per-slot panic isolation ([`run_trials_caught`]);
-//! * [`run_lane_groups`] — the batched pool: trials chunked into lane
-//!   groups for lockstep engines (`div_core::BatchProcess`), sharded
-//!   across threads with a static, deterministic group→thread map;
 //! * [`run_campaign`] — the resilient campaign layer on top: bounded
 //!   deterministic retries, a `TrialOutcome` taxonomy instead of
 //!   all-or-nothing, and crash-safe checkpoint manifests with exact
@@ -77,8 +74,7 @@ pub use monitor::{
     ShardHealth, PHASE_BUCKETS,
 };
 pub use runner::{
-    run_lane_groups, run_trials, run_trials_caught, run_trials_with_threads, TrialPanic,
-    NON_STRING_PANIC,
+    run_trials, run_trials_caught, run_trials_with_threads, TrialPanic, NON_STRING_PANIC,
 };
 pub use seed::SeedSequence;
 pub use serve::MetricsServer;

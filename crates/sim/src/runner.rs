@@ -119,118 +119,6 @@ where
     out
 }
 
-/// Runs `trials` seeded trials in **lane groups** of `lanes` and returns
-/// the results in trial order — the generic pool behind batch engines
-/// that step several trials at once (see `div_core::BatchProcess`).
-///
-/// Trials are chunked into consecutive groups (`[0, lanes)`,
-/// `[lanes, 2·lanes)`, …; the last group may be short).  `batch_fn`
-/// receives each group's trial indices and their [`SeedSequence`] seeds
-/// and must return exactly one result per trial.  Groups are sharded
-/// across `threads` workers with a **static modulo assignment** (worker
-/// `t` runs groups `g ≡ t (mod workers)`): no work-stealing, so the
-/// group→thread mapping is a pure function of `(trials, lanes, threads)`.
-/// Results depend only on each trial's `(index, seed)` pair, so the
-/// output is identical for every thread count — asserted in this
-/// module's tests.
-///
-/// `threads == 1` runs inline with no thread machinery; `threads == 0`
-/// uses the available parallelism.
-///
-/// # Panics
-///
-/// Panics if `lanes == 0`, or if `batch_fn` returns a result vector
-/// whose length differs from its group's size.  Panics *inside*
-/// `batch_fn` propagate — resilient retry/fallback lives in
-/// [`crate::run_campaign_batched`], not in this generic pool.
-pub fn run_lane_groups<T, F>(
-    trials: usize,
-    master_seed: u64,
-    lanes: usize,
-    threads: usize,
-    batch_fn: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&[usize], &[u64]) -> Vec<T> + Sync,
-{
-    assert!(lanes > 0, "need at least one lane per group");
-    if trials == 0 {
-        return Vec::new();
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let groups: Vec<(Vec<usize>, Vec<u64>)> = (0..trials)
-        .collect::<Vec<_>>()
-        .chunks(lanes)
-        .map(|chunk| {
-            let seeds = chunk
-                .iter()
-                .map(|&i| SeedSequence::seed_for(master_seed, i as u64))
-                .collect();
-            (chunk.to_vec(), seeds)
-        })
-        .collect();
-    let run_group = |(indices, seeds): &(Vec<usize>, Vec<u64>)| -> Vec<(usize, T)> {
-        let results = batch_fn(indices, seeds);
-        assert_eq!(
-            results.len(),
-            indices.len(),
-            "batch_fn returned {} results for a group of {}",
-            results.len(),
-            indices.len()
-        );
-        indices.iter().copied().zip(results).collect()
-    };
-
-    let mut slots: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-    let workers = threads.min(groups.len());
-    if workers <= 1 {
-        for group in &groups {
-            for (i, t) in run_group(group) {
-                slots[i] = Some(t);
-            }
-        }
-    } else {
-        let batches: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|t| {
-                    let groups = &groups;
-                    let run_group = &run_group;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        // Static modulo assignment: worker t owns groups
-                        // t, t + workers, t + 2·workers, …
-                        for group in groups.iter().skip(t).step_by(workers) {
-                            local.extend(run_group(group));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lane-group worker panicked"))
-                .collect()
-        });
-        for batch in batches {
-            for (i, t) in batch {
-                debug_assert!(slots[i].is_none(), "trial index produced twice");
-                slots[i] = Some(t);
-            }
-        }
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every trial belongs to exactly one group"))
-        .collect()
-}
-
 /// Like [`run_trials_with_threads`], but panics inside trial closures are
 /// isolated per slot: the result vector carries `Err(`[`TrialPanic`]`)`
 /// for panicked slots and every other slot's result survives.
@@ -400,59 +288,6 @@ mod tests {
         assert_eq!(done.load(Ordering::Relaxed), 16);
         assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
         assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 14);
-    }
-
-    #[test]
-    fn lane_groups_chunk_and_seed_like_the_scalar_pool() {
-        // Same trials, same master seed: the batched pool must hand each
-        // trial the same SeedSequence seed the scalar pool would.
-        let scalar = run_trials_with_threads(37, 21, 1, |i, seed| (i, seed));
-        let batched = run_lane_groups(37, 21, 8, 1, |indices, seeds| {
-            assert!(indices.len() <= 8 && !indices.is_empty());
-            indices.iter().copied().zip(seeds.iter().copied()).collect()
-        });
-        assert_eq!(scalar, batched);
-    }
-
-    #[test]
-    fn lane_groups_are_thread_count_invariant() {
-        let runs: Vec<Vec<(usize, u64)>> = [1, 2, 3, 8]
-            .into_iter()
-            .map(|threads| {
-                run_lane_groups(50, 5, 4, threads, |indices, seeds| {
-                    indices.iter().zip(seeds).map(|(&i, &s)| (i, s)).collect()
-                })
-            })
-            .collect();
-        for other in &runs[1..] {
-            assert_eq!(&runs[0], other);
-        }
-    }
-
-    #[test]
-    fn lane_groups_zero_trials_and_short_tail() {
-        let empty: Vec<u64> = run_lane_groups(0, 0, 4, 2, |_, seeds| seeds.to_vec());
-        assert!(empty.is_empty());
-        // 10 trials in groups of 4: tail group has 2 lanes.
-        let sizes = std::sync::Mutex::new(Vec::new());
-        let out = run_lane_groups(10, 3, 4, 1, |indices, _| {
-            sizes.lock().unwrap().push(indices.len());
-            indices.to_vec()
-        });
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-        assert_eq!(*sizes.lock().unwrap(), vec![4, 4, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "returned 1 results for a group of 3")]
-    fn lane_groups_reject_wrong_arity() {
-        let _ = run_lane_groups(3, 0, 3, 1, |_, _| vec![0u64]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn lane_groups_reject_zero_lanes() {
-        let _ = run_lane_groups(3, 0, 0, 1, |_, seeds| seeds.to_vec());
     }
 
     #[test]
