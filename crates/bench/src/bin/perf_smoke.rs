@@ -55,7 +55,9 @@
 //!
 //! `--check-overhead` measures the gated sections (`simd`, `shard` and the
 //! two overhead sections), renders them with the ledger writer and judges
-//! that text with [`judge`], exiting 1 if a gate fails.
+//! that text with [`judge`], exiting 1 if a gate fails.  On a host under
+//! four cores, where the shard gate can only skip, the check times no
+//! shard arm and records just `cores` and the skip reason.
 //! `--check-overhead --against OLD.json` judges a recorded ledger with the
 //! same function; gates a schema-older file does not record are skipped
 //! with a note.
@@ -654,14 +656,19 @@ fn simd(steps: u64) -> String {
     section("simd", head, rows)
 }
 
-fn shard(steps: u64) -> String {
+/// The `shard` section.  A `check` on a host under four cores renders
+/// [`shard_skipped`] instead of timing arms its gate would ignore.
+fn shard(steps: u64, check: bool) -> String {
+    let cores = available_cores();
+    if check && cores < 4 {
+        return shard_skipped(cores);
+    }
     let g = &circulant8_1m();
     let threads = [1usize, 2, 4];
     let r = interleave(1 + threads.len(), |a| match a {
         0 => time_fast(g, FastScheduler::Edge, steps, &Arm::Plain).0,
         _ => time_sharded(g, threads[a - 1], steps, false),
     });
-    let cores = available_cores();
     // The T=4 ratio is recorded only where it means something: below four
     // cores it measures timeslicing, so the gate records why it skipped.
     let gate = if cores >= 4 {
@@ -687,6 +694,16 @@ fn shard(steps: u64) -> String {
         })
         .collect();
     section("shard", head, rows)
+}
+
+/// The untimed `shard` section: the host's core count and the gate's
+/// skip reason, all [`judge`] reads on a host under four cores.
+fn shard_skipped(cores: usize) -> String {
+    let head = vec![
+        format!("\"cores\": {cores}"),
+        text("gate", &format!("skipped (cores={cores})")),
+    ];
+    section("shard", head, Vec::new())
 }
 
 fn graph_build() -> String {
@@ -968,11 +985,11 @@ fn report(readings: &[(Verdict, String)]) -> bool {
     readings.iter().any(|(v, _)| *v == Verdict::Fail)
 }
 
-/// The sections `--check-overhead` measures and judges.
-fn gated_sections(steps: u64) -> Vec<String> {
+/// The sections `--check-overhead` (`check`) measures and judges.
+fn gated_sections(steps: u64, check: bool) -> Vec<String> {
     vec![
         simd(steps),
-        shard(steps),
+        shard(steps, check),
         telemetry_overhead(steps),
         monitor_overhead(steps),
     ]
@@ -1021,7 +1038,7 @@ fn main() {
                 std::process::exit(2);
             }),
             None => {
-                let text = document(steps, &gated_sections(steps));
+                let text = document(steps, &gated_sections(steps, true));
                 print!("{text}");
                 text
             }
@@ -1030,7 +1047,7 @@ fn main() {
     }
 
     let mut sections = vec![benchmarks(steps)];
-    sections.extend(gated_sections(steps));
+    sections.extend(gated_sections(steps, false));
     sections.extend([graph_build(), batch_campaign(), faulty()]);
     let json = document(steps, &sections);
     std::fs::write(&out, &json).unwrap_or_else(|e| {
@@ -1123,6 +1140,13 @@ mod tests {
         );
         let readings = judge(&ledger(&[shard]));
         assert_eq!(readings[3].1, "shard: gate skipped (cores=4)");
+        // The untimed section a check renders under four cores reads
+        // exactly like the timed one.
+        let readings = judge(&ledger(&[shard_skipped(2)]));
+        assert_eq!(
+            readings[3].1,
+            "shard: recorded on 2 core(s) (< 4), too few to gate scaling"
+        );
         assert!(judge("{}").iter().all(|(v, _)| *v == Verdict::Skip));
         assert!(!report(&judge("{}")));
     }

@@ -39,7 +39,7 @@
 //! lanes 8                  # batch engine lanes per worker
 //! shards 4                 # sharded engine vertex domains per trial
 //! threads 0                # campaign workers, or in-trial workers when sharded (0 = auto)
-//! checkpoint-every 32      # trials between checkpoint flushes
+//! checkpoint-every 32      # trials between checkpoint flushes (divd ignores it)
 //! ```
 //!
 //! Each key may appear at most once; a missing key takes the default
@@ -181,7 +181,9 @@ pub struct CampaignSpec {
     /// Campaign worker threads, or the sharded engine's in-trial workers
     /// (0 = available parallelism).
     pub threads: usize,
-    /// Completed trials between checkpoint flushes.
+    /// Completed trials between checkpoint manifest flushes.  `divd`
+    /// writes no manifest (its oplog journals every trial), so it parses
+    /// and ignores the key, which old journals still carry.
     pub checkpoint_every: usize,
 }
 
@@ -234,12 +236,11 @@ pub struct Campaign<'a> {
 /// so a manifest resumes only under the front end that wrote it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Front {
-    /// `divlab run`, `campaign` and `stats`.
+    /// `divlab run`, `campaign` and `stats`, and `divd` jobs (which
+    /// write no manifest, so their tag is never checked).
     Run,
     /// `divlab compare`'s div row, which runs the edge scheduler only.
     Compare,
-    /// A `divd` job.
-    Daemon,
 }
 
 /// The warning every engine demotion prints: `what` is not supported by
@@ -413,7 +414,6 @@ impl CampaignSpec {
         let mut tag = match front {
             Front::Run => format!("run {g} {i} {s} {engine} {f} {b}"),
             Front::Compare => format!("compare div {g} {i} {engine} {f} {b}"),
-            Front::Daemon => format!("divd {g} {i} {s} {engine} {f} {b}"),
         };
         if engine == Engine::Sharded {
             tag.push_str(&format!(" shards {}", self.shards));
@@ -756,7 +756,7 @@ mod tests {
         let mut faulty = wide.clone();
         faulty.set("faults", "drop:0.1").unwrap();
         let (inputs, _) = faulty.build().unwrap();
-        let c = faulty.campaign(&inputs, Front::Daemon, false).unwrap();
+        let c = faulty.campaign(&inputs, Front::Run, false).unwrap();
         assert_eq!(c.engine, Engine::Fast);
         assert_eq!(
             c.demotion.as_deref(),
@@ -764,7 +764,7 @@ mod tests {
         );
         assert_eq!(
             c.cfg.tag,
-            "divd cycle:6 uniform:5 edge fast drop:0.1 1000000000"
+            "run cycle:6 uniform:5 edge fast drop:0.1 1000000000"
         );
         assert_eq!(
             faulty.tag(Front::Compare, Engine::Batch),

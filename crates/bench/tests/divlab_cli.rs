@@ -1507,6 +1507,19 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
             &["run", "--graph", "complete:10", "--detach"][..],
             "--detach",
         ),
+        // divd journals every trial and writes no manifest to flush.
+        (
+            &[
+                "submit",
+                "--server",
+                "127.0.0.1:9",
+                "--graph",
+                "complete:10",
+                "--checkpoint-every",
+                "4",
+            ][..],
+            "--checkpoint-every",
+        ),
     ] {
         let out = divlab(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

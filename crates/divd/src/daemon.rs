@@ -19,12 +19,13 @@
 //!
 //! On startup the daemon replays the oplog (truncating any torn tail),
 //! reconstructs every job, re-enqueues `queued` jobs, and re-enqueues
-//! jobs that were `running` at the crash *at the front* of the queue
-//! with `resume` — the campaign engine reloads the job's checkpoint
-//! manifest and only runs the missing trials.  Because
-//! [`CampaignReport::render`] is a pure function of
-//! `(master seed, trials, outcomes)` and every input is re-derived from
-//! the journalled spec, a killed-and-recovered campaign's report is
+//! jobs that were `running` at the crash *at the front* of the queue —
+//! their replayed `outcome` ops, the only durable record of their
+//! progress, go to the campaign driver as prior outcomes, and only the
+//! missing trials run.  Every trial is a pure function of `(spec, seed,
+//! index)`, so a lost outcome costs recomputation, never correctness;
+//! and [`CampaignReport::render`] is a pure function of `(master seed,
+//! trials, outcomes)`, so a killed-and-recovered campaign's report is
 //! byte-identical to an uninterrupted run's.
 //!
 //! # Backpressure
@@ -34,8 +35,8 @@
 //! journalled.  Queued jobs are dispatched fairly: one queue lane per
 //! client, serviced round-robin, so a client burst cannot starve
 //! others.  While draining (SIGTERM or `POST /admin/drain`) submissions
-//! get `503`, in-flight campaigns are cooperatively cancelled through
-//! their checkpoint path, and the oplog is sealed.
+//! get `503`, in-flight campaigns are cooperatively cancelled (their
+//! running trials finish and are journalled), and the oplog is sealed.
 //!
 //! # Lifecycle spans
 //!
@@ -88,7 +89,7 @@ use crate::JobSpec;
 /// Daemon tunables; construct with [`DaemonConfig::new`] and adjust.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Data directory: oplog, checkpoints, reports, endpoint file.
+    /// Data directory: oplog, reports, span traces, endpoint file.
     pub data_dir: PathBuf,
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
@@ -130,8 +131,8 @@ struct Job {
     /// Whether a client cancel was journalled (distinguishes a cancel
     /// from a drain: both set `cancel`, only this makes it terminal).
     cancel_requested: bool,
-    /// Completed trials, keyed by index, in manifest-line encoding.
-    results: BTreeMap<usize, String>,
+    /// Completed trials, keyed by index.
+    results: BTreeMap<usize, TrialOutcome>,
     retries: u64,
     /// Set by a journalled `fail`; carried into the settled record.
     error: Option<String>,
@@ -192,22 +193,12 @@ impl Settled {
         let class = match job.state {
             JobState::Failed => "failed",
             JobState::Cancelled => "partial",
-            _ => {
-                let degraded = job
-                    .results
-                    .values()
-                    .filter_map(|l| TrialOutcome::parse_line(l))
-                    .any(|(_, o)| !o.is_converged());
-                if degraded {
-                    "degraded"
-                } else {
-                    "clean"
-                }
-            }
+            _ if job.results.values().any(|o| !o.is_converged()) => "degraded",
+            _ => "clean",
         };
         let mut outcomes = String::new();
-        for line in job.results.values() {
-            outcomes.push_str(line);
+        for (&i, o) in &job.results {
+            outcomes.push_str(&o.manifest_line(i));
             outcomes.push('\n');
         }
         Settled {
@@ -438,8 +429,8 @@ struct Inner {
 
 impl Inner {
     /// Journals one bundle; the error decides admission (submit) or is
-    /// surfaced on stderr (progress ops — the checkpoint manifest still
-    /// guards resume).
+    /// surfaced on stderr (progress ops — an unjournalled outcome only
+    /// means a resumed job runs that trial again).
     fn commit(&mut self, ops: &[String]) -> io::Result<()> {
         match &mut self.oplog {
             Some(log) => log.commit(ops).map(|_| ()),
@@ -484,12 +475,6 @@ struct Shared {
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn checkpoint_path(&self, id: u64) -> PathBuf {
-        self.data_dir
-            .join("checkpoints")
-            .join(format!("job-{id}.manifest"))
     }
 
     fn report_path(&self, id: u64) -> PathBuf {
@@ -550,7 +535,6 @@ impl Daemon {
     /// Propagates data-directory creation, oplog open and socket bind
     /// failures.
     pub fn start(cfg: DaemonConfig) -> io::Result<Daemon> {
-        std::fs::create_dir_all(cfg.data_dir.join("checkpoints"))?;
         std::fs::create_dir_all(cfg.data_dir.join("reports"))?;
         std::fs::create_dir_all(cfg.data_dir.join("spans"))?;
         let (oplog, replay) = Oplog::open(&cfg.data_dir.join("oplog.div"))?;
@@ -617,9 +601,9 @@ impl Daemon {
     }
 
     /// Graceful shutdown: stop admitting, cooperatively cancel in-flight
-    /// campaigns (each writes its final checkpoint and leaves its job
-    /// `running` in the oplog, i.e. resumable), join the workers, seal
-    /// the oplog and stop the HTTP server.
+    /// campaigns (each journals the trials it had running and leaves its
+    /// job `running` in the oplog, i.e. resumable), join the workers,
+    /// seal the oplog and stop the HTTP server.
     pub fn drain(mut self) {
         self.shared.begin_drain();
         for w in self.workers.drain(..) {
@@ -658,7 +642,7 @@ fn recover(replay: &Replay, queue_capacity: usize) -> Inner {
     for bundle in &replay.bundles {
         for op in &bundle.ops {
             if let Err(msg) = apply_op(&mut jobs, op) {
-                eprintln!("divd: skipping unreadable oplog op: {msg}");
+                eprintln!("divd: skipping oplog op: {msg}");
             }
         }
     }
@@ -714,7 +698,9 @@ fn recover(replay: &Replay, queue_capacity: usize) -> Inner {
     }
 }
 
-/// Applies one journalled op to the job map.
+/// Applies one journalled op to the job map.  An unreadable op, or an
+/// outcome for a trial its job does not have, is an error the replay
+/// skips.
 fn apply_op(jobs: &mut BTreeMap<u64, Job>, op: &str) -> Result<(), String> {
     let (verb, rest) = op.split_once(' ').unwrap_or((op, ""));
     let id_and = |rest: &str| -> Result<(u64, String), String> {
@@ -744,10 +730,16 @@ fn apply_op(jobs: &mut BTreeMap<u64, Job>, op: &str) -> Result<(), String> {
         }
         "outcome" => {
             let (id, line) = id_and(rest)?;
-            let (i, _) = TrialOutcome::parse_line(&line)
+            let (i, outcome) = TrialOutcome::parse_line(&line)
                 .ok_or_else(|| format!("bad outcome line in {op:?}"))?;
             if let Some(job) = jobs.get_mut(&id) {
-                job.results.insert(i, line);
+                if i >= job.spec.trials {
+                    return Err(format!(
+                        "outcome for trial {i} of a {}-trial job: {op:?}",
+                        job.spec.trials
+                    ));
+                }
+                job.results.insert(i, outcome);
             }
         }
         "retried" => {
@@ -809,9 +801,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs one job start to finish (or to cancellation/drain).
+/// Runs one job start to finish (or to cancellation/drain), resuming
+/// from the outcomes its journal already holds.
 fn run_job(shared: &Arc<Shared>, id: u64) {
-    let (spec, cancel) = {
+    let (spec, cancel, prior) = {
         let mut inner = shared.lock();
         // A settled job was cancelled between pop and claim.
         let Some(job) = inner.live(id) else {
@@ -819,17 +812,18 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         };
         let spec = job.spec.clone();
         let cancel = Arc::clone(&job.cancel);
+        let prior = job.results.clone();
         job.state = JobState::Running;
         job.scheduled_us = Some(shared.clock.now_us());
         inner.running += 1;
         inner.commit_warn(&[format!("schedule {id}")]);
-        (spec, cancel)
+        (spec, cancel, prior)
     };
 
     let result = spec
         .build()
         .map_err(|e| format!("campaign setup failed: {e}"))
-        .and_then(|(inputs, _)| run_engine(shared, id, &spec, &inputs, &cancel));
+        .and_then(|(inputs, _)| run_engine(shared, id, &spec, &inputs, &cancel, &prior));
 
     let mut inner = shared.lock();
     inner.running -= 1;
@@ -885,30 +879,29 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 inner.settle(id);
             }
             // else: partial because of drain — leave the job `running`
-            // in the oplog; its checkpoint manifest carries the progress
-            // and the next daemon resumes it.
+            // in the oplog; its journalled outcomes carry the progress
+            // and the next daemon resumes from them.
         }
     }
 }
 
-/// Runs the job's campaign with hooks that journal every completed
-/// trial and retry.  The report is produced by exactly the code path
-/// `divlab` uses ([`run_engine_campaign`]), so daemon
-/// and CLI reports for the same spec are byte-identical.
+/// Runs the job's campaign from its `prior` journalled outcomes, with
+/// hooks that journal every further completed trial and retry.  The
+/// report is produced by exactly the code path `divlab` uses
+/// ([`run_engine_campaign`]), so daemon and CLI reports for the same
+/// spec are byte-identical.
 fn run_engine(
     shared: &Arc<Shared>,
     id: u64,
     spec: &JobSpec,
     inputs: &CampaignInputs,
     cancel: &AtomicBool,
+    prior: &BTreeMap<usize, TrialOutcome>,
 ) -> Result<CampaignReport, String> {
-    let mut campaign = spec.campaign(inputs, Front::Daemon, false)?;
+    let campaign = spec.campaign(inputs, Front::Run, false)?;
     if let Some(why) = &campaign.demotion {
         eprintln!("divd: job {id}: {why}");
     }
-    let manifest = shared.checkpoint_path(id);
-    campaign.cfg.resume = manifest.exists();
-    campaign.cfg.checkpoint = Some(manifest);
 
     let on_trial = |i: usize, outcome: &TrialOutcome| {
         let line = outcome.manifest_line(i);
@@ -938,7 +931,7 @@ fn run_engine(
                 .arg_int("attempt", i64::from(attempt))
                 .arg_text("outcome", label),
             );
-            job.results.insert(i, line);
+            job.results.insert(i, outcome.clone());
         }
     };
     let on_retry = |i: usize| {
@@ -974,6 +967,7 @@ fn run_engine(
         cancel: Some(cancel),
         on_trial: Some(&on_trial),
         on_retry: Some(&on_retry),
+        resumed: Some(prior),
         ..CampaignHooks::default()
     };
     let c = &campaign;
@@ -1060,7 +1054,7 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
     // clean 400 now, not a `failed` job later.
     let checked = spec
         .build()
-        .and_then(|(inputs, _)| spec.campaign(&inputs, Front::Daemon, false).map(drop));
+        .and_then(|(inputs, _)| spec.campaign(&inputs, Front::Run, false).map(drop));
     if let Err(e) = checked {
         return Response::text(400, format!("bad spec: {e}\n"));
     }
@@ -1238,7 +1232,7 @@ fn job_results(shared: &Arc<Shared>, id: u64) -> Response {
                         .results
                         .iter()
                         .filter(|(i, _)| !sent.contains(*i))
-                        .map(|(&i, line)| (i, line.clone()))
+                        .map(|(&i, o)| (i, o.manifest_line(i)))
                         .collect(),
                     Entry::Settled(s) => s
                         .outcomes
@@ -1374,9 +1368,9 @@ mod tests {
         assert_eq!(jobs[&7].results.len(), 1);
         assert_eq!(jobs[&7].retries, 1);
 
-        let jobs = synthetic_job(7, &["fail 7 boom went the manifest".to_string()]);
+        let jobs = synthetic_job(7, &["fail 7 boom went the setup".to_string()]);
         assert_eq!(jobs[&7].state, JobState::Failed);
-        assert_eq!(jobs[&7].error.as_deref(), Some("boom went the manifest"));
+        assert_eq!(jobs[&7].error.as_deref(), Some("boom went the setup"));
     }
 
     #[test]
@@ -1415,6 +1409,8 @@ mod tests {
             "complete 1 clean".to_string(),
             "schedule 2".to_string(),
             "outcome 2 trial 1 converged 3 99".to_string(),
+            // A trial the 4-trial job does not have: skipped on replay.
+            "outcome 2 trial 4 converged 3 99".to_string(),
             "schedule 4".to_string(),
             "cancel 4".to_string(),
         ];
@@ -1544,7 +1540,12 @@ mod tests {
             resumed: 0,
         }
         .render();
-        let lines = job.results.values().map(String::as_str);
+        let lines: Vec<String> = job
+            .results
+            .iter()
+            .map(|(&i, o)| o.manifest_line(i))
+            .collect();
+        let lines = lines.iter().map(String::as_str);
         assert_eq!(render_report(job.spec.seed, job.spec.trials, lines), expect);
     }
 
@@ -1585,15 +1586,10 @@ mod tests {
     /// [`Job`]: the formats and derivations the daemon used before jobs
     /// settled, restated as the reference the settled records must meet.
     fn full_record_answers(id: u64, job: &Job, spans: &[u8]) -> Vec<(String, u16, Vec<u8>)> {
-        let outcomes = || {
-            job.results
-                .values()
-                .filter_map(|l| TrialOutcome::parse_line(l))
-        };
         let class = match job.state {
             JobState::Failed => "failed",
             JobState::Cancelled => "partial",
-            _ if outcomes().any(|(_, o)| !o.is_converged()) => "degraded",
+            _ if job.results.values().any(|o| !o.is_converged()) => "degraded",
             _ => "clean",
         };
         let mut status = format!(
@@ -1610,8 +1606,8 @@ mod tests {
             status.push_str(&format!("error {}\n", e.replace('\n', " ")));
         }
         let mut results = String::new();
-        for line in job.results.values() {
-            results.push_str(&format!("{line}\n"));
+        for (&i, o) in &job.results {
+            results.push_str(&format!("{}\n", o.manifest_line(i)));
         }
         results.push_str(&format!("end {}\n", job.state));
         let report = match job.state {
@@ -1621,7 +1617,7 @@ mod tests {
                 CampaignReport {
                     master_seed: job.spec.seed,
                     trials: job.spec.trials,
-                    outcomes: outcomes().collect(),
+                    outcomes: job.results.clone(),
                     resumed: 0,
                 }
                 .render(),
@@ -1683,7 +1679,7 @@ mod tests {
                 ops(&[
                     "schedule 7",
                     "outcome 7 trial 0 converged 2 55",
-                    "fail 7 checkpoint manifest mismatch\nfor tag",
+                    "fail 7 campaign setup failed\nfor graph",
                 ]),
             ),
             // Crashed while running with a journalled cancel: recovery

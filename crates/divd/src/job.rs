@@ -16,8 +16,8 @@ use std::fmt;
 ///
 /// `Completed`, `Cancelled` and `Failed` are terminal.  A `Running` job
 /// found in the oplog at startup (a crash) is re-queued and resumed from
-/// its checkpoint; a `Running` job with a journalled cancel intent is
-/// recovered directly to `Cancelled`.
+/// its journalled trial outcomes; a `Running` job with a journalled
+/// cancel intent is recovered directly to `Cancelled`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted and waiting in the fair queue.
@@ -28,8 +28,8 @@ pub enum JobState {
     Completed,
     /// Cancelled by the client; the partial report is final.
     Cancelled,
-    /// The campaign runner returned an error (checkpoint IO, manifest
-    /// mismatch); see the job's error message.
+    /// The job could not run: its spec did not build into a campaign, or
+    /// the campaign driver refused it; see the job's error message.
     Failed,
 }
 

@@ -6,8 +6,8 @@
 //! is journalled to a WAL-style oplog (`div-oplog`) so a `kill -9` at
 //! any instant loses at most the uncommitted tail.  On restart the
 //! daemon replays the oplog, re-queues unfinished work and resumes
-//! interrupted campaigns from their checkpoint manifests — the resumed
-//! report is byte-identical to an uninterrupted run's.
+//! interrupted campaigns from their journalled trial outcomes — the
+//! resumed report is byte-identical to an uninterrupted run's.
 //!
 //! | Method | Path                     | Purpose                              |
 //! |--------|--------------------------|--------------------------------------|

@@ -40,15 +40,15 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 const USAGE: &str = "usage: divd --data DIR [--addr HOST:PORT] [--workers N] [--queue-cap N]
-  --data DIR        data directory (oplog, checkpoints, reports, endpoint file)
+  --data DIR        data directory (oplog, reports, span traces, endpoint file)
   --addr HOST:PORT  bind address (default 127.0.0.1:0 = any free port)
   --workers N       concurrent campaign workers (default 2)
   --queue-cap N     work queue capacity; beyond it submissions get 429 (default 32)
 
 The bound address is written to DIR/endpoint.  SIGTERM or SIGINT (or
 POST /admin/drain) drains gracefully: admission stops, in-flight
-campaigns checkpoint and the oplog is sealed; unfinished jobs resume on
-the next start.";
+campaigns journal the trials they had running and the oplog is sealed;
+unfinished jobs resume from their journalled trials on the next start.";
 
 fn parse_flags(args: impl Iterator<Item = String>) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
@@ -111,7 +111,7 @@ fn main() {
     while !SIGNALLED.load(Ordering::SeqCst) && !daemon.draining() {
         std::thread::sleep(Duration::from_millis(100));
     }
-    eprintln!("divd: draining (checkpointing in-flight campaigns, sealing oplog)");
+    eprintln!("divd: draining (finishing in-flight trials, sealing oplog)");
     daemon.drain();
     eprintln!("divd: drained cleanly");
 }

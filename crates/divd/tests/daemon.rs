@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use div_oplog::Oplog;
+use div_oplog::{Oplog, Replay};
 use div_sim::http::{http_request, HttpResponse};
 use divd::{Daemon, DaemonConfig, JobSpec};
 
@@ -109,10 +109,9 @@ fn report_of(addr: SocketAddr, id: u64) -> String {
 /// A campaign with a *deterministic* per-trial duration, slow enough to
 /// observe and interrupt mid-flight: stubborn vertices make consensus
 /// impossible, so every trial runs its full step budget (~tens of ms)
-/// and times out, checkpointing after every trial.
+/// and times out, journalling each outcome as it lands.
 const SLOW_SPEC: &str = "graph cycle:64\ninit uniform:5\nscheduler edge\nengine reference\n\
-                         faults stubborn:3\nseed 3\ntrials 40\nbudget 250000\nthreads 1\n\
-                         checkpoint-every 1\n";
+                         faults stubborn:3\nseed 3\ntrials 40\nbudget 250000\nthreads 1\n";
 
 /// An instant campaign for API-surface tests.
 const QUICK_SPEC: &str =
@@ -219,7 +218,7 @@ fn kill_dash_nine_roundtrip(label: &str, spec: &str, kill_after_done: usize) {
     let mut daemon = spawn_daemon(&dir);
     let id = submit(daemon.addr, spec);
     wait_done(daemon.addr, id, kill_after_done, Duration::from_secs(60));
-    // SIGKILL: no drain, no checkpoint flush, no oplog seal.
+    // SIGKILL: no drain, no oplog seal.
     daemon.child.kill().unwrap();
     daemon.child.wait().unwrap();
     drop(daemon);
@@ -236,13 +235,28 @@ fn kill_dash_nine_roundtrip(label: &str, spec: &str, kill_after_done: usize) {
         report, expect,
         "resumed report differs from uninterrupted control"
     );
-    // The resumed run really did reuse pre-crash work rather than start
-    // over: the checkpoint manifest survived with the journal.
-    assert!(dir
-        .join("checkpoints")
-        .join(format!("job-{id}.manifest"))
-        .exists());
+    // The resumed run reused pre-crash work rather than start over: the
+    // journal holds exactly one outcome per trial, none run twice.
+    let trials = JobSpec::parse(spec).unwrap().trials;
+    let mut journalled = journalled_trials(&dir, id);
+    journalled.sort_unstable();
+    assert_eq!(journalled, (0..trials).collect::<Vec<_>>());
+    assert!(!dir.join("checkpoints").exists());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The trial index of every `outcome <id> trial <i> …` op in the data
+/// directory's journal, in journal order.
+fn journalled_trials(dir: &Path, id: u64) -> Vec<usize> {
+    let replay = Replay::from_bytes(&std::fs::read(dir.join("oplog.div")).unwrap());
+    let prefix = format!("outcome {id} ");
+    replay
+        .bundles
+        .iter()
+        .flat_map(|b| &b.ops)
+        .filter_map(|op| op.strip_prefix(prefix.as_str()))
+        .map(|line| div_sim::TrialOutcome::parse_line(line).unwrap().0)
+        .collect()
 }
 
 #[test]
@@ -261,8 +275,7 @@ fn kill_nine_under_faults_report_is_byte_identical() {
 #[test]
 fn kill_nine_with_batch_engine_report_is_byte_identical() {
     let spec = "graph cycle:64\ninit uniform:5\nscheduler edge\nengine batch\n\
-                faults stubborn:3\nseed 11\ntrials 40\nbudget 400000\nlanes 4\nthreads 1\n\
-                checkpoint-every 1\n";
+                faults stubborn:3\nseed 11\ntrials 40\nbudget 400000\nlanes 4\nthreads 1\n";
     kill_dash_nine_roundtrip("kill9-batch", spec, 4);
 }
 
@@ -272,9 +285,6 @@ const OLD_SUBMIT_OP: &str = "submit 1 ci graph cycle:40\ninit uniform:5\nschedul
                              engine fast\nseed 5\ntrials 12\nbudget 1000000000\nfaults none\n\
                              lanes 8\nthreads 1\ncheckpoint-every 1\n";
 
-/// The checkpoint tag that version gave the job above.
-const OLD_TAG: &str = "divd cycle:40 uniform:5 edge fast none 1000000000";
-
 #[test]
 fn journals_from_before_the_shards_key_replay_and_resume() {
     let spec_text = OLD_SUBMIT_OP.strip_prefix("submit 1 ci ").unwrap();
@@ -282,8 +292,8 @@ fn journals_from_before_the_shards_key_replay_and_resume() {
     assert_eq!(spec.shards, JobSpec::default().shards);
     assert_eq!(JobSpec::parse(&spec.render()).unwrap(), spec);
 
-    // Control: the campaign on a fresh daemon, keeping its manifest for
-    // the trial records the old daemon would have checkpointed.
+    // Control: the campaign on a fresh daemon, whose results stream
+    // gives the trial records the old daemon would have journalled.
     let control_dir = temp_dir("old-journal-control");
     let daemon = Daemon::start(one_worker(&control_dir)).unwrap();
     let id = submit(daemon.local_addr(), spec_text);
@@ -294,9 +304,15 @@ fn journals_from_before_the_shards_key_replay_and_resume() {
         Duration::from_secs(60),
     );
     let expect = report_of(daemon.local_addr(), id);
+    let results = req(
+        daemon.local_addr(),
+        "GET",
+        &format!("/campaigns/{id}/results"),
+        b"",
+    )
+    .text();
     daemon.drain();
-    let manifest = std::fs::read_to_string(control_dir.join("checkpoints/job-1.manifest")).unwrap();
-    let done: Vec<&str> = manifest
+    let done: Vec<&str> = results
         .lines()
         .filter(|l| l.starts_with("trial "))
         .take(5)
@@ -304,10 +320,9 @@ fn journals_from_before_the_shards_key_replay_and_resume() {
     assert_eq!(done.len(), 5);
 
     // The old daemon died mid-run: the journal holds the submit, the
-    // schedule and five outcomes, and its manifest those five trials
-    // under the old tag.
+    // schedule and five outcomes.
     let dir = temp_dir("old-journal");
-    std::fs::create_dir_all(dir.join("checkpoints")).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
     let (mut log, _) = Oplog::open(&dir.join("oplog.div")).unwrap();
     log.commit(&[OLD_SUBMIT_OP.to_string()]).unwrap();
     log.commit(&["schedule 1".to_string()]).unwrap();
@@ -315,11 +330,6 @@ fn journals_from_before_the_shards_key_replay_and_resume() {
         log.commit(&[format!("outcome 1 {line}")]).unwrap();
     }
     drop(log);
-    let old_manifest = format!(
-        "divlab-campaign v1\nmaster 5\ntrials 12\ntag {OLD_TAG}\n{}\n",
-        done.join("\n")
-    );
-    std::fs::write(dir.join("checkpoints/job-1.manifest"), old_manifest).unwrap();
 
     let daemon = Daemon::start(one_worker(&dir)).unwrap();
     let addr = daemon.local_addr();
@@ -344,7 +354,8 @@ fn sigterm_drains_and_the_next_start_resumes() {
     let mut daemon = spawn_daemon(&dir);
     let id = submit(daemon.addr, SLOW_SPEC);
     wait_done(daemon.addr, id, 2, Duration::from_secs(60));
-    // Graceful: SIGTERM → drain → checkpoint → sealed oplog → exit 0.
+    // Graceful: SIGTERM → drain → in-flight trial journalled → sealed
+    // oplog → exit 0.
     let term = Command::new("kill")
         .arg(daemon.child.id().to_string())
         .status()
@@ -358,6 +369,9 @@ fn sigterm_drains_and_the_next_start_resumes() {
     let daemon = spawn_daemon(&dir);
     wait_state(daemon.addr, id, "completed", Duration::from_secs(120));
     assert_eq!(report_of(daemon.addr, id), expect);
+    let mut journalled = journalled_trials(&dir, id);
+    journalled.sort_unstable();
+    assert_eq!(journalled, (0..40).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -613,21 +627,31 @@ fn settled_jobs_serve_the_same_bytes_after_recovery() {
     const DEGRADED_SPEC: &str =
         "graph cycle:64\ninit uniform:5\nengine fast\nseed 5\ntrials 3\nbudget 10\n";
     let dir = temp_dir("settled");
+    // A failed job, as a journal records one: a spec that passed the
+    // submit checks, one finished trial, then a failure.
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut log, _) = Oplog::open(&dir.join("oplog.div")).unwrap();
+    let quick = JobSpec::parse(QUICK_SPEC).unwrap().render();
+    for op in [
+        format!("submit 1 anon {quick}"),
+        "schedule 1".to_string(),
+        "outcome 1 trial 0 converged 3 120".to_string(),
+        "fail 1 campaign setup failed: spec no longer builds".to_string(),
+    ] {
+        log.commit(&[op]).unwrap();
+    }
+    drop(log);
     let daemon = Daemon::start(one_worker(&dir)).unwrap();
     let addr = daemon.local_addr();
+    let failed = 1;
+    let status = wait_state(addr, failed, "failed", Duration::from_secs(30));
+    assert!(field(&status, "error").is_some(), "{status}");
 
     let completed = submit(addr, QUICK_SPEC);
     wait_state(addr, completed, "completed", Duration::from_secs(30));
     let degraded = submit(addr, DEGRADED_SPEC);
     let status = wait_state(addr, degraded, "completed", Duration::from_secs(30));
     assert_eq!(field(&status, "class").as_deref(), Some("degraded"));
-    // A directory where the next job's checkpoint manifest belongs makes
-    // its campaign fail at load.
-    std::fs::create_dir_all(dir.join("checkpoints").join("job-3.manifest")).unwrap();
-    let failed = submit(addr, QUICK_SPEC);
-    assert_eq!(failed, 3);
-    let status = wait_state(addr, failed, "failed", Duration::from_secs(30));
-    assert!(field(&status, "error").is_some(), "{status}");
     let filler = submit(addr, &filler_spec());
     wait_done(addr, filler, 1, Duration::from_secs(60));
     let queued = submit(addr, QUICK_SPEC);
@@ -638,7 +662,7 @@ fn settled_jobs_serve_the_same_bytes_after_recovery() {
     let _ = req(addr, "DELETE", &format!("/campaigns/{filler}"), b"");
     wait_state(addr, filler, "cancelled", Duration::from_secs(60));
 
-    let ids = [completed, degraded, failed, queued, filler];
+    let ids = [failed, completed, degraded, queued, filler];
     let live: Vec<_> = ids.iter().map(|&id| snapshot(addr, id)).collect();
     assert_eq!(report_of(addr, completed), control_report(QUICK_SPEC));
     assert_eq!(report_of(addr, degraded), control_report(DEGRADED_SPEC));

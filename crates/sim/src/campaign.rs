@@ -216,6 +216,10 @@ pub struct TrialCtx {
 ///   and journal progress.
 /// * `on_retry` — called whenever a panicked attempt is about to be
 ///   retried, with the trial index.
+/// * `resumed` — outcomes a previous run already recorded elsewhere
+///   (e.g. a daemon's journal), taken exactly like a loaded manifest's:
+///   replayed into the monitor, counted in [`CampaignReport::resumed`],
+///   and never run again.
 #[derive(Clone, Copy, Default)]
 pub struct CampaignHooks<'a> {
     /// Live monitor (see type docs).
@@ -226,6 +230,8 @@ pub struct CampaignHooks<'a> {
     pub on_trial: Option<TrialHook<'a>>,
     /// Per-retry callback (trial index).
     pub on_retry: Option<&'a (dyn Fn(usize) + Sync)>,
+    /// Prior outcomes by trial index (see type docs).
+    pub resumed: Option<&'a BTreeMap<usize, TrialOutcome>>,
 }
 
 /// A shared per-trial callback `(trial index, outcome)`.
@@ -282,6 +288,7 @@ impl fmt::Debug for CampaignHooks<'_> {
             .field("cancel", &self.cancel.map(|c| c.load(Ordering::Relaxed)))
             .field("on_trial", &self.on_trial.is_some())
             .field("on_retry", &self.on_retry.is_some())
+            .field("resumed", &self.resumed.map(BTreeMap::len))
             .finish()
     }
 }
@@ -364,7 +371,8 @@ pub struct CampaignReport {
     pub trials: usize,
     /// Completed trials, keyed by index.
     pub outcomes: BTreeMap<usize, TrialOutcome>,
-    /// How many outcomes were loaded from the manifest rather than run.
+    /// How many outcomes were resumed (from a manifest or prior
+    /// outcomes) rather than run.
     pub resumed: usize,
 }
 
@@ -518,6 +526,14 @@ pub enum CampaignError {
     Io(std::io::Error),
     /// The manifest was malformed or does not match this campaign.
     Manifest(String),
+    /// A resumed outcome (from a manifest or [`CampaignHooks::resumed`])
+    /// names a trial index the campaign does not have.
+    TrialOutOfRange {
+        /// The offending trial index.
+        trial: usize,
+        /// The campaign's trial count.
+        trials: usize,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -525,6 +541,10 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::Io(e) => write!(f, "checkpoint io error: {e}"),
             CampaignError::Manifest(m) => write!(f, "manifest error: {m}"),
+            CampaignError::TrialOutOfRange { trial, trials } => write!(
+                f,
+                "resumed outcome for trial {trial} of a {trials}-trial campaign"
+            ),
         }
     }
 }
@@ -547,9 +567,9 @@ impl From<std::io::Error> for CampaignError {
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError`] for checkpoint IO failures or a mismatched
-/// or malformed manifest; trial failures are *data* ([`TrialOutcome`]),
-/// never errors.
+/// Returns [`CampaignError`] for checkpoint IO failures, a mismatched or
+/// malformed manifest, or a resumed outcome outside `0..cfg.trials`;
+/// trial failures are *data* ([`TrialOutcome`]), never errors.
 pub fn run_campaign<F>(cfg: &CampaignConfig, trial_fn: F) -> Result<CampaignReport, CampaignError>
 where
     F: Fn(&TrialCtx) -> TrialOutcome + Sync,
@@ -729,7 +749,8 @@ where
 type TrialFn<'a> = dyn Fn(&TrialCtx) -> TrialOutcome + Sync + 'a;
 
 /// The campaign state around the worker loop: the outcomes so far
-/// (resumed from the manifest) and the trials this run starts.
+/// (resumed from the manifest or the prior-outcomes hook) and the trials
+/// this run starts.
 struct Plan {
     outcomes: BTreeMap<usize, TrialOutcome>,
     resumed: usize,
@@ -737,20 +758,29 @@ struct Plan {
 }
 
 impl Plan {
-    /// Loads the manifest when resuming, replays resumed outcomes into
-    /// the monitor, and schedules the pending trials (at most
-    /// `cfg.stop_after` of them).
+    /// Loads the manifest when resuming and takes the hooks' prior
+    /// outcomes, refusing any outside `0..cfg.trials`; replays the
+    /// resumed outcomes into the monitor, and schedules the pending
+    /// trials (at most `cfg.stop_after` of them).
     fn load(cfg: &CampaignConfig, hooks: &CampaignHooks<'_>) -> Result<Plan, CampaignError> {
         let mut outcomes: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
-        let mut resumed = 0usize;
         if let Some(path) = &cfg.checkpoint {
             if cfg.resume && path.exists() {
                 let manifest = Manifest::load(path)?;
                 manifest.check_matches(cfg)?;
-                resumed = manifest.outcomes.len();
                 outcomes = manifest.outcomes;
             }
         }
+        if let Some(prior) = hooks.resumed {
+            outcomes.extend(prior.iter().map(|(&i, o)| (i, o.clone())));
+        }
+        if let Some(&trial) = outcomes.keys().next_back().filter(|&&i| i >= cfg.trials) {
+            return Err(CampaignError::TrialOutOfRange {
+                trial,
+                trials: cfg.trials,
+            });
+        }
+        let resumed = outcomes.len();
         if let Some(m) = hooks.monitor {
             m.set_expected(cfg.trials as u64);
             for outcome in outcomes.values() {
@@ -1425,7 +1455,60 @@ mod tests {
                 other => panic!("expected manifest mismatch, got {other:?}"),
             }
         }
+        // A trial record the campaign does not have: the manifest edited
+        // so that trial 4 claims to be trial 99.
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, text.replace("\ntrial 4 ", "\ntrial 99 ")).unwrap();
+        let mut other = cfg.clone();
+        other.resume = true;
+        match run_campaign(&other, outcome_for) {
+            Err(CampaignError::TrialOutOfRange {
+                trial: 99,
+                trials: 8,
+            }) => {}
+            other => panic!("expected an out-of-range trial, got {other:?}"),
+        }
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn prior_outcomes_resume_like_a_manifest() {
+        let cfg = CampaignConfig::new(30, 0xABCD);
+        let mut partial = cfg.clone();
+        partial.stop_after = Some(12);
+        let prior = run_campaign(&partial, outcome_for).unwrap().outcomes;
+
+        let ran = Mutex::new(Vec::new());
+        let on_trial = |i: usize, _: &TrialOutcome| ran.lock().unwrap().push(i);
+        let monitor = CampaignMonitor::new();
+        let hooks = CampaignHooks {
+            monitor: Some(&monitor),
+            on_trial: Some(&on_trial),
+            resumed: Some(&prior),
+            ..CampaignHooks::default()
+        };
+        let resumed = run_campaign_hooked(&cfg, hooks, outcome_for).unwrap();
+        assert_eq!(resumed.resumed, 12);
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        assert_eq!(ran, (12..30).collect::<Vec<_>>(), "prior trials ran again");
+        assert_eq!(monitor.snapshot().finished, 30);
+        let control = run_campaign(&cfg, outcome_for).unwrap();
+        assert_eq!(resumed.render(), control.render());
+
+        let mut stray = prior;
+        stray.insert(30, TrialOutcome::Timeout { steps: 1 });
+        let hooks = CampaignHooks {
+            resumed: Some(&stray),
+            ..CampaignHooks::default()
+        };
+        match run_campaign_hooked(&cfg, hooks, outcome_for) {
+            Err(CampaignError::TrialOutOfRange {
+                trial: 30,
+                trials: 30,
+            }) => {}
+            other => panic!("expected an out-of-range trial, got {other:?}"),
+        }
     }
 
     #[test]
