@@ -54,29 +54,40 @@
 //! the file; `GET /campaigns/{id}/progress` serves the live
 //! expected/started/finished counters as JSON.
 //!
-//! # Settled records
+//! # Settled rows
 //!
 //! A job in flight is a full `Job`: spec, cancel flag, outcome map and
 //! span buffers.  At its terminal transition — and for terminal jobs
-//! found by recovery — it is replaced by a `Settled` record holding only
-//! what the endpoints still serve: client, state, class, seed, trial
-//! count, retries, error and the outcome lines joined into one string.
-//! `/report` re-renders from that record with the same pure
-//! [`CampaignReport::render`] recovery uses, so live and recovered jobs
-//! share one report path and a long-lived daemon keeps a few hundred
-//! bytes per finished job.
+//! found by recovery — it is replaced by a fixed 32-byte `Settled` row in
+//! a table dense by job id: the job's oplog byte range (its `submit`
+//! frame to its terminal frame), trial, done and retry counts, an
+//! interned client index, state, class and the recovered flag.  The
+//! outcome lines, master seed and error text stay in the journal:
+//! `/results`, `/report` and a failed job's status re-read the range with
+//! [`read_range`] outside the lock and fold it with the same `apply_op`
+//! recovery uses, and `/report` re-renders with the same pure
+//! [`CampaignReport::render`], so live and recovered jobs share one
+//! report path.  A job whose journal missed an op (a failed append, or
+//! an op after the drain sealed the log) keeps its full record instead.
+//!
+//! # Result streams
+//!
+//! `GET /campaigns/{id}/results` waits on the `progress` condition
+//! variable, which every journalled outcome, terminal transition and
+//! drain notifies, and writes each outcome line once, then `end <state>`.
+//! Streams never write while holding the daemon lock.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use div_core::{hex_id, render_spans, span_id, SpanClock, SpanEvent};
-use div_oplog::{atomic_write, Oplog, Replay};
+use div_oplog::{atomic_write, read_range, Oplog, Replay};
 use div_sim::http::{HttpLimits, HttpServer, Request, Response};
 use div_sim::{CampaignHooks, CampaignReport, SeedSequence, TrialOutcome};
 
@@ -134,10 +145,15 @@ struct Job {
     /// Completed trials, keyed by index.
     results: BTreeMap<usize, TrialOutcome>,
     retries: u64,
-    /// Set by a journalled `fail`; carried into the settled record.
+    /// Set by a journalled `fail`.
     error: Option<String>,
     /// Whether this job was reconstructed from the oplog after a crash.
     recovered: bool,
+    /// The job's oplog bytes: its `submit` frame to its latest frame.
+    journal: Range<u64>,
+    /// Whether every op about the job reached the oplog, so that its
+    /// journal range holds all of it.
+    journalled: bool,
     /// Submit instant on the daemon's [`SpanClock`] (0 for recovered
     /// jobs — their pre-crash wall clock is gone).
     submitted_us: u64,
@@ -163,77 +179,142 @@ impl Job {
             retries: 0,
             error: None,
             recovered: false,
+            journal: 0..0,
+            journalled: true,
             submitted_us: 0,
             scheduled_us: None,
             trial_spans: Vec::new(),
             trial_attempts: BTreeMap::new(),
         }
     }
+
+    fn degraded(&self) -> bool {
+        self.results.values().any(|o| !o.is_converged())
+    }
+
+    /// The outcome lines `/results` serves, in trial order, skipping
+    /// the trials already `sent`.
+    fn unsent(&self, sent: &BTreeSet<usize>) -> Vec<(usize, String)> {
+        self.results
+            .iter()
+            .filter(|(i, _)| !sent.contains(*i))
+            .map(|(&i, o)| (i, o.manifest_line(i)))
+            .collect()
+    }
+
+    /// The report implied by the job's outcomes — the same pure function
+    /// of `(master seed, trials, outcomes)` the engine uses, so the
+    /// served report equals the one written at completion.
+    fn report(&self) -> String {
+        CampaignReport {
+            master_seed: self.spec.seed,
+            trials: self.spec.trials,
+            outcomes: self.results.clone(),
+            resumed: 0,
+        }
+        .render()
+    }
 }
 
-/// A terminal job, reduced to what its endpoints still serve.
-#[derive(Debug)]
+/// A finished job's fixed-size row.  Everything else the endpoints serve
+/// (outcome lines, master seed, error text) is re-read from the job's
+/// journal range.
+#[derive(Debug, Clone, Copy)]
 struct Settled {
-    client: Box<str>,
+    /// Oplog offset of the job's `submit` frame.
+    offset: u64,
+    /// Length of the job's journal range, through its terminal frame.
+    len: u32,
+    trials: u32,
+    done: u32,
+    retries: u32,
+    /// Index into [`Clients`].
+    client: u32,
     state: JobState,
-    /// The status `class`: `clean`, `degraded`, `partial` or `failed`.
-    class: &'static str,
+    degraded: bool,
     recovered: bool,
-    seed: u64,
-    trials: usize,
-    retries: u64,
-    error: Option<Box<str>>,
-    /// The journalled outcome lines in trial order, each `\n`-terminated.
-    outcomes: Box<str>,
 }
 
 impl Settled {
-    fn from_job(job: &Job) -> Settled {
-        debug_assert!(job.state.is_terminal(), "only terminal jobs settle");
-        let class = match job.state {
-            JobState::Failed => "failed",
-            JobState::Cancelled => "partial",
-            _ if job.results.values().any(|o| !o.is_converged()) => "degraded",
-            _ => "clean",
-        };
-        let mut outcomes = String::new();
-        for (&i, o) in &job.results {
-            outcomes.push_str(&o.manifest_line(i));
-            outcomes.push('\n');
+    /// The row of finished `job`, or `None` when its journal range does
+    /// not hold all of it or a count does not fit the row; such a job
+    /// keeps its full record.
+    fn of(job: &Job, client: u32) -> Option<Settled> {
+        if !job.journalled || !job.state.is_terminal() {
+            return None;
         }
-        Settled {
-            client: job.client.as_str().into(),
+        Some(Settled {
+            offset: job.journal.start,
+            len: u32::try_from(job.journal.end.checked_sub(job.journal.start)?).ok()?,
+            trials: u32::try_from(job.spec.trials).ok()?,
+            done: u32::try_from(job.results.len()).ok()?,
+            retries: u32::try_from(job.retries).ok()?,
+            client,
             state: job.state,
-            class,
+            degraded: job.degraded(),
             recovered: job.recovered,
-            seed: job.spec.seed,
-            trials: job.spec.trials,
-            retries: job.retries,
-            error: job.error.as_deref().map(Into::into),
-            outcomes: outcomes.into_boxed_str(),
+        })
+    }
+
+    fn journal(&self) -> Range<u64> {
+        self.offset..self.offset + u64::from(self.len)
+    }
+}
+
+/// The job id an op is about (its second word).
+fn op_job_id(op: &str) -> Option<u64> {
+    op.split(' ').nth(1)?.parse().ok()
+}
+
+/// Rebuilds finished job `id` from the journal range of its row: the same
+/// ops, folded by the same [`apply_op`] recovery uses, so the record
+/// serves exactly what the job held when it settled.
+fn reread(oplog: &Path, id: u64, row: &Settled) -> io::Result<Job> {
+    let range = row.journal();
+    let mut jobs = BTreeMap::new();
+    for bundle in read_range(oplog, range.start, range.end)? {
+        for op in bundle.ops.iter().filter(|op| op_job_id(op) == Some(id)) {
+            // An op recovery skips is skipped here too.
+            let _ = apply_op(&mut jobs, op);
         }
     }
+    jobs.remove(&id).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("oplog bytes {range:?} do not hold job {id}'s submit"),
+        )
+    })
 }
 
-/// Renders the campaign report implied by journalled outcome lines — the
-/// same pure function of `(master seed, trials, outcomes)` the engine
-/// uses, so the served report equals the one written at completion.
-fn render_report<'a>(seed: u64, trials: usize, lines: impl Iterator<Item = &'a str>) -> String {
-    CampaignReport {
-        master_seed: seed,
-        trials,
-        outcomes: lines.filter_map(TrialOutcome::parse_line).collect(),
-        resumed: 0,
+/// Interned client names: a settled row holds an index, not a string.
+#[derive(Debug, Default)]
+struct Clients {
+    names: Vec<Box<str>>,
+    index: HashMap<Box<str>, u32>,
+}
+
+impl Clients {
+    fn intern(&mut self, name: &str) -> Option<u32> {
+        if let Some(&i) = self.index.get(name) {
+            return Some(i);
+        }
+        let i = u32::try_from(self.names.len()).ok()?;
+        self.names.push(name.into());
+        self.index.insert(name.into(), i);
+        Some(i)
     }
-    .render()
+
+    fn name(&self, i: u32) -> &str {
+        &self.names[i as usize]
+    }
 }
 
-/// One row of the job table: a job in flight, or a finished job's
-/// settled record.  A job is `Live` exactly while it is not terminal.
-#[derive(Debug)]
-enum Entry {
-    Live(Box<Job>),
-    Settled(Settled),
+/// A job as its endpoints see it: a full record (in flight, or finished
+/// without a whole journal), or a settled row and its client's name.
+#[derive(Clone, Copy)]
+enum Entry<'a> {
+    Live(&'a Job),
+    Settled(&'a Settled, &'a str),
 }
 
 /// The counters every job endpoint reports, live or settled.
@@ -246,15 +327,30 @@ struct Summary<'a> {
     recovered: bool,
 }
 
-impl Entry {
-    fn state(&self) -> JobState {
+impl<'a> Entry<'a> {
+    fn state(self) -> JobState {
         match self {
             Entry::Live(job) => job.state,
-            Entry::Settled(s) => s.state,
+            Entry::Settled(row, _) => row.state,
         }
     }
 
-    fn summary(&self) -> Summary<'_> {
+    /// The status class, once the job is finished.
+    fn class(self) -> Option<&'static str> {
+        let (state, degraded) = match self {
+            Entry::Live(job) => (job.state, job.degraded()),
+            Entry::Settled(row, _) => (row.state, row.degraded),
+        };
+        Some(match state {
+            JobState::Queued | JobState::Running => return None,
+            JobState::Failed => "failed",
+            JobState::Cancelled => "partial",
+            JobState::Completed if degraded => "degraded",
+            JobState::Completed => "clean",
+        })
+    }
+
+    fn summary(self) -> Summary<'a> {
         match self {
             Entry::Live(job) => Summary {
                 client: &job.client,
@@ -264,13 +360,13 @@ impl Entry {
                 retries: job.retries,
                 recovered: job.recovered,
             },
-            Entry::Settled(s) => Summary {
-                client: &s.client,
-                state: s.state,
-                trials: s.trials,
-                done: s.outcomes.lines().count(),
-                retries: s.retries,
-                recovered: s.recovered,
+            Entry::Settled(row, client) => Summary {
+                client,
+                state: row.state,
+                trials: row.trials as usize,
+                done: row.done as usize,
+                retries: u64::from(row.retries),
+                recovered: row.recovered,
             },
         }
     }
@@ -290,10 +386,10 @@ fn trial_seed(master: u64, trial: usize) -> u64 {
 
 /// Builds the job's lifecycle span tree in journal order: the `queued`
 /// wait (submit → schedule), the `running` interval (schedule → end)
-/// carrying the terminal state, then every hook-recorded trial span.
+/// carrying the terminal `state`, then every hook-recorded trial span.
 /// A pure function of the job record plus the end instant, so recovery
 /// tests can pin the tree against a synthetic journal.
-fn assemble_spans(id: u64, job: &Job, end_us: u64) -> Vec<SpanEvent> {
+fn assemble_spans(id: u64, job: &Job, state: JobState, end_us: u64) -> Vec<SpanEvent> {
     let mut events = Vec::with_capacity(job.trial_spans.len() + 3);
     let queued_end = job.scheduled_us.unwrap_or(end_us);
     events.push(
@@ -322,11 +418,19 @@ fn assemble_spans(id: u64, job: &Job, end_us: u64) -> Vec<SpanEvent> {
             .arg_int("trials", job.spec.trials as i64)
             .arg_int("done", job.results.len() as i64)
             .arg_int("retries", job.retries as i64)
-            .arg_text("state", &job.state.to_string()),
+            .arg_text("state", &state.to_string()),
         );
     }
     events.extend(job.trial_spans.iter().cloned());
     events
+}
+
+/// Renders job `id`'s lifecycle span tree, ended at `end_us` in `state`,
+/// plus an optional closing span.
+fn span_trace(id: u64, job: &Job, state: JobState, end_us: u64, tail: Option<SpanEvent>) -> String {
+    let mut events = assemble_spans(id, job, state, end_us);
+    events.extend(tail);
+    render_spans(&events)
 }
 
 /// Bounded multi-client queue with round-robin dispatch: one FIFO lane
@@ -415,9 +519,23 @@ impl FairQueue {
     }
 }
 
+/// How many ids beyond the settled table's end, besides those of jobs in
+/// flight, a settling job's slot may lie (ids a replay skipped) before
+/// the job keeps its full record rather than grow the table.
+const SETTLED_GAP: usize = 1024;
+
+/// The settled-table slot of job `id`.
+fn slot(id: u64) -> Option<usize> {
+    usize::try_from(id.checked_sub(1)?).ok()
+}
+
 /// Mutable daemon state behind the one lock.
 struct Inner {
-    jobs: BTreeMap<u64, Entry>,
+    /// Jobs in flight, and finished jobs whose journal missed an op.
+    live: BTreeMap<u64, Box<Job>>,
+    /// Settled rows, dense by job id (`settled[id - 1]`).
+    settled: Vec<Option<Settled>>,
+    clients: Clients,
     queue: FairQueue,
     /// `None` once sealed during drain.
     oplog: Option<Oplog>,
@@ -428,38 +546,82 @@ struct Inner {
 }
 
 impl Inner {
-    /// Journals one bundle; the error decides admission (submit) or is
-    /// surfaced on stderr (progress ops — an unjournalled outcome only
-    /// means a resumed job runs that trial again).
-    fn commit(&mut self, ops: &[String]) -> io::Result<()> {
-        match &mut self.oplog {
-            Some(log) => log.commit(ops).map(|_| ()),
-            None => Ok(()), // sealed during drain; nothing left to journal
-        }
+    /// Journals one op; returns the byte range of its frame, or `None`
+    /// once the drain has sealed the log.  The error decides admission
+    /// (submit) or is surfaced on stderr (see [`Inner::journal`]).
+    fn commit(&mut self, op: String) -> io::Result<Option<Range<u64>>> {
+        let Some(log) = &mut self.oplog else {
+            return Ok(None);
+        };
+        let start = log.len();
+        log.commit(&[op])?;
+        Ok(Some(start..log.len()))
     }
 
-    fn commit_warn(&mut self, ops: &[String]) {
-        if let Err(e) = self.commit(ops) {
-            eprintln!("divd: oplog append failed ({e}); continuing un-journalled");
+    /// Journals one op about job `id` and extends the job's journal
+    /// range over it.  A failed append only warns: an unjournalled
+    /// outcome means a resumed job runs that trial again, and the job,
+    /// its journal no longer whole, keeps its full record once finished.
+    fn journal(&mut self, id: u64, op: String) {
+        let end = match self.commit(op) {
+            Ok(frame) => frame.map(|f| f.end),
+            Err(e) => {
+                eprintln!("divd: oplog append failed ({e}); continuing un-journalled");
+                None
+            }
+        };
+        if let Some(job) = self.live.get_mut(&id) {
+            match end {
+                Some(end) => job.journal.end = end,
+                None => job.journalled = false,
+            }
         }
     }
 
     /// Job `id`, if it is still in flight.
     fn live(&mut self, id: u64) -> Option<&mut Job> {
-        match self.jobs.get_mut(&id) {
-            Some(Entry::Live(job)) => Some(job),
-            _ => None,
-        }
+        self.live
+            .get_mut(&id)
+            .filter(|job| !job.state.is_terminal())
+            .map(|job| &mut **job)
     }
 
-    /// Replaces job `id`'s full record with its settled one; called at
-    /// every terminal transition.
-    fn settle(&mut self, id: u64) {
-        if let Some(entry) = self.jobs.get_mut(&id) {
-            if let Entry::Live(job) = entry {
-                *entry = Entry::Settled(Settled::from_job(job));
-            }
+    fn entry(&self, id: u64) -> Option<Entry<'_>> {
+        if let Some(job) = self.live.get(&id) {
+            return Some(Entry::Live(job));
         }
+        let row = self.settled.get(slot(id)?)?.as_ref()?;
+        Some(Entry::Settled(row, self.clients.name(row.client)))
+    }
+
+    /// Every job, in id order.
+    fn entries(&self) -> impl Iterator<Item = (u64, Entry<'_>)> {
+        (0..self.next_id).filter_map(move |id| Some((id, self.entry(id)?)))
+    }
+
+    /// Replaces finished job `id`'s full record with its settled row;
+    /// called at every terminal transition.  A job its journal range
+    /// does not hold keeps its full record.
+    fn settle(&mut self, id: u64) {
+        let Some(job) = self.live.get(&id) else {
+            return;
+        };
+        let bound = self.settled.len() + self.live.len() + SETTLED_GAP;
+        let Some(at) = slot(id).filter(|&at| at <= bound) else {
+            return;
+        };
+        let Some(row) = self
+            .clients
+            .intern(&job.client)
+            .and_then(|client| Settled::of(job, client))
+        else {
+            return;
+        };
+        self.live.remove(&id);
+        if self.settled.len() <= at {
+            self.settled.resize(at + 1, None);
+        }
+        self.settled[at] = Some(row);
     }
 }
 
@@ -467,12 +629,44 @@ struct Shared {
     inner: Mutex<Inner>,
     /// Wakes workers (queue push, drain).
     work: Condvar,
+    /// Wakes `/results` streams: every journalled outcome, terminal
+    /// transition and drain.
+    progress: Condvar,
     data_dir: PathBuf,
     /// The trace epoch every lifecycle span measures from.
     clock: SpanClock,
 }
 
 impl Shared {
+    /// Creates the data directory layout and rebuilds the daemon state
+    /// from its oplog, re-queueing recovered work.
+    fn open(cfg: &DaemonConfig) -> io::Result<Shared> {
+        std::fs::create_dir_all(cfg.data_dir.join("reports"))?;
+        std::fs::create_dir_all(cfg.data_dir.join("spans"))?;
+        let (oplog, replay) = Oplog::open(&cfg.data_dir.join("oplog.div"))?;
+        let mut inner = recover(&replay, cfg.queue_capacity);
+        let recovered_jobs = inner.entries().count();
+        if recovered_jobs > 0 {
+            eprintln!(
+                "divd: recovered {} job(s) from oplog ({} queued for work{})",
+                recovered_jobs,
+                inner.queue.len(),
+                match &replay.torn {
+                    Some(t) => format!("; truncated torn tail: {}", t.reason),
+                    None => String::new(),
+                }
+            );
+        }
+        inner.oplog = Some(oplog);
+        Ok(Shared {
+            inner: Mutex::new(inner),
+            work: Condvar::new(),
+            progress: Condvar::new(),
+            data_dir: cfg.data_dir.clone(),
+            clock: SpanClock::new(),
+        })
+    }
+
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -485,36 +679,45 @@ impl Shared {
         self.data_dir.join("spans").join(format!("job-{id}.json"))
     }
 
-    /// Renders the job's lifecycle span tree and writes it atomically
-    /// next to the report.  Called at every terminal transition; purely
-    /// observational, so failures warn instead of failing the job.
-    fn write_spans(&self, id: u64, job: &Job, end_us: u64, tail: Option<SpanEvent>) {
-        let mut events = assemble_spans(id, job, end_us);
-        if let Some(span) = tail {
-            events.push(span);
-        }
-        let text = render_spans(&events);
+    fn oplog_path(&self) -> PathBuf {
+        self.data_dir.join("oplog.div")
+    }
+
+    /// Writes a job's span trace atomically next to its report.  Purely
+    /// observational, so a failure warns instead of failing the job.
+    fn write_spans(&self, id: u64, text: &str) {
         if let Err(e) = atomic_write(&self.spans_path(id), text.as_bytes()) {
             eprintln!("divd: span trace write for job {id} failed: {e}");
         }
     }
 
-    /// Stops admission and cooperatively cancels in-flight campaigns.
+    /// Writes job `id`'s report durably; returns the write's start and
+    /// end instants.
+    fn write_report(&self, id: u64, report: &CampaignReport) -> (u64, u64) {
+        let text = report.render();
+        let start = self.clock.now_us();
+        if let Err(e) = atomic_write(&self.report_path(id), text.as_bytes()) {
+            eprintln!("divd: report write for job {id} failed: {e}");
+        }
+        (start, self.clock.now_us())
+    }
+
+    /// Stops admission, cooperatively cancels in-flight campaigns and
+    /// ends every open result stream.
     fn begin_drain(&self) {
         let mut inner = self.lock();
         if inner.draining {
             return;
         }
         inner.draining = true;
-        for entry in inner.jobs.values() {
-            if let Entry::Live(job) = entry {
-                if job.state == JobState::Running {
-                    job.cancel.store(true, Ordering::SeqCst);
-                }
+        for job in inner.live.values() {
+            if job.state == JobState::Running {
+                job.cancel.store(true, Ordering::SeqCst);
             }
         }
         drop(inner);
         self.work.notify_all();
+        self.progress.notify_all();
     }
 }
 
@@ -535,30 +738,7 @@ impl Daemon {
     /// Propagates data-directory creation, oplog open and socket bind
     /// failures.
     pub fn start(cfg: DaemonConfig) -> io::Result<Daemon> {
-        std::fs::create_dir_all(cfg.data_dir.join("reports"))?;
-        std::fs::create_dir_all(cfg.data_dir.join("spans"))?;
-        let (oplog, replay) = Oplog::open(&cfg.data_dir.join("oplog.div"))?;
-        let mut inner = recover(&replay, cfg.queue_capacity);
-        let recovered_jobs = inner.jobs.len();
-        if recovered_jobs > 0 {
-            eprintln!(
-                "divd: recovered {} job(s) from oplog ({} queued for work{})",
-                recovered_jobs,
-                inner.queue.len(),
-                match &replay.torn {
-                    Some(t) => format!("; truncated torn tail: {}", t.reason),
-                    None => String::new(),
-                }
-            );
-        }
-        inner.oplog = Some(oplog);
-
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(inner),
-            work: Condvar::new(),
-            data_dir: cfg.data_dir.clone(),
-            clock: SpanClock::new(),
-        });
+        let shared = Arc::new(Shared::open(&cfg)?);
 
         let mut workers = Vec::new();
         for _ in 0..cfg.workers.max(1) {
@@ -643,59 +823,55 @@ fn recover(replay: &Replay, queue_capacity: usize) -> Inner {
         for op in &bundle.ops {
             if let Err(msg) = apply_op(&mut jobs, op) {
                 eprintln!("divd: skipping oplog op: {msg}");
+                continue;
+            }
+            // A job's journal range runs from its `submit` frame to the
+            // frame of its latest op.
+            if let Some(job) = op_job_id(op).and_then(|id| jobs.get_mut(&id)) {
+                if op.starts_with("submit ") {
+                    job.journal.start = bundle.offset;
+                }
+                job.journal.end = bundle.end;
             }
         }
     }
 
-    let next_id = jobs.keys().next_back().map_or(1, |&id| id + 1);
-    let jobs: BTreeMap<u64, Entry> = jobs
-        .into_iter()
-        .map(|(id, mut job)| {
-            // A running job with journalled cancel intent died before its
-            // worker could finalise: finalise it now, from the journal.
-            if job.state == JobState::Running && job.cancel_requested {
-                job.state = JobState::Cancelled;
-            }
-            job.recovered = true;
-            let entry = if job.state.is_terminal() {
-                Entry::Settled(Settled::from_job(&job))
-            } else {
-                Entry::Live(Box::new(job))
-            };
-            (id, entry)
-        })
-        .collect();
+    let mut inner = Inner {
+        live: BTreeMap::new(),
+        settled: Vec::new(),
+        clients: Clients::default(),
+        queue: FairQueue::new(queue_capacity),
+        oplog: None,
+        next_id: jobs.keys().next_back().map_or(1, |&id| id + 1),
+        draining: false,
+        running: 0,
+        rejected: 0,
+    };
+    for (id, mut job) in jobs {
+        // A running job with journalled cancel intent died before its
+        // worker could finalise: finalise it now, from the journal.
+        if job.state == JobState::Running && job.cancel_requested {
+            job.state = JobState::Cancelled;
+        }
+        job.recovered = true;
+        inner.live.insert(id, Box::new(job));
+        inner.settle(id);
+    }
 
     // Crashed `running` jobs resume first; then still-queued jobs in
     // submission order.  Recovery ignores queue capacity: accepted work
     // is never dropped.
-    let mut queue = FairQueue::new(queue_capacity);
-    let live = || {
-        jobs.iter().filter_map(|(&id, entry)| match entry {
-            Entry::Live(job) => Some((id, job)),
-            Entry::Settled(_) => None,
-        })
-    };
-    for (id, job) in live() {
+    for (&id, job) in &inner.live {
         if job.state == JobState::Running {
-            queue.push_front(&job.client, id);
+            inner.queue.push_front(&job.client, id);
         }
     }
-    for (id, job) in live() {
+    for (&id, job) in &inner.live {
         if job.state == JobState::Queued {
-            queue.push_back(&job.client, id);
+            inner.queue.push_back(&job.client, id);
         }
     }
-
-    Inner {
-        jobs,
-        queue,
-        oplog: None,
-        next_id,
-        draining: false,
-        running: 0,
-        rejected: 0,
-    }
+    inner
 }
 
 /// Applies one journalled op to the job map.  An unreadable op, or an
@@ -804,84 +980,164 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// Runs one job start to finish (or to cancellation/drain), resuming
 /// from the outcomes its journal already holds.
 fn run_job(shared: &Arc<Shared>, id: u64) {
-    let (spec, cancel, prior) = {
-        let mut inner = shared.lock();
-        // A settled job was cancelled between pop and claim.
-        let Some(job) = inner.live(id) else {
-            return;
-        };
-        let spec = job.spec.clone();
-        let cancel = Arc::clone(&job.cancel);
-        let prior = job.results.clone();
-        job.state = JobState::Running;
-        job.scheduled_us = Some(shared.clock.now_us());
-        inner.running += 1;
-        inner.commit_warn(&[format!("schedule {id}")]);
-        (spec, cancel, prior)
+    let Some((spec, cancel, prior)) = claim(shared, id) else {
+        return;
     };
-
     let result = spec
         .build()
         .map_err(|e| format!("campaign setup failed: {e}"))
         .and_then(|(inputs, _)| run_engine(shared, id, &spec, &inputs, &cancel, &prior));
+    finish(shared, id, result);
+}
 
+/// Claims job `id` for a worker: marks it running and journals
+/// `schedule`.  `None` when the job was cancelled between pop and claim.
+fn claim(
+    shared: &Shared,
+    id: u64,
+) -> Option<(JobSpec, Arc<AtomicBool>, BTreeMap<usize, TrialOutcome>)> {
+    let mut inner = shared.lock();
+    let job = inner.live(id)?;
+    job.state = JobState::Running;
+    job.scheduled_us = Some(shared.clock.now_us());
+    let claimed = (
+        job.spec.clone(),
+        Arc::clone(&job.cancel),
+        job.results.clone(),
+    );
+    inner.running += 1;
+    inner.journal(id, format!("schedule {id}"));
+    Some(claimed)
+}
+
+/// Ends job `id`'s run: journals `complete` or `fail`, settles the job
+/// and wakes its streams.  A run a drain cut short journals nothing: the
+/// job stays `running` in the oplog and the next daemon resumes it from
+/// its journalled outcomes.
+///
+/// The report file is durable before the terminal op, so a crash between
+/// the two leaves the job `running` and resume re-renders the identical
+/// bytes; the span trace is on disk before the job turns terminal.  Both
+/// are written outside the lock, except a cancelled job's partial report,
+/// which depends on the cancel intent read under it.
+fn finish(shared: &Shared, id: u64, result: Result<CampaignReport, String>) {
+    // A complete report's bytes and class are fixed whatever a later
+    // cancel does.
+    let written = match &result {
+        Ok(report) if report.is_complete() => Some(shared.write_report(id, report)),
+        _ => None,
+    };
     let mut inner = shared.lock();
     inner.running -= 1;
     let Some(job) = inner.live(id) else {
         return;
     };
-    let user_cancelled = job.cancel_requested;
-    match result {
-        Err(msg) => {
-            inner.commit_warn(&[format!("fail {id} {msg}")]);
-            let job = inner.live(id).expect("present above");
-            job.state = JobState::Failed;
-            job.error = Some(msg);
-            let end_us = shared.clock.now_us();
-            shared.write_spans(id, job, end_us, None);
-            inner.settle(id);
-        }
+    let (op, state, end_us, tail) = match &result {
+        Err(msg) => (
+            format!("fail {id} {msg}"),
+            JobState::Failed,
+            shared.clock.now_us(),
+            None,
+        ),
         Ok(report) => {
-            if report.is_complete() || user_cancelled {
-                let class = if user_cancelled && !report.is_complete() {
-                    "cancelled"
-                } else if report.is_degraded() {
+            let (class, state) = if report.is_complete() {
+                let class = if report.is_degraded() {
                     "degraded"
                 } else {
                     "clean"
                 };
-                let text = report.render();
-                // Report durable before the terminal op: a crash between
-                // the two leaves the job `running`, and resume re-renders
-                // the identical bytes.
-                let write_start = shared.clock.now_us();
-                if let Err(e) = atomic_write(&shared.report_path(id), text.as_bytes()) {
-                    eprintln!("divd: report write for job {id} failed: {e}");
-                }
-                let end_us = shared.clock.now_us();
-                inner.commit_warn(&[format!("complete {id} {class}")]);
-                let job = inner.live(id).expect("present above");
-                job.state = if class == "cancelled" {
-                    JobState::Cancelled
-                } else {
-                    JobState::Completed
-                };
-                let report_span = SpanEvent::complete(
-                    "report-write",
-                    "job",
-                    write_start,
-                    end_us.saturating_sub(write_start),
-                    id,
-                    0,
-                )
-                .arg_text("class", class);
-                shared.write_spans(id, job, end_us, Some(report_span));
-                inner.settle(id);
-            }
-            // else: partial because of drain — leave the job `running`
-            // in the oplog; its journalled outcomes carry the progress
-            // and the next daemon resumes from them.
+                (class, JobState::Completed)
+            } else if job.cancel_requested {
+                ("cancelled", JobState::Cancelled)
+            } else {
+                return;
+            };
+            let (write_start, end_us) = written.unwrap_or_else(|| shared.write_report(id, report));
+            let span = SpanEvent::complete(
+                "report-write",
+                "job",
+                write_start,
+                end_us.saturating_sub(write_start),
+                id,
+                0,
+            )
+            .arg_text("class", class);
+            (format!("complete {id} {class}"), state, end_us, Some(span))
         }
+    };
+    let trace = span_trace(id, job, state, end_us, tail);
+    drop(inner);
+    shared.write_spans(id, &trace);
+
+    let mut inner = shared.lock();
+    inner.journal(id, op);
+    if let Some(job) = inner.live(id) {
+        job.state = state;
+        job.error = result.err();
+    }
+    inner.settle(id);
+    drop(inner);
+    shared.progress.notify_all();
+}
+
+/// The `on_trial` hook: journals trial `i`'s outcome, records its
+/// `attempt` span and wakes the result streams.
+fn record_outcome(shared: &Shared, id: u64, seed: u64, i: usize, outcome: &TrialOutcome) {
+    let line = outcome.manifest_line(i);
+    let now_us = shared.clock.now_us();
+    let mut inner = shared.lock();
+    inner.journal(id, format!("outcome {id} {line}"));
+    if let Some(job) = inner.live(id) {
+        // The hook fires at completion; the span covers schedule →
+        // outcome, so Perfetto shows per-trial completion order.
+        let start = job.scheduled_us.unwrap_or(0);
+        let attempt = job.trial_attempts.get(&i).copied().unwrap_or(0);
+        let label = line.split_whitespace().nth(2).unwrap_or("unknown");
+        job.trial_spans.push(
+            SpanEvent::complete(
+                "attempt",
+                "trial",
+                start,
+                now_us.saturating_sub(start),
+                id,
+                1 + (i as u64 % TRIAL_SPAN_LANES),
+            )
+            .arg_text("id", &hex_id(span_id(id, trial_seed(seed, i), attempt)))
+            .arg_int("trial", i as i64)
+            .arg_int("attempt", i64::from(attempt))
+            .arg_text("outcome", label),
+        );
+        job.results.insert(i, outcome.clone());
+    }
+    drop(inner);
+    shared.progress.notify_all();
+}
+
+/// The `on_retry` hook: journals the retry and records its span.
+fn record_retry(shared: &Shared, id: u64, seed: u64, i: usize) {
+    let now_us = shared.clock.now_us();
+    let mut inner = shared.lock();
+    inner.journal(id, format!("retried {id} {i}"));
+    if let Some(job) = inner.live(id) {
+        job.retries += 1;
+        let attempt = {
+            let n = job.trial_attempts.entry(i).or_insert(0);
+            *n += 1;
+            *n
+        };
+        job.trial_spans.push(
+            SpanEvent::complete(
+                "retry",
+                "trial",
+                now_us,
+                0,
+                id,
+                1 + (i as u64 % TRIAL_SPAN_LANES),
+            )
+            .arg_text("id", &hex_id(span_id(id, trial_seed(seed, i), attempt)))
+            .arg_int("trial", i as i64)
+            .arg_int("attempt", i64::from(attempt)),
+        );
     }
 }
 
@@ -902,67 +1158,9 @@ fn run_engine(
     if let Some(why) = &campaign.demotion {
         eprintln!("divd: job {id}: {why}");
     }
-
-    let on_trial = |i: usize, outcome: &TrialOutcome| {
-        let line = outcome.manifest_line(i);
-        let now_us = shared.clock.now_us();
-        let mut inner = shared.lock();
-        inner.commit_warn(&[format!("outcome {id} {line}")]);
-        if let Some(job) = inner.live(id) {
-            // The hook fires at completion; the span covers schedule →
-            // outcome, so Perfetto shows per-trial completion order.
-            let start = job.scheduled_us.unwrap_or(0);
-            let attempt = job.trial_attempts.get(&i).copied().unwrap_or(0);
-            let label = line.split_whitespace().nth(2).unwrap_or("unknown");
-            job.trial_spans.push(
-                SpanEvent::complete(
-                    "attempt",
-                    "trial",
-                    start,
-                    now_us.saturating_sub(start),
-                    id,
-                    1 + (i as u64 % TRIAL_SPAN_LANES),
-                )
-                .arg_text(
-                    "id",
-                    &hex_id(span_id(id, trial_seed(spec.seed, i), attempt)),
-                )
-                .arg_int("trial", i as i64)
-                .arg_int("attempt", i64::from(attempt))
-                .arg_text("outcome", label),
-            );
-            job.results.insert(i, outcome.clone());
-        }
-    };
-    let on_retry = |i: usize| {
-        let now_us = shared.clock.now_us();
-        let mut inner = shared.lock();
-        inner.commit_warn(&[format!("retried {id} {i}")]);
-        if let Some(job) = inner.live(id) {
-            job.retries += 1;
-            let attempt = {
-                let n = job.trial_attempts.entry(i).or_insert(0);
-                *n += 1;
-                *n
-            };
-            job.trial_spans.push(
-                SpanEvent::complete(
-                    "retry",
-                    "trial",
-                    now_us,
-                    0,
-                    id,
-                    1 + (i as u64 % TRIAL_SPAN_LANES),
-                )
-                .arg_text(
-                    "id",
-                    &hex_id(span_id(id, trial_seed(spec.seed, i), attempt)),
-                )
-                .arg_int("trial", i as i64)
-                .arg_int("attempt", i64::from(attempt)),
-            );
-        }
-    };
+    let on_trial =
+        |i: usize, outcome: &TrialOutcome| record_outcome(shared, id, spec.seed, i, outcome);
+    let on_retry = |i: usize| record_retry(shared, id, spec.seed, i);
     let hooks = CampaignHooks {
         cancel: Some(cancel),
         on_trial: Some(&on_trial),
@@ -1071,13 +1269,16 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Response {
     let id = inner.next_id;
     // Durable before visible: the submit op is fsynced before the job
     // exists anywhere else, so an accepted id always survives a crash.
-    if let Err(e) = inner.commit(&[format!("submit {id} {client} {}", spec.render())]) {
-        return Response::text(500, format!("oplog append failed: {e}\n"));
-    }
+    let frame = match inner.commit(format!("submit {id} {client} {}", spec.render())) {
+        Ok(frame) => frame,
+        Err(e) => return Response::text(500, format!("oplog append failed: {e}\n")),
+    };
     inner.next_id += 1;
     let mut job = Job::new(client.clone(), spec);
     job.submitted_us = shared.clock.now_us();
-    inner.jobs.insert(id, Entry::Live(Box::new(job)));
+    job.journalled = frame.is_some();
+    job.journal = frame.unwrap_or(0..0);
+    inner.live.insert(id, Box::new(job));
     inner.queue.push_back(&client, id);
     drop(inner);
     shared.work.notify_all();
@@ -1090,7 +1291,7 @@ fn status(shared: &Arc<Shared>) -> Response {
     for s in ["queued", "running", "completed", "cancelled", "failed"] {
         by_state.insert(s, 0);
     }
-    for entry in inner.jobs.values() {
+    for (_, entry) in inner.entries() {
         *by_state
             .entry(match entry.state() {
                 JobState::Queued => "queued",
@@ -1116,7 +1317,7 @@ fn status(shared: &Arc<Shared>) -> Response {
 fn list(shared: &Arc<Shared>) -> Response {
     let inner = shared.lock();
     let mut out = String::new();
-    for (id, entry) in &inner.jobs {
+    for (id, entry) in inner.entries() {
         let job = entry.summary();
         out.push_str(&format!(
             "{id} {} {} {}/{}\n",
@@ -1126,9 +1327,14 @@ fn list(shared: &Arc<Shared>) -> Response {
     Response::text(200, out)
 }
 
+/// The `500` a settled job answers when its journal range cannot be read.
+fn unreadable(id: u64, e: &io::Error) -> Response {
+    Response::text(500, format!("job {id}'s journal is unreadable: {e}\n"))
+}
+
 fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
     let inner = shared.lock();
-    let Some(entry) = inner.jobs.get(&id) else {
+    let Some(entry) = inner.entry(id) else {
         return Response::text(404, "no such campaign\n");
     };
     let job = entry.summary();
@@ -1141,11 +1347,25 @@ fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
         job.retries,
         u8::from(job.recovered),
     );
-    if let Entry::Settled(settled) = entry {
-        out.push_str(&format!("class {}\n", settled.class));
-        if let Some(e) = &settled.error {
-            out.push_str(&format!("error {}\n", e.replace('\n', " ")));
+    if let Some(class) = entry.class() {
+        out.push_str(&format!("class {class}\n"));
+    }
+    // Only a failed job has an error, and a settled one keeps it in the
+    // journal.
+    let error = match entry {
+        Entry::Live(job) => job.error.clone(),
+        Entry::Settled(row, _) if row.state == JobState::Failed => {
+            let row = *row;
+            drop(inner);
+            match reread(&shared.oplog_path(), id, &row) {
+                Ok(job) => job.error,
+                Err(e) => return unreadable(id, &e),
+            }
         }
+        Entry::Settled(..) => None,
+    };
+    if let Some(e) = error {
+        out.push_str(&format!("error {}\n", e.replace('\n', " ")));
     }
     Response::text(200, out)
 }
@@ -1158,7 +1378,7 @@ fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
 /// design: nothing is observable before it is durable).
 fn job_progress(shared: &Arc<Shared>, id: u64) -> Response {
     let inner = shared.lock();
-    let Some(entry) = inner.jobs.get(&id) else {
+    let Some(entry) = inner.entry(id) else {
         return Response::text(404, "no such campaign\n");
     };
     let job = entry.summary();
@@ -1175,7 +1395,7 @@ fn job_progress(shared: &Arc<Shared>, id: u64) -> Response {
 /// `409` until the job is terminal — the tree is only assembled once
 /// the outcome is settled, mirroring the report endpoint.
 fn job_spans(shared: &Arc<Shared>, id: u64) -> Response {
-    let state = match shared.lock().jobs.get(&id) {
+    let state = match shared.lock().entry(id) {
         Some(entry) => entry.state(),
         None => return Response::text(404, "no such campaign\n"),
     };
@@ -1190,99 +1410,125 @@ fn job_spans(shared: &Arc<Shared>, id: u64) -> Response {
     }
 }
 
-/// Serves the final report, re-rendered from the settled record outside
-/// the lock.  `409` until the job is terminal, and for a failed job,
-/// which has no report.
+/// Serves the final report, re-rendered from the job's journalled
+/// outcomes outside the lock.  `409` until the job is terminal, and for
+/// a failed job, which has no report.
 fn job_report(shared: &Arc<Shared>, id: u64) -> Response {
-    let (seed, trials, outcomes) = match shared.lock().jobs.get(&id) {
+    let inner = shared.lock();
+    let row = match inner.entry(id) {
         None => return Response::text(404, "no such campaign\n"),
-        Some(Entry::Settled(s)) if s.state != JobState::Failed => {
-            (s.seed, s.trials, s.outcomes.clone())
-        }
-        Some(entry) => {
+        Some(entry) if !entry.state().is_terminal() || entry.state() == JobState::Failed => {
             return Response::text(409, format!("job is {}; no report yet\n", entry.state()))
         }
+        Some(Entry::Live(job)) => return Response::text(200, job.report()),
+        Some(Entry::Settled(row, _)) => *row,
     };
-    Response::text(200, render_report(seed, trials, outcomes.lines()))
+    drop(inner);
+    match reread(&shared.oplog_path(), id, &row) {
+        Ok(job) => Response::text(200, job.report()),
+        Err(e) => unreadable(id, &e),
+    }
 }
-
-/// How long an open `/results` stream sleeps between looks at its job.
-const RESULTS_POLL: Duration = Duration::from_millis(25);
 
 /// Streams journalled per-trial outcomes as they land, ending with an
 /// `end <state>` line once the job is terminal (or the daemon drains).
-/// The stream looks at the job every [`RESULTS_POLL`] and never writes
-/// while holding the lock.
+/// The stream waits on [`Shared::progress`] and never writes while
+/// holding the lock; a job already settled is answered whole.
 fn job_results(shared: &Arc<Shared>, id: u64) -> Response {
-    if !shared.lock().jobs.contains_key(&id) {
-        return Response::text(404, "no such campaign\n");
+    let settled = match shared.lock().entry(id) {
+        None => return Response::text(404, "no such campaign\n"),
+        Some(Entry::Settled(row, _)) => Some(*row),
+        Some(Entry::Live(_)) => None,
+    };
+    if let Some(row) = settled {
+        return match settled_results(shared, id, &row, &BTreeSet::new()) {
+            Ok(body) => Response::text(200, body),
+            Err(e) => unreadable(id, &e),
+        };
     }
     let shared = Arc::clone(shared);
     Response::stream(200, "text/plain; charset=utf-8", move |w| {
         let mut sent: BTreeSet<usize> = BTreeSet::new();
+        let mut inner = shared.lock();
         loop {
-            let (batch, fin) = {
-                let inner = shared.lock();
-                let Some(entry) = inner.jobs.get(&id) else {
+            let (batch, end) = match inner.entry(id) {
+                None => (Vec::new(), Some("gone".to_string())),
+                Some(Entry::Settled(row, _)) => {
+                    let row = *row;
                     drop(inner);
-                    return writeln!(w, "end gone");
-                };
-                let batch: Vec<(usize, String)> = match entry {
-                    Entry::Live(job) => job
-                        .results
-                        .iter()
-                        .filter(|(i, _)| !sent.contains(*i))
-                        .map(|(&i, o)| (i, o.manifest_line(i)))
-                        .collect(),
-                    Entry::Settled(s) => s
-                        .outcomes
-                        .lines()
-                        .filter_map(|line| {
-                            let (i, _) = TrialOutcome::parse_line(line)?;
-                            (!sent.contains(&i)).then(|| (i, line.to_string()))
-                        })
-                        .collect(),
-                };
-                let fin = if entry.state().is_terminal() {
-                    Some(entry.state().to_string())
-                } else if inner.draining {
-                    Some("draining".to_string())
-                } else {
-                    None
-                };
-                (batch, fin)
+                    return w.write_all(settled_results(&shared, id, &row, &sent)?.as_bytes());
+                }
+                Some(Entry::Live(job)) => {
+                    let end = if job.state.is_terminal() {
+                        Some(job.state.to_string())
+                    } else if inner.draining {
+                        Some("draining".to_string())
+                    } else {
+                        None
+                    };
+                    (job.unsent(&sent), end)
+                }
             };
+            if batch.is_empty() && end.is_none() {
+                inner = shared
+                    .progress
+                    .wait(inner)
+                    .unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            drop(inner);
             for (i, line) in batch {
                 writeln!(w, "{line}")?;
                 sent.insert(i);
             }
             w.flush()?;
-            if let Some(state) = fin {
+            if let Some(state) = end {
                 return writeln!(w, "end {state}");
             }
-            std::thread::sleep(RESULTS_POLL);
+            inner = shared.lock();
         }
     })
 }
 
+/// The rest of a settled job's `/results` body: the outcome lines not
+/// yet `sent`, re-read from its journal, then `end <state>`.
+fn settled_results(
+    shared: &Shared,
+    id: u64,
+    row: &Settled,
+    sent: &BTreeSet<usize>,
+) -> io::Result<String> {
+    let job = reread(&shared.oplog_path(), id, row)?;
+    let mut body = String::new();
+    for (_, line) in job.unsent(sent) {
+        body.push_str(&line);
+        body.push('\n');
+    }
+    body.push_str(&format!("end {}\n", row.state));
+    Ok(body)
+}
+
 fn job_cancel(shared: &Arc<Shared>, id: u64) -> Response {
     let mut inner = shared.lock();
-    let state = match inner.jobs.get(&id) {
+    let state = match inner.entry(id) {
         Some(entry) => entry.state(),
         None => return Response::text(404, "no such campaign\n"),
     };
     if state.is_terminal() {
         return Response::text(409, format!("already {state}\n"));
     }
-    inner.commit_warn(&[format!("cancel {id}")]);
+    inner.journal(id, format!("cancel {id}"));
     let job = inner.live(id).expect("a non-terminal job is live");
     job.cancel_requested = true;
     if state == JobState::Queued {
-        job.state = JobState::Cancelled;
         let end_us = shared.clock.now_us();
-        shared.write_spans(id, job, end_us, None);
+        let trace = span_trace(id, job, JobState::Cancelled, end_us, None);
+        shared.write_spans(id, &trace);
+        job.state = JobState::Cancelled;
         inner.queue.remove(id);
         inner.settle(id);
+        drop(inner);
+        shared.progress.notify_all();
         Response::text(200, "cancelled\n")
     } else {
         job.cancel.store(true, Ordering::SeqCst);
@@ -1294,6 +1540,7 @@ fn job_cancel(shared: &Arc<Shared>, id: u64) -> Response {
 mod tests {
     use super::*;
     use div_core::parse_spans;
+    use std::time::{Duration, Instant};
 
     fn spec_text(trials: usize) -> String {
         format!("graph complete:8\ntrials {trials}\nseed 3\nbudget 100000\n")
@@ -1422,15 +1669,25 @@ mod tests {
         let inner = recover(&replay, 8);
 
         // Terminal jobs come back settled, everything else live.
-        assert!(matches!(&inner.jobs[&1], Entry::Settled(s) if s.state == JobState::Completed));
-        assert!(matches!(&inner.jobs[&2], Entry::Live(j) if j.state == JobState::Running));
-        assert_eq!(inner.jobs[&2].summary().done, 1);
-        assert!(matches!(&inner.jobs[&3], Entry::Live(j) if j.state == JobState::Queued));
+        let entry = |id| inner.entry(id).unwrap();
+        assert!(matches!(entry(1), Entry::Settled(s, "a") if s.state == JobState::Completed));
+        assert!(matches!(entry(2), Entry::Live(j) if j.state == JobState::Running));
+        assert_eq!(entry(2).summary().done, 1);
+        assert!(matches!(entry(3), Entry::Live(j) if j.state == JobState::Queued));
         // Cancel intent on a crashed running job resolves to cancelled,
         // its partial outcome kept for the re-rendered report.
-        assert!(matches!(&inner.jobs[&4], Entry::Settled(s) if s.state == JobState::Cancelled));
-        assert!(inner.jobs.values().all(|e| e.summary().recovered));
+        assert!(matches!(entry(4), Entry::Settled(s, "b") if s.state == JobState::Cancelled));
+        assert_eq!(entry(4).summary().done, 0);
+        assert_eq!(inner.entries().count(), 4);
+        assert!(inner.entries().all(|(_, e)| e.summary().recovered));
         assert_eq!(inner.next_id, 5);
+        // A settled row's journal range re-reads to what replay built.
+        let Entry::Settled(row, _) = entry(1) else {
+            unreachable!()
+        };
+        let job = reread(&path, 1, row).unwrap();
+        assert_eq!(job.results.len(), 1);
+        assert_eq!((job.spec.seed, job.state), (3, JobState::Completed));
 
         // The crashed job resumes before the queued one.
         let mut queue = inner.queue;
@@ -1472,7 +1729,7 @@ mod tests {
                 .arg_text("outcome", "converged"),
             );
         }
-        let events = assemble_spans(7, job, 150);
+        let events = assemble_spans(7, job, job.state, 150);
         let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["queued", "running", "attempt", "attempt"]);
         // `queued` covers submit → schedule; `running` covers schedule
@@ -1504,7 +1761,7 @@ mod tests {
         // A job cancelled while queued: the trace is the queue wait
         // alone, closed at the cancel instant.
         let jobs = synthetic_job(3, &["cancel 3".to_string()]);
-        let events = assemble_spans(3, &jobs[&3], 500);
+        let events = assemble_spans(3, &jobs[&3], jobs[&3].state, 500);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "queued");
         assert_eq!((events[0].ts_us, events[0].dur_us), (0, 500));
@@ -1540,37 +1797,34 @@ mod tests {
             resumed: 0,
         }
         .render();
-        let lines: Vec<String> = job
-            .results
-            .iter()
-            .map(|(&i, o)| o.manifest_line(i))
-            .collect();
-        let lines = lines.iter().map(String::as_str);
-        assert_eq!(render_report(job.spec.seed, job.spec.trials, lines), expect);
+        assert_eq!(job.report(), expect);
     }
 
-    /// A daemon state over `jobs`, with no oplog and no threads.
-    fn shared_with(dir: &std::path::Path, jobs: BTreeMap<u64, Entry>) -> Arc<Shared> {
-        let mut inner = recover(&Replay::from_bytes(&[]), 8);
-        inner.jobs = jobs;
+    /// A daemon state over `inner`, reading its journal from
+    /// `<dir>/oplog.div`, with no threads.
+    fn shared_with(dir: &Path, inner: Inner) -> Arc<Shared> {
         Arc::new(Shared {
             inner: Mutex::new(inner),
             work: Condvar::new(),
+            progress: Condvar::new(),
             data_dir: dir.to_path_buf(),
             clock: SpanClock::new(),
         })
     }
 
-    /// `(status, body)` of `GET path`, streams drained to the end.
-    fn get(shared: &Arc<Shared>, path: &str) -> (u16, Vec<u8>) {
-        let req = Request {
-            method: "GET".to_string(),
+    fn request(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.to_string(),
             path: path.to_string(),
             query: String::new(),
             headers: Vec::new(),
-            body: Vec::new(),
-        };
-        let resp = route(shared, &req);
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// `(status, body)` of `GET path`, streams drained to the end.
+    fn get(shared: &Arc<Shared>, path: &str) -> (u16, Vec<u8>) {
+        let resp = route(shared, &request("GET", path, ""));
         let body = match resp.body {
             div_sim::http::Body::Bytes(bytes) => bytes,
             div_sim::http::Body::Stream(write) => {
@@ -1693,27 +1947,39 @@ mod tests {
             let mut jobs = synthetic_job(7, &case_ops);
             let spans = format!("[{label}]\n").into_bytes();
             std::fs::write(dir.join("spans").join("job-7.json"), &spans).unwrap();
-            let settled = if label == "recovered" {
-                let mut submit = vec![format!("submit 7 alice {}", spec_text(4))];
-                submit.extend(case_ops.iter().cloned());
-                let replay = Replay {
-                    bundles: vec![div_oplog::Bundle {
-                        seq: 1,
-                        ops: submit,
-                    }],
-                    ..Replay::from_bytes(&[])
-                };
+            // The job's journal as a daemon writes it: its submit, then
+            // one bundle per op.
+            let path = dir.join("oplog.div");
+            let _ = std::fs::remove_file(&path);
+            let (mut log, _) = Oplog::open(&path).unwrap();
+            let start = log.len();
+            let submit = format!("submit 7 alice {}", spec_text(4));
+            for op in std::iter::once(&submit).chain(&case_ops) {
+                log.commit(std::slice::from_ref(op)).unwrap();
+            }
+            let end = log.len();
+            drop(log);
+            let inner = if label == "recovered" {
                 let job = jobs.get_mut(&7).unwrap();
                 job.state = JobState::Cancelled;
                 job.recovered = true;
-                recover(&replay, 8).jobs
+                recover(&Oplog::open(&path).unwrap().1, 8)
             } else {
-                let mut settled = BTreeMap::new();
-                settled.insert(7, Entry::Settled(Settled::from_job(&jobs[&7])));
-                settled
+                // Settled as a worker settles it: the full record, with
+                // the journal range its ops were written to.
+                let mut inner = recover(&Replay::from_bytes(&[]), 8);
+                let mut job = synthetic_job(7, &case_ops).remove(&7).unwrap();
+                job.journal = start..end;
+                inner.live.insert(7, Box::new(job));
+                inner.next_id = 8;
+                inner.settle(7);
+                inner
             };
-            assert!(matches!(settled[&7], Entry::Settled(_)), "{label}");
-            let shared = shared_with(&dir, settled);
+            assert!(
+                matches!(inner.entry(7), Some(Entry::Settled(..))),
+                "{label}"
+            );
+            let shared = shared_with(&dir, inner);
             for (path, status, body) in full_record_answers(7, &jobs[&7], &spans) {
                 let (got_status, got) = get(&shared, &path);
                 assert_eq!(
@@ -1723,6 +1989,244 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_settled_row_is_32_bytes() {
+        assert!(std::mem::size_of::<Settled>() <= 32);
+        assert_eq!(
+            std::mem::size_of::<Option<Settled>>(),
+            std::mem::size_of::<Settled>()
+        );
+    }
+
+    /// A fresh data directory for `label`.
+    fn fresh_dir(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("divd-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A daemon state on a fresh data directory, with a real oplog and no
+    /// threads, holding one submitted 4-trial job: id 1, seed 3.
+    fn one_job(label: &str) -> (PathBuf, Arc<Shared>) {
+        let dir = fresh_dir(label);
+        let shared = Arc::new(Shared::open(&DaemonConfig::new(&dir)).unwrap());
+        let resp = route(&shared, &request("POST", "/campaigns", &spec_text(4)));
+        assert_eq!(resp.status, 201);
+        (dir, shared)
+    }
+
+    /// Trial `i`'s outcome in the wake-up tests.
+    fn converged(i: usize) -> TrialOutcome {
+        TrialOutcome::Converged {
+            winner: 2,
+            steps: 50 + i as u64,
+        }
+    }
+
+    /// Forwards every write to a channel, as it happens.
+    struct ChannelWriter(std::sync::mpsc::Sender<Vec<u8>>);
+
+    impl io::Write for ChannelWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An open `/results` stream, written on its own thread.
+    ///
+    /// The pauses in [`Stream::open`] and [`Stream::expect`] let the
+    /// stream block on the condition variable before the test acts.  A
+    /// stream not yet blocked sees the change under the lock anyway, so
+    /// a short pause can only hide a missed notification, never fail a
+    /// working one.
+    struct Stream {
+        rx: std::sync::mpsc::Receiver<Vec<u8>>,
+        text: String,
+        writer: std::thread::JoinHandle<io::Result<()>>,
+    }
+
+    impl Stream {
+        /// Opens job `id`'s stream and gives it time to deliver what it
+        /// has and block.
+        fn open(shared: &Arc<Shared>, id: u64) -> Stream {
+            let resp = route(
+                shared,
+                &request("GET", &format!("/campaigns/{id}/results"), ""),
+            );
+            let div_sim::http::Body::Stream(write) = resp.body else {
+                panic!("a job in flight streams its results");
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            let writer = std::thread::spawn(move || write(&mut ChannelWriter(tx)));
+            std::thread::sleep(Duration::from_millis(50));
+            Stream {
+                rx,
+                text: String::new(),
+                writer,
+            }
+        }
+
+        /// Waits for `line`, failing after 5 s: a stream nobody wakes
+        /// never delivers it, so a missed notification fails the test
+        /// instead of hanging it.
+        fn expect(&mut self, line: &str) {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let whole = format!("{line}\n");
+            while !self.text.split_inclusive('\n').any(|l| l == whole) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.rx.recv_timeout(left) {
+                    Ok(bytes) => self.text.push_str(&String::from_utf8(bytes).unwrap()),
+                    Err(_) => panic!("stream never sent {line:?}; got {:?}", self.text),
+                }
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+
+        /// Waits for the `end <state>` line and the stream's clean close;
+        /// returns everything it sent.
+        fn end(mut self, state: &str) -> String {
+            self.expect(&format!("end {state}"));
+            self.writer.join().unwrap().unwrap();
+            self.text
+        }
+    }
+
+    #[test]
+    fn an_outcome_wakes_an_open_stream() {
+        let (dir, shared) = one_job("wake-outcome");
+        claim(&shared, 1).unwrap();
+        record_outcome(&shared, 1, 3, 0, &converged(0));
+        let mut stream = Stream::open(&shared, 1);
+        stream.expect(&converged(0).manifest_line(0));
+        record_outcome(&shared, 1, 3, 2, &converged(2));
+        stream.expect(&converged(2).manifest_line(2));
+        assert_eq!(stream.text.lines().count(), 2, "each line once");
+        shared.begin_drain();
+        stream.end("draining");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn completion_wakes_an_open_stream() {
+        let (dir, shared) = one_job("wake-complete");
+        claim(&shared, 1).unwrap();
+        for i in 0..4 {
+            record_outcome(&shared, 1, 3, i, &converged(i));
+        }
+        let mut stream = Stream::open(&shared, 1);
+        stream.expect(&converged(3).manifest_line(3));
+        let report = CampaignReport {
+            master_seed: 3,
+            trials: 4,
+            outcomes: (0..4).map(|i| (i, converged(i))).collect(),
+            resumed: 0,
+        };
+        finish(&shared, 1, Ok(report.clone()));
+        let streamed = stream.end("completed");
+        assert_eq!(streamed.lines().count(), 5, "{streamed}");
+        // Settled from the journal, the job serves the report written at
+        // completion, and its stream the same lines.
+        assert!(matches!(shared.lock().entry(1), Some(Entry::Settled(..))));
+        let written = std::fs::read(shared.report_path(1)).unwrap();
+        assert_eq!(written, report.render().into_bytes());
+        assert_eq!(get(&shared, "/campaigns/1/report"), (200, written));
+        let settled = get(&shared, "/campaigns/1/results");
+        assert_eq!(settled, (200, streamed.into_bytes()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failure_wakes_an_open_stream() {
+        let (dir, shared) = one_job("wake-fail");
+        claim(&shared, 1).unwrap();
+        let stream = Stream::open(&shared, 1);
+        finish(&shared, 1, Err("boom\nat setup".to_string()));
+        stream.end("failed");
+        let (status, body) = get(&shared, "/campaigns/1");
+        assert_eq!(status, 200);
+        let body = String::from_utf8(body).unwrap();
+        assert!(
+            body.ends_with("class failed\nerror boom at setup\n"),
+            "{body}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cancelling_a_queued_job_wakes_its_stream() {
+        let (dir, shared) = one_job("wake-cancel");
+        let stream = Stream::open(&shared, 1);
+        let resp = route(&shared, &request("DELETE", "/campaigns/1", ""));
+        assert_eq!(resp.status, 200);
+        stream.end("cancelled");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_drain_wakes_an_open_stream() {
+        let (dir, shared) = one_job("wake-drain");
+        claim(&shared, 1).unwrap();
+        let stream = Stream::open(&shared, 1);
+        shared.begin_drain();
+        stream.end("draining");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_damaged_journal_answers_500() {
+        let (dir, shared) = one_job("damaged");
+        claim(&shared, 1).unwrap();
+        record_outcome(&shared, 1, 3, 0, &converged(0));
+        finish(&shared, 1, Err("boom".to_string()));
+        let path = shared.oplog_path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 2;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&path, bytes).unwrap();
+        for endpoint in ["", "/results"] {
+            let (status, body) = get(&shared, &format!("/campaigns/1{endpoint}"));
+            let body = String::from_utf8(body).unwrap();
+            assert_eq!(status, 500, "{endpoint}: {body}");
+            assert!(body.contains("checksum mismatch"), "{body}");
+        }
+        // Endpoints served from the row alone still answer.
+        assert_eq!(get(&shared, "/campaigns/1/progress").0, 200);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_job_its_journal_misses_keeps_its_full_record() {
+        let (dir, shared) = one_job("unjournalled");
+        // The drain sealed the log, so the cancel below is not journalled.
+        let log = shared.lock().oplog.take().unwrap();
+        log.seal().unwrap();
+        let resp = route(&shared, &request("DELETE", "/campaigns/1", ""));
+        assert_eq!(resp.status, 200);
+        assert!(
+            matches!(shared.lock().entry(1), Some(Entry::Live(j)) if j.state == JobState::Cancelled)
+        );
+        let (status, body) = get(&shared, "/campaigns/1");
+        assert_eq!(status, 200);
+        assert!(String::from_utf8(body)
+            .unwrap()
+            .ends_with("class partial\n"));
+        assert_eq!(
+            get(&shared, "/campaigns/1/results"),
+            (200, b"end cancelled\n".to_vec())
+        );
+        let (status, report) = get(&shared, "/campaigns/1/report");
+        assert_eq!(status, 200);
+        assert!(String::from_utf8(report)
+            .unwrap()
+            .contains("trials=4 completed=0"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

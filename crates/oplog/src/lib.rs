@@ -13,7 +13,12 @@
 //!   discarded on replay.  A `kill -9` at any instant loses at most the
 //!   uncommitted tail; [`Oplog::open`] detects the torn tail, reports it,
 //!   and truncates the file back to its last valid frame before new
-//!   appends.
+//!   appends.  A failed append is rolled back the same way at once, so
+//!   one failed commit never hides later ones.
+//! * [`read_range`] — reads back the bundles between two recorded
+//!   offsets ([`Oplog::len`], [`Bundle::offset`]), decoded and
+//!   checksum-checked exactly as replay does, so a reader can keep a
+//!   byte range instead of the ops themselves.
 //!
 //! # Frame format
 //!
@@ -52,4 +57,6 @@ mod log;
 
 pub use atomic::atomic_write;
 pub use crc32::crc32;
-pub use log::{escape_op, unescape_op, Bundle, Oplog, Replay, TornTail, MAX_PAYLOAD_BYTES};
+pub use log::{
+    escape_op, read_range, unescape_op, Bundle, Oplog, Replay, TornTail, MAX_PAYLOAD_BYTES,
+};

@@ -1,7 +1,7 @@
 //! Append-only bundle log with torn-tail recovery.
 
 use std::fs::{self, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write as _};
+use std::io::{self, Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::atomic::atomic_write;
@@ -30,6 +30,10 @@ pub struct Bundle {
     pub seq: u64,
     /// The operations, unescaped.
     pub ops: Vec<String>,
+    /// Byte offset of the bundle's frame in the log file.
+    pub offset: u64,
+    /// Byte offset just past the frame: where the next frame starts.
+    pub end: u64,
 }
 
 /// Description of a discarded torn tail.
@@ -80,89 +84,155 @@ impl Replay {
         if bytes.is_empty() {
             return replay;
         }
-        let torn = |offset: u64, total: usize, reason: &str| TornTail {
+        let torn = |offset: u64, reason: &str| TornTail {
             offset,
-            bytes: total as u64 - offset,
+            bytes: bytes.len() as u64 - offset,
             reason: reason.to_string(),
         };
         if bytes.len() < HEADER.len() || &bytes[..HEADER.len()] != HEADER {
-            replay.torn = Some(torn(0, bytes.len(), "bad file header"));
+            replay.torn = Some(torn(0, "bad file header"));
             return replay;
         }
         let mut off = HEADER.len();
         replay.valid_len = off as u64;
-        loop {
-            if off == bytes.len() {
-                break; // clean end at a frame boundary
-            }
-            let reject = |reason: &str| torn(off as u64, bytes.len(), reason);
-            if bytes.len() - off < FRAME_HEAD {
-                replay.torn = Some(reject("truncated frame head"));
-                break;
-            }
-            let magic = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let kind = bytes[off + 4];
-            let seq = u64::from_le_bytes(bytes[off + 5..off + 13].try_into().unwrap());
-            let len = u32::from_le_bytes(bytes[off + 13..off + 17].try_into().unwrap());
-            let crc = u32::from_le_bytes(bytes[off + 17..off + 21].try_into().unwrap());
-            if magic != MAGIC {
-                replay.torn = Some(reject("bad frame magic"));
-                break;
-            }
-            if kind != KIND_BUNDLE && kind != KIND_SEAL {
-                replay.torn = Some(reject("unknown frame kind"));
-                break;
-            }
-            if seq != replay.next_seq {
-                replay.torn = Some(reject("out-of-order sequence number"));
-                break;
-            }
-            if len > MAX_PAYLOAD_BYTES {
-                replay.torn = Some(reject("oversized frame"));
-                break;
-            }
-            let body = off + FRAME_HEAD;
-            let end = body + len as usize;
-            if end > bytes.len() {
-                replay.torn = Some(reject("truncated frame payload"));
-                break;
-            }
-            let payload = &bytes[body..end];
-            if crc != frame_crc(kind, seq, payload) {
-                replay.torn = Some(reject("checksum mismatch"));
-                break;
-            }
-            match kind {
-                KIND_BUNDLE => {
-                    let text = match std::str::from_utf8(payload) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            replay.torn = Some(reject("malformed bundle payload"));
-                            break;
-                        }
-                    };
-                    // Each op line is newline-*terminated* (not merely
-                    // separated), so zero ops and one empty op encode
-                    // differently: `""` vs `"\n"`.
-                    let ops = if text.is_empty() {
-                        Vec::new()
-                    } else if let Some(body) = text.strip_suffix('\n') {
-                        body.split('\n').map(unescape_op).collect()
-                    } else {
-                        replay.torn = Some(reject("malformed bundle payload"));
-                        break;
-                    };
-                    replay.bundles.push(Bundle { seq, ops });
-                    replay.sealed = false;
+        // A clean end lies at a frame boundary.
+        while off < bytes.len() {
+            match decode_frame(bytes, off, Some(replay.next_seq)) {
+                Ok(frame) => {
+                    replay.sealed = frame.ops.is_none();
+                    if let Some(ops) = frame.ops {
+                        replay.bundles.push(Bundle {
+                            seq: frame.seq,
+                            ops,
+                            offset: off as u64,
+                            end: frame.end as u64,
+                        });
+                    }
+                    replay.next_seq = frame.seq + 1;
+                    off = frame.end;
+                    replay.valid_len = off as u64;
                 }
-                _ => replay.sealed = true,
+                Err(reason) => {
+                    replay.torn = Some(torn(off as u64, reason));
+                    break;
+                }
             }
-            replay.next_seq = seq + 1;
-            off = end;
-            replay.valid_len = off as u64;
         }
         replay
     }
+}
+
+/// Reads the bundles in `start..end` of the log at `path`: a byte range
+/// that begins and ends at frame boundaries, such as two values of
+/// [`Oplog::len`] or a [`Bundle`]'s `offset` and `end`.  Frames are
+/// decoded and checked exactly as replay checks them; seal frames inside
+/// the range are skipped, so a range may span a restart.
+///
+/// # Errors
+///
+/// Propagates I/O failures opening or reading the file, and returns
+/// [`io::ErrorKind::InvalidData`] when the range runs past the end of the
+/// file or does not hold whole, valid, consecutively numbered frames.
+pub fn read_range(path: &Path, start: u64, end: u64) -> io::Result<Vec<Bundle>> {
+    let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+    let len = end
+        .checked_sub(start)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| invalid(format!("bad oplog range {start}..{end}")))?;
+    let mut file = fs::File::open(path)?;
+    // Checked before allocating, so a bogus range costs no memory.
+    if end > file.metadata()?.len() {
+        return Err(invalid(format!(
+            "oplog range {start}..{end} ends past the log"
+        )));
+    }
+    file.seek(SeekFrom::Start(start))?;
+    let mut bytes = vec![0; len];
+    file.read_exact(&mut bytes)?;
+    let mut bundles = Vec::new();
+    let mut off = 0;
+    let mut next_seq = None;
+    while off < bytes.len() {
+        let frame = decode_frame(&bytes, off, next_seq)
+            .map_err(|why| invalid(format!("oplog frame at byte {}: {why}", start + off as u64)))?;
+        if let Some(ops) = frame.ops {
+            bundles.push(Bundle {
+                seq: frame.seq,
+                ops,
+                offset: start + off as u64,
+                end: start + frame.end as u64,
+            });
+        }
+        next_seq = Some(frame.seq + 1);
+        off = frame.end;
+    }
+    Ok(bundles)
+}
+
+/// One decoded frame.
+struct Frame {
+    seq: u64,
+    /// The bundle's ops; `None` for a seal.
+    ops: Option<Vec<String>>,
+    /// Offset just past the frame.
+    end: usize,
+}
+
+/// Decodes and checks the frame at `off`, which must carry `expect_seq`
+/// when that is known.  The error names the first violation: the reason
+/// replay reports for a torn tail.
+fn decode_frame(bytes: &[u8], off: usize, expect_seq: Option<u64>) -> Result<Frame, &'static str> {
+    if bytes.len() - off < FRAME_HEAD {
+        return Err("truncated frame head");
+    }
+    let field = |at: usize, n: usize| &bytes[off + at..off + at + n];
+    let magic = u32::from_le_bytes(field(0, 4).try_into().unwrap());
+    let kind = bytes[off + 4];
+    let seq = u64::from_le_bytes(field(5, 8).try_into().unwrap());
+    let len = u32::from_le_bytes(field(13, 4).try_into().unwrap());
+    let crc = u32::from_le_bytes(field(17, 4).try_into().unwrap());
+    if magic != MAGIC {
+        return Err("bad frame magic");
+    }
+    if kind != KIND_BUNDLE && kind != KIND_SEAL {
+        return Err("unknown frame kind");
+    }
+    if expect_seq.is_some_and(|want| seq != want) {
+        return Err("out-of-order sequence number");
+    }
+    if len > MAX_PAYLOAD_BYTES {
+        return Err("oversized frame");
+    }
+    let body = off + FRAME_HEAD;
+    let end = body + len as usize;
+    if end > bytes.len() {
+        return Err("truncated frame payload");
+    }
+    let payload = &bytes[body..end];
+    if crc != frame_crc(kind, seq, payload) {
+        return Err("checksum mismatch");
+    }
+    if kind == KIND_SEAL {
+        return Ok(Frame {
+            seq,
+            ops: None,
+            end,
+        });
+    }
+    let text = std::str::from_utf8(payload).map_err(|_| "malformed bundle payload")?;
+    // Each op line is newline-*terminated* (not merely separated), so
+    // zero ops and one empty op encode differently: `""` vs `"\n"`.
+    let ops = if text.is_empty() {
+        Vec::new()
+    } else {
+        let body = text.strip_suffix('\n').ok_or("malformed bundle payload")?;
+        body.split('\n').map(unescape_op).collect()
+    };
+    Ok(Frame {
+        seq,
+        ops: Some(ops),
+        end,
+    })
 }
 
 /// CRC over the covered frame fields: kind ‖ seq ‖ len ‖ payload.
@@ -217,6 +287,75 @@ pub fn unescape_op(line: &str) -> String {
     out
 }
 
+/// The file operations an append needs: a trait so that tests can make
+/// a write or a sync fail part-way.
+trait LogFile: Write {
+    fn sync_data(&mut self) -> io::Result<()>;
+    fn set_len(&mut self, len: u64) -> io::Result<()>;
+    fn seek_to(&mut self, pos: u64) -> io::Result<()>;
+}
+
+impl LogFile for fs::File {
+    fn sync_data(&mut self) -> io::Result<()> {
+        fs::File::sync_data(self)
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        fs::File::set_len(self, len)
+    }
+
+    fn seek_to(&mut self, pos: u64) -> io::Result<()> {
+        self.seek(SeekFrom::Start(pos)).map(drop)
+    }
+}
+
+/// The append end of a log: the file, positioned at `len`, the length
+/// of its committed prefix.
+#[derive(Debug)]
+struct Tail<F> {
+    file: F,
+    len: u64,
+    next_seq: u64,
+    /// Set when a failed append could not be rolled back; every later
+    /// append is refused, since it would land after bytes replay rejects.
+    broken: bool,
+}
+
+impl<F: LogFile> Tail<F> {
+    /// Appends one frame and fsyncs it; returns its sequence number.  On
+    /// any failure the file is cut back to `len` and the cursor put
+    /// there, so the next append reuses the same sequence number and
+    /// offset and the file stays a valid log.
+    fn append(&mut self, kind: u8, payload: &[u8]) -> io::Result<u64> {
+        if self.broken {
+            return Err(io::Error::other(
+                "oplog refuses appends: an earlier failed append could not be rolled back",
+            ));
+        }
+        let seq = self.next_seq;
+        let frame = encode_frame(kind, seq, payload);
+        let appended = self
+            .file
+            .write_all(&frame)
+            .and_then(|()| self.file.sync_data());
+        if let Err(e) = appended {
+            let len = self.len;
+            if self
+                .file
+                .set_len(len)
+                .and_then(|()| self.file.seek_to(len))
+                .is_err()
+            {
+                self.broken = true;
+            }
+            return Err(e);
+        }
+        self.next_seq = seq + 1;
+        self.len += frame.len() as u64;
+        Ok(seq)
+    }
+}
+
 /// An open, appendable operation log.
 ///
 /// Created by [`Oplog::open`], which replays the existing file (if any),
@@ -225,10 +364,8 @@ pub fn unescape_op(line: &str) -> String {
 /// returning — once it returns, the bundle survives any crash.
 #[derive(Debug)]
 pub struct Oplog {
-    file: fs::File,
+    tail: Tail<fs::File>,
     path: PathBuf,
-    next_seq: u64,
-    len: u64,
 }
 
 impl Oplog {
@@ -291,10 +428,13 @@ impl Oplog {
         }
         Ok((
             Oplog {
-                file,
+                tail: Tail {
+                    file,
+                    len,
+                    next_seq: replay.next_seq,
+                    broken: false,
+                },
                 path: path.to_path_buf(),
-                next_seq: replay.next_seq,
-                len,
             },
             replay,
         ))
@@ -307,7 +447,15 @@ impl Oplog {
 
     /// The sequence number the next commit will use.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.tail.next_seq
+    }
+
+    /// Length in bytes of the committed log: the offset at which the next
+    /// commit's frame starts, and so, read after a commit, the end of
+    /// that commit's frame.  [`read_range`] reads between two such values.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> u64 {
+        self.tail.len
     }
 
     /// Appends one atomic bundle and fsyncs; returns its sequence number.
@@ -315,9 +463,10 @@ impl Oplog {
     /// # Errors
     ///
     /// Fails if the encoded payload exceeds [`MAX_PAYLOAD_BYTES`] or on
-    /// I/O failure.  After an I/O error the in-memory sequence counter is
-    /// unchanged, so a retried commit reuses the same frame slot — replay
-    /// truncates whatever partial frame the failed attempt left behind.
+    /// I/O failure.  A failed commit leaves nothing behind: the file is
+    /// cut back to its committed length and the sequence counter is
+    /// unchanged, so a retried commit reuses the same frame slot.  If
+    /// that rollback fails too, every later commit fails.
     pub fn commit(&mut self, ops: &[String]) -> io::Result<u64> {
         let payload = ops
             .iter()
@@ -334,13 +483,7 @@ impl Oplog {
                 format!("bundle payload {} bytes exceeds cap", payload.len()),
             ));
         }
-        let seq = self.next_seq;
-        let frame = encode_frame(KIND_BUNDLE, seq, &payload);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
-        self.next_seq = seq + 1;
-        self.len += frame.len() as u64;
-        Ok(seq)
+        self.tail.append(KIND_BUNDLE, &payload)
     }
 
     /// Seals the log: appends a seal frame, fsyncs, and records the
@@ -351,14 +494,10 @@ impl Oplog {
     ///
     /// Propagates I/O failures from the append or the sidecar write.
     pub fn seal(mut self) -> io::Result<()> {
-        let seq = self.next_seq;
-        let frame = encode_frame(KIND_SEAL, seq, &[]);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
-        self.len += frame.len() as u64;
+        self.tail.append(KIND_SEAL, &[])?;
         atomic_write(
             &seal_sidecar(&self.path),
-            format!("sealed len {}\n", self.len).as_bytes(),
+            format!("sealed len {}\n", self.tail.len).as_bytes(),
         )
     }
 }
@@ -537,6 +676,204 @@ mod tests {
         assert_eq!(replay.bundles.len(), 1);
         assert!(replay.torn.is_none());
         fs::remove_file(&path).ok();
+    }
+
+    /// An in-memory log file whose writes stop after `write_budget`
+    /// more bytes, and whose next sync (or every `set_len`) can fail.
+    #[derive(Debug, Default)]
+    struct Flaky {
+        bytes: Vec<u8>,
+        pos: usize,
+        write_budget: Option<usize>,
+        fail_sync: bool,
+        fail_set_len: bool,
+    }
+
+    impl Write for Flaky {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = match self.write_budget {
+                Some(0) => return Err(io::Error::other("no space left")),
+                Some(budget) => budget.min(buf.len()),
+                None => buf.len(),
+            };
+            if let Some(budget) = &mut self.write_budget {
+                *budget -= n;
+            }
+            let end = self.pos + n;
+            if self.bytes.len() < end {
+                self.bytes.resize(end, 0);
+            }
+            self.bytes[self.pos..end].copy_from_slice(&buf[..n]);
+            self.pos = end;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl LogFile for Flaky {
+        fn sync_data(&mut self) -> io::Result<()> {
+            if std::mem::take(&mut self.fail_sync) {
+                return Err(io::Error::other("fsync failed"));
+            }
+            Ok(())
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            if self.fail_set_len {
+                return Err(io::Error::other("truncate failed"));
+            }
+            self.bytes.resize(len as usize, 0);
+            Ok(())
+        }
+
+        fn seek_to(&mut self, pos: u64) -> io::Result<()> {
+            self.pos = pos as usize;
+            Ok(())
+        }
+    }
+
+    fn flaky_tail() -> Tail<Flaky> {
+        Tail {
+            file: Flaky {
+                bytes: HEADER.to_vec(),
+                pos: HEADER.len(),
+                ..Flaky::default()
+            },
+            len: HEADER.len() as u64,
+            next_seq: 1,
+            broken: false,
+        }
+    }
+
+    fn replayed_ops(bytes: &[u8]) -> Vec<Vec<String>> {
+        let replay = Replay::from_bytes(bytes);
+        assert!(replay.torn.is_none(), "{:?}", replay.torn);
+        replay.bundles.into_iter().map(|b| b.ops).collect()
+    }
+
+    #[test]
+    fn failed_appends_roll_back_and_later_commits_survive() {
+        let mut tail = flaky_tail();
+        assert_eq!(tail.append(KIND_BUNDLE, b"one\n").unwrap(), 1);
+        let committed = tail.file.bytes.clone();
+
+        // A short write: the frame stops after five bytes.
+        tail.file.write_budget = Some(5);
+        assert!(tail.append(KIND_BUNDLE, b"two\n").is_err());
+        tail.file.write_budget = None;
+        assert_eq!(tail.file.bytes, committed, "the partial frame is cut away");
+        assert_eq!(tail.file.pos, committed.len(), "the cursor is rewound");
+
+        // A whole frame written, then its fsync fails.
+        tail.file.fail_sync = true;
+        assert!(tail.append(KIND_BUNDLE, b"two\n").is_err());
+        assert_eq!(tail.file.bytes, committed, "the unsynced frame is cut away");
+
+        // The next commit reuses the slot, and replay keeps every frame.
+        assert_eq!(tail.append(KIND_BUNDLE, b"three\n").unwrap(), 2);
+        assert_eq!(tail.append(KIND_BUNDLE, b"four\n").unwrap(), 3);
+        assert_eq!(tail.len, tail.file.bytes.len() as u64);
+        assert_eq!(
+            replayed_ops(&tail.file.bytes),
+            [ops(&["one"]), ops(&["three"]), ops(&["four"])]
+        );
+    }
+
+    #[test]
+    fn a_failed_rollback_refuses_every_later_append() {
+        let mut tail = flaky_tail();
+        tail.append(KIND_BUNDLE, b"one\n").unwrap();
+        tail.file.write_budget = Some(5);
+        tail.file.fail_set_len = true;
+        assert!(tail.append(KIND_BUNDLE, b"two\n").is_err());
+        // The file works again, but the partial frame is still there:
+        // anything appended after it would be lost on replay.
+        tail.file.write_budget = None;
+        tail.file.fail_set_len = false;
+        let err = tail.append(KIND_BUNDLE, b"three\n").unwrap_err();
+        assert!(err.to_string().contains("refuses appends"), "{err}");
+        assert_eq!(tail.next_seq, 2);
+    }
+
+    #[test]
+    fn read_range_returns_exactly_the_bundles_between_two_offsets() {
+        let path = temp_log("range");
+        let (mut log, _) = Oplog::open(&path).unwrap();
+        log.commit(&ops(&["one"])).unwrap();
+        let start = log.len();
+        log.commit(&ops(&["two", "two\nlines"])).unwrap();
+        log.commit(&[]).unwrap();
+        log.commit(&ops(&["four"])).unwrap();
+        let end = log.len();
+        log.commit(&ops(&["five"])).unwrap();
+
+        let replay = Replay::from_bytes(&fs::read(&path).unwrap());
+        let got = read_range(&path, start, end).unwrap();
+        assert_eq!(got, replay.bundles[1..4]);
+        assert_eq!((got[0].offset, got[2].end), (start, end));
+        assert_eq!(got[0].ops, ops(&["two", "two\nlines"]));
+        assert!(read_range(&path, start, start).unwrap().is_empty());
+        // Off a frame boundary, past the end, or backwards: typed errors.
+        for (from, to) in [(start + 1, end), (start, log.len() + 1), (end, start)] {
+            let err = read_range(&path, from, to).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{from}..{to}: {err}"
+            );
+        }
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_range_reports_a_flipped_byte_as_invalid_data() {
+        let path = temp_log("range-flip");
+        let (mut log, _) = Oplog::open(&path).unwrap();
+        let start = log.len();
+        log.commit(&ops(&["one"])).unwrap();
+        let mid = log.len();
+        log.commit(&ops(&["two"])).unwrap();
+        let end = log.len();
+        drop(log);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[mid as usize + FRAME_HEAD + 1] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+
+        let err = read_range(&path, start, end).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        // The frame before the damage still reads.
+        assert_eq!(read_range(&path, start, mid).unwrap()[0].ops, ops(&["one"]));
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_range_reads_a_sealed_log_and_spans_a_restart() {
+        let path = temp_log("range-seal");
+        let start = HEADER.len() as u64;
+        let first_end = {
+            let (mut log, _) = Oplog::open(&path).unwrap();
+            log.commit(&ops(&["one"])).unwrap();
+            let end = log.len();
+            log.seal().unwrap();
+            end
+        };
+        assert_eq!(
+            read_range(&path, start, first_end).unwrap()[0].ops,
+            ops(&["one"])
+        );
+
+        let (mut log, _) = Oplog::open(&path).unwrap();
+        log.commit(&ops(&["two"])).unwrap();
+        let got = read_range(&path, start, log.len()).unwrap();
+        let seqs: Vec<u64> = got.iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, [1, 3], "the seal frame (seq 2) is skipped");
+        assert_eq!(got[1].ops, ops(&["two"]));
+        fs::remove_file(&path).ok();
+        fs::remove_file(seal_sidecar(&path)).ok();
     }
 
     #[test]
